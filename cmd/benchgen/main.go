@@ -8,9 +8,9 @@
 //	benchgen -markdown           # emit EXPERIMENTS.md-style markdown
 //	benchgen -twitter-scale 10   # larger Twitter stand-in (slower, tighter)
 //	benchgen -onion              # scrape forums through the onion network
-//	benchgen -bench              # measure data-path kernels, write BENCH_placement.json
-//	benchgen -bench -check       # also gate on the checked-in report (CI)
-//	benchgen -bench-ingest       # measure the ingest path, write BENCH_ingest.json
+//
+// Performance is measured by the benchmark under bench/ (see
+// bench/README.md), not by this command.
 package main
 
 import (
@@ -37,34 +37,8 @@ func run() int {
 		markdown     = flag.Bool("markdown", false, "emit markdown (EXPERIMENTS.md format)")
 		svgDir       = flag.String("svg", "", "also write each figure as an SVG file into this directory")
 		list         = flag.Bool("list", false, "list experiment IDs and exit")
-		bench        = flag.Bool("bench", false, "measure the tracked data-path kernels and write a JSON report")
-		benchOut     = flag.String("bench-out", "BENCH_placement.json", "where -bench writes its report")
-		benchBase    = flag.String("bench-baseline", "BENCH_placement.json", "committed report -check gates against")
-		benchIngest  = flag.Bool("bench-ingest", false, "measure the ingest data path (CSV parse, snapshots, fused build) and write a JSON report")
-		ingestOut    = flag.String("bench-ingest-out", "BENCH_ingest.json", "where -bench-ingest writes its report")
-		ingestBase   = flag.String("bench-ingest-baseline", "BENCH_ingest.json", "committed report -bench-ingest -check gates against")
-		ingestWork   = flag.Int("ingest-workers", 4, "with -bench-ingest: sharded-parser worker count")
-		check        = flag.Bool("check", false, "with -bench/-bench-ingest: fail if any workload is >2x slower than the committed report (plus ingest speedup gates)")
-		cpuProfile   = flag.String("cpuprofile", "", "with -bench: write a pprof CPU profile of the suite here")
-		memProfile   = flag.String("memprofile", "", "with -bench: write a pprof heap profile here")
 	)
 	flag.Parse()
-
-	if *bench {
-		baseline := ""
-		if *check {
-			baseline = *benchBase
-		}
-		return runBench(*twitterScale, *seed, *benchOut, baseline, *cpuProfile, *memProfile)
-	}
-
-	if *benchIngest {
-		baseline := ""
-		if *check {
-			baseline = *ingestBase
-		}
-		return runIngestBench(*twitterScale, *seed, *ingestWork, *ingestOut, baseline)
-	}
 
 	if *list {
 		for _, id := range experiments.AllIDs() {

@@ -73,8 +73,6 @@ func run(args []string) error {
 		return cmdScrape(args[1:])
 	case "serve":
 		return cmdServe(args[1:])
-	case "bench":
-		return cmdBench(args[1:])
 	case "help", "-h", "--help":
 		usage()
 		return nil
@@ -96,8 +94,7 @@ subcommands:
   snapshot    compile a CSV trace into a binary columnar snapshot (.dcs)
   hemisphere  classify users as northern/southern hemisphere (DST test)
   scrape      crawl a live forum into a CSV trace
-  serve       run the streaming geolocation daemon (NDJSON ingest over HTTP)
-  bench       load-benchmark a running serve daemon (mixed HTTP workloads)`)
+  serve       run the streaming geolocation daemon (NDJSON ingest over HTTP)`)
 }
 
 // obsFlags wires the observability layer (internal/obs) into a
@@ -659,7 +656,6 @@ func cmdServe(args []string) error {
 	skipPolish := fs.Bool("skip-polish", false, "skip flat-profile removal")
 	workers := fs.Int("workers", 0, "worker goroutines for the mixture fit (0 = all cores); reports are identical for every setting")
 	snapshot := fs.String("snapshot", "", "durable state: warm-start from this .dcs snapshot and checkpoint to it on compaction and shutdown (empty = in-memory only)")
-	shards := fs.Int("shards", 0, "ingest shard count (0 = default; rounded up to a power of two); reports are identical for every setting")
 	compactEvery := fs.Int("compact-every", pipeline.DefaultCompactEvery, "fold the mutable ingest tail into the immutable base after this many pending posts")
 	refitDebounce := fs.Duration("refit-debounce", pipeline.DefaultRefitDebounce, "quiet period after ingest before the background re-fit (negative = fit only on demand)")
 	if err := fs.Parse(args); err != nil {
@@ -673,7 +669,6 @@ func cmdServe(args []string) error {
 		MinPosts:      *minPosts,
 		SkipPolish:    *skipPolish,
 		Workers:       *workers,
-		Shards:        *shards,
 		SnapshotPath:  *snapshot,
 		CompactEvery:  *compactEvery,
 		RefitDebounce: *refitDebounce,

@@ -174,7 +174,7 @@ func TestGeolocateCrowdGoldenIngestInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, _, err := trace.ReadCSVParallel("golden", csvBytes, trace.ReadCSVOptions{}, 7)
+	sharded, err := trace.IngestCSV("golden", csvBytes, trace.IngestOptions{Workers: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestGeolocateCrowdGoldenIngestInvariant(t *testing.T) {
 		ds   *Dataset
 	}{
 		{"sequential", seq},
-		{"sharded", sharded},
+		{"sharded", sharded.Dataset},
 		{"snapshot", snapped},
 		{"fused", fused.Dataset},
 	}

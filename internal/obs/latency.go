@@ -10,10 +10,8 @@ package obs
 // receiver ignores all updates without allocating, so instrumented
 // handlers pay one predictable nil check when observability is off.
 //
-// The daemon wires one LatencyHist per HTTP endpoint into /metrics, and
-// `darkcrowd bench` reuses the same type to aggregate per-operation
-// latencies across its load workers — one shared histogram per op type,
-// updated straight from every worker goroutine.
+// The daemon wires one LatencyHist per HTTP endpoint into /metrics,
+// updated straight from every handler goroutine.
 
 import (
 	"math/bits"

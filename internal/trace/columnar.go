@@ -44,9 +44,10 @@ type Store struct {
 
 // Index returns the dataset's columnar index, building it on first use.
 // The index is cached; it is rebuilt automatically when len(d.Posts) has
-// changed since the last build. Mutating posts in place without changing
-// the count (or re-sorting) requires calling InvalidateIndex. The first
-// Index call on a given dataset is not safe to race with other calls.
+// changed since the last build, and SortByTime drops it. Other in-place
+// edits that keep the count are not detected: build a new Dataset
+// instead. The first Index call on a given dataset is not safe to race
+// with other calls.
 func (d *Dataset) Index() *Store {
 	if d.idx != nil && len(d.idx.userOf) == len(d.Posts) {
 		return d.idx
@@ -54,10 +55,6 @@ func (d *Dataset) Index() *Store {
 	d.idx = buildStore(d.Posts)
 	return d.idx
 }
-
-// InvalidateIndex drops the cached columnar index. Call it after mutating
-// d.Posts in place (length-changing edits are detected automatically).
-func (d *Dataset) InvalidateIndex() { d.idx = nil }
 
 // buildStore constructs the columnar index from a post slice: one interning
 // pass, a dictionary sort, then a counting-sort scatter into CSR layout.

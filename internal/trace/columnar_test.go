@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // randomDataset builds a seeded random dataset with duplicate timestamps,
@@ -219,12 +220,6 @@ func TestIndexInvalidation(t *testing.T) {
 	if d.Index().NumUsers() != 3 {
 		t.Error("length change not detected")
 	}
-	// In-place mutation keeps the length; caller must invalidate explicitly.
-	d.Posts[0].UserID = "z"
-	d.InvalidateIndex()
-	if _, ok := d.Index().Lookup("z"); !ok {
-		t.Error("InvalidateIndex did not force a rebuild")
-	}
 }
 
 // TestByUserAppendSafe pins down that appending to one user's group cannot
@@ -254,7 +249,6 @@ func TestGroundTruthNotAliased(t *testing.T) {
 		},
 		"WindowUnsorted": func(d *Dataset) *Dataset {
 			d.Posts[0], d.Posts[1] = d.Posts[1], d.Posts[0]
-			d.InvalidateIndex()
 			return d.Window(at(0), at(23))
 		},
 		"Subsample": func(d *Dataset) *Dataset {
@@ -440,21 +434,28 @@ func TestAppendRFC3339MatchesFormat(t *testing.T) {
 	}
 }
 
-func TestReadCSVHintAndInterning(t *testing.T) {
+func TestReadCSVInterning(t *testing.T) {
 	t.Parallel()
 	d := randomDataset(3, 10, 500)
 	var buf bytes.Buffer
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSVHint("hinted", bytes.NewReader(buf.Bytes()), d.NumPosts())
+	got, err := ReadCSV("interned", bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !samePosts(got.Posts, d.Posts) {
-		t.Fatal("ReadCSVHint round trip differs")
+		t.Fatal("ReadCSV round trip differs")
 	}
-	if cap(got.Posts) != d.NumPosts() {
-		t.Errorf("hint ignored: cap = %d, want %d", cap(got.Posts), d.NumPosts())
+	// Every post of a user shares one user-ID string.
+	first := make(map[string]*byte)
+	for _, p := range got.Posts {
+		data := unsafe.StringData(p.UserID)
+		if prev, ok := first[p.UserID]; !ok {
+			first[p.UserID] = data
+		} else if prev != data {
+			t.Fatalf("user %q not interned", p.UserID)
+		}
 	}
 }

@@ -2,8 +2,8 @@ package trace
 
 // The parallel sharded CSV reader. After the columnar store and the
 // allocation-free kernels, cold-start ingest dominates the pipeline
-// (csv_read is ~3x the placement kernel in BENCH_placement at scale 20),
-// so the load path gets the same treatment as placement: split the input
+// (the CSV parse took ~3x the placement kernel at Twitter scale 20), so
+// the load path gets the same treatment as placement: split the input
 // on newline boundaries, parse shards concurrently on internal/par, and
 // merge deterministically so the result is bit-identical to ReadCSVOpts
 // at any worker count — including error messages, quarantine reports and
@@ -109,18 +109,6 @@ func floorDiv3600(sec int64) int64 {
 		q--
 	}
 	return q
-}
-
-// ReadCSVParallel is the drop-in parallel variant of ReadCSVOpts: same
-// inputs (as bytes), same three results, bit-identical at any worker
-// count. The returned dataset additionally has its columnar index
-// pre-built.
-func ReadCSVParallel(name string, data []byte, opts ReadCSVOptions, workers int) (*Dataset, *QuarantineReport, error) {
-	res, err := IngestCSV(name, data, IngestOptions{ReadCSVOptions: opts, Workers: workers})
-	if res == nil {
-		return nil, nil, err
-	}
-	return res.Dataset, res.Report, err
 }
 
 // IngestCSV parses a CSV activity trace with sharded workers and builds
@@ -538,12 +526,8 @@ func mergeShards(name string, shards []*shardResult, headerLines int, opts Inges
 	}
 
 	ds := &Dataset{Name: name}
-	switch {
-	case totalPosts > 0:
+	if totalPosts > 0 {
 		ds.Posts = make([]Post, totalPosts)
-	case opts.PostHint > 0:
-		// Mirror ReadCSVOpts: a hinted read returns an empty non-nil slice.
-		ds.Posts = make([]Post, 0, opts.PostHint)
 	}
 	for i := range ds.Posts {
 		ds.Posts[i] = Post{UserID: firstIDs[userOf[i]], Time: time.Unix(when[i], 0).UTC()}

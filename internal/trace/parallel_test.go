@@ -136,7 +136,12 @@ func sameStore(t *testing.T, want, got *Store) {
 func checkParallelEquivalence(t *testing.T, data []byte, opts ReadCSVOptions, workers int) {
 	t.Helper()
 	seqDS, seqRep, seqErr := ReadCSVOpts("equiv", bytes.NewReader(data), opts)
-	parDS, parRep, parErr := ReadCSVParallel("equiv", data, opts, workers)
+	var parDS *Dataset
+	var parRep *QuarantineReport
+	res, parErr := IngestCSV("equiv", data, IngestOptions{ReadCSVOptions: opts, Workers: workers})
+	if res != nil {
+		parDS, parRep = res.Dataset, res.Report
+	}
 	sameIngestError(t, seqErr, parErr)
 	if !reflect.DeepEqual(seqRep, parRep) {
 		t.Fatalf("quarantine report mismatch (workers=%d):\n seq: %+v\n par: %+v", workers, seqRep, parRep)
@@ -163,8 +168,8 @@ func checkParallelEquivalence(t *testing.T, data []byte, opts ReadCSVOptions, wo
 }
 
 // TestParallelReadEquivalence is the tentpole property test: across
-// seeds, corruption levels, strict/lenient modes, budgets, hints and
-// worker counts, the sharded reader is byte-identical to the sequential
+// seeds, corruption levels, strict/lenient modes, budgets and worker
+// counts, the sharded reader is byte-identical to the sequential
 // one.
 func TestParallelReadEquivalence(t *testing.T) {
 	t.Parallel()
@@ -177,11 +182,10 @@ func TestParallelReadEquivalence(t *testing.T) {
 		data := genEquivCSV(r, seed%2 == 0)
 		optsVariants := []ReadCSVOptions{
 			{},
-			{PostHint: 256},
 			{Lenient: true},
 			{Lenient: true, MaxBadRows: 1},
 			{Lenient: true, MaxBadRows: 4, SampleCap: 2},
-			{Lenient: true, MaxBadRows: 100, PostHint: 8},
+			{Lenient: true, MaxBadRows: 100},
 		}
 		for _, opts := range optsVariants {
 			for _, workers := range parallelWorkerCounts {

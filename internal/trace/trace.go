@@ -342,19 +342,13 @@ func csvFieldNeedsQuotes(field string) bool {
 	return unicode.IsSpace(r1)
 }
 
-// ReadCSV reads a CSV produced by WriteCSV.
+// ReadCSV reads a CSV produced by WriteCSV. Rows are parsed through a
+// fixed-layout RFC3339 fast path (falling back to time.Parse for offsets,
+// fractional seconds, or anything unusual), and user-ID strings are
+// interned so a million-post file holds one string per distinct user
+// instead of one per row.
 func ReadCSV(name string, r io.Reader) (*Dataset, error) {
-	return ReadCSVHint(name, r, 0)
-}
-
-// ReadCSVHint is ReadCSV with a post-count hint used to preallocate the
-// post slice — pass the expected number of rows (0 is fine). Rows are
-// parsed through a fixed-layout RFC3339 fast path (falling back to
-// time.Parse for offsets, fractional seconds, or anything unusual), and
-// user-ID strings are interned so a million-post file holds one string per
-// distinct user instead of one per row.
-func ReadCSVHint(name string, r io.Reader, postHint int) (*Dataset, error) {
-	ds, _, err := ReadCSVOpts(name, r, ReadCSVOptions{PostHint: postHint})
+	ds, _, err := ReadCSVOpts(name, r, ReadCSVOptions{})
 	return ds, err
 }
 
@@ -364,8 +358,6 @@ const DefaultQuarantineSample = 10
 
 // ReadCSVOptions tunes ReadCSVOpts.
 type ReadCSVOptions struct {
-	// PostHint preallocates the post slice (0 is fine) — see ReadCSVHint.
-	PostHint int
 	// Lenient switches the reader from fail-fast to quarantining: a
 	// malformed row is recorded in the QuarantineReport and skipped instead
 	// of aborting the whole load. The header is always strict — a missing
@@ -454,8 +446,8 @@ func (opts *ReadCSVOptions) quarantine(q *QuarantineReport, row QuarantinedRow) 
 	return nil
 }
 
-// ReadCSVOpts is the configurable CSV reader behind ReadCSV/ReadCSVHint.
-// In strict mode (the default) it behaves exactly like ReadCSVHint: the
+// ReadCSVOpts is the configurable CSV reader behind ReadCSV.
+// In strict mode (the default) it behaves exactly like ReadCSV: the
 // first malformed row aborts the read, and the returned report is nil. In
 // lenient mode malformed rows are skipped into the returned
 // QuarantineReport — the paper's real-world corpora are full of gap-ridden
@@ -475,9 +467,6 @@ func ReadCSVOpts(name string, r io.Reader, opts ReadCSVOptions) (*Dataset, *Quar
 		return nil, nil, fmt.Errorf("trace: unexpected CSV header %v", header)
 	}
 	out := &Dataset{Name: name}
-	if opts.PostHint > 0 {
-		out.Posts = make([]Post, 0, opts.PostHint)
-	}
 	var report *QuarantineReport
 	if opts.Lenient {
 		report = &QuarantineReport{}
