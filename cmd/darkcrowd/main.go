@@ -185,12 +185,15 @@ func parseRegions(s string) (map[string]int, error) {
 }
 
 func loadTrace(path string) (*trace.Dataset, error) {
-	fh, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("open trace: %w", err)
 	}
-	defer fh.Close()
-	return trace.ReadCSV(path, fh)
+	res, err := trace.IngestCSV(path, data, trace.IngestOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Dataset, nil
 }
 
 // saveTrace writes the dataset atomically: the output path never holds a
@@ -376,8 +379,9 @@ func cmdSnapshot(args []string) error {
 		return fmt.Errorf("open trace: %w", err)
 	}
 	res, err := trace.IngestCSV(*in, data, trace.IngestOptions{
-		ReadCSVOptions: trace.ReadCSVOptions{Lenient: *lenient, MaxBadRows: *maxBadRows},
-		Workers:        *workers,
+		Lenient:    *lenient,
+		MaxBadRows: *maxBadRows,
+		Workers:    *workers,
 	})
 	if err != nil {
 		return err

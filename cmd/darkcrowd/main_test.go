@@ -151,12 +151,7 @@ func TestGenerateProfileGeolocatePipeline(t *testing.T) {
 		t.Fatalf("profile: %v", err)
 	}
 	// Profile of one user.
-	fh, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := trace.ReadCSV(out, fh)
-	fh.Close()
+	ds, err := loadTrace(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +211,7 @@ func TestScrapeCommand(t *testing.T) {
 	if err := run([]string{"scrape", "-url", srv.URL + "/", "-out", out}); err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
-	fh, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := trace.ReadCSV(out, fh)
-	fh.Close()
+	ds, err := loadTrace(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +237,11 @@ func TestSnapshotCommand(t *testing.T) {
 	if err := run([]string{"snapshot", "-in", csvPath, "-out", snapPath, "-ingest-workers", "3"}); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	fh, err := os.Open(snapPath)
+	raw, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := trace.ReadSnapshot(fh)
-	fh.Close()
+	ds, err := trace.ReadSnapshotBytes(raw)
 	if err != nil {
 		t.Fatalf("snapshot output does not decode: %v", err)
 	}

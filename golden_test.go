@@ -144,7 +144,7 @@ func TestGeolocateCrowdGolden(t *testing.T) {
 }
 
 // TestGeolocateCrowdGoldenIngestInvariant round-trips the golden crowd
-// through every ingest path — sequential CSV read, sharded parallel read,
+// through every ingest path — single-shard CSV read, sharded parallel read,
 // binary snapshot round-trip, and the fused parse+cell-collect path — and
 // demands each one reproduce the committed fixture bit for bit. The
 // fixture pins not just the math but every road into it.
@@ -170,7 +170,7 @@ func TestGeolocateCrowdGoldenIngestInvariant(t *testing.T) {
 	}
 	csvBytes := csvBuf.Bytes()
 
-	seq, err := trace.ReadCSV("golden", bytes.NewReader(csvBytes))
+	seq, err := trace.IngestCSV("golden", csvBytes, trace.IngestOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestGeolocateCrowdGoldenIngestInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snapBuf bytes.Buffer
-	if err := seq.WriteSnapshot(&snapBuf); err != nil {
+	if err := seq.Dataset.WriteSnapshot(&snapBuf); err != nil {
 		t.Fatal(err)
 	}
 	snapped, err := trace.ReadSnapshotBytes(snapBuf.Bytes())
@@ -203,7 +203,7 @@ func TestGeolocateCrowdGoldenIngestInvariant(t *testing.T) {
 		name string
 		ds   *Dataset
 	}{
-		{"sequential", seq},
+		{"single-shard", seq.Dataset},
 		{"sharded", sharded.Dataset},
 		{"snapshot", snapped},
 		{"fused", fused.Dataset},

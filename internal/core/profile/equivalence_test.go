@@ -212,9 +212,10 @@ func TestFromPostsMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestBuildUserProfilesColumnarMatchesRows asserts the columnar fast path
-// (nil HourOf) and the row path produce bit-identical profile maps, in UTC
-// and local frames, sequential and parallel.
+// TestBuildUserProfilesColumnarMatchesRows asserts the columnar build and
+// a row-oriented reference — FromPosts over each active user's post group
+// — produce bit-identical profile maps, in UTC and local frames,
+// sequential and parallel.
 func TestBuildUserProfilesColumnarMatchesRows(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(43))
@@ -237,15 +238,20 @@ func TestBuildUserProfilesColumnarMatchesRows(t *testing.T) {
 		{"utc", nil, UTCHours()},
 		{"de", LocalCells(de), LocalHours(de)},
 	} {
-		for _, workers := range []int{1, 4} {
-			columnar, err := BuildUserProfiles(ds, BuildOptions{
-				MinPosts: 10, Cells: frame.cells, Parallelism: workers,
-			})
+		rows := make(map[string]Profile)
+		for id, posts := range ds.ByUser() {
+			if len(posts) < 10 {
+				continue
+			}
+			p, err := FromPosts(posts, frame.hourOf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := BuildUserProfiles(ds, BuildOptions{
-				MinPosts: 10, HourOf: frame.hourOf, Parallelism: workers,
+			rows[id] = p
+		}
+		for _, workers := range []int{1, 4} {
+			columnar, err := BuildUserProfiles(ds, BuildOptions{
+				MinPosts: 10, Cells: frame.cells, Parallelism: workers,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -317,17 +323,10 @@ func TestBuildUserProfilesSteadyStateAllocs(t *testing.T) {
 			Time:   base.Add(time.Duration(i*7) * time.Hour),
 		})
 	}
-	s := ds.Index()
-	cells := UTCCells()
-	times := make([]int64, 0, 256)
+	src := storeCells{ds.Index(), UTCCells()}
 	keys := make([]int64, 0, 256)
 	avg := testing.AllocsPerRun(100, func() {
-		times = s.AppendUserTimes(times[:0], 0)
-		keys = keys[:0]
-		for _, sec := range times {
-			h, day := cells(sec)
-			keys = append(keys, day*HoursPerDay+int64(h))
-		}
+		keys = src.AppendUserKeys(keys[:0], 0)
 		if _, err := fromCellKeys(keys); err != nil {
 			t.Fatal(err)
 		}

@@ -12,74 +12,18 @@ package profile
 import (
 	"fmt"
 
-	"darkcrowd/internal/par"
 	"darkcrowd/internal/trace"
 )
 
 // BuildUserProfilesFused builds one profile per active user from
 // ingest-time cell keys instead of re-scanning the trace index. It is the
-// UTC-frame fast path only: opts.HourOf and opts.Cells must be nil
-// (custom frames need the timestamps, which the fused keys no longer
-// carry). Thresholding, parallel sharding, observation and the result map
-// behave exactly like BuildUserProfiles.
+// UTC-frame fast path only: opts.Cells must be nil (custom frames need the
+// timestamps, which the fused keys no longer carry). Thresholding,
+// parallel sharding, observation and the result map behave exactly like
+// BuildUserProfiles — both run the same build loop.
 func BuildUserProfilesFused(cells *trace.UserCells, opts BuildOptions) (map[string]Profile, error) {
-	if opts.HourOf != nil || opts.Cells != nil {
+	if opts.Cells != nil {
 		return nil, fmt.Errorf("profile: fused build only supports the default UTC frame")
 	}
-	if opts.MinPosts == 0 {
-		opts.MinPosts = DefaultMinPosts
-	}
-	active := make([]int, 0, cells.NumUsers())
-	for u := 0; u < cells.NumUsers(); u++ {
-		if cells.Count(u) >= opts.MinPosts {
-			active = append(active, u)
-		}
-	}
-	o := opts.Obs.Stage("profile-build")
-	defer o.End()
-	o.SetWorkers(par.Workers(opts.Parallelism, len(active)))
-	o.Counter("profile.users_active").Add(int64(len(active)))
-	usersBuilt := o.Counter("profile.users_built")
-	cellsEmitted := o.Counter("profile.cells_emitted")
-	var so par.ShardObserver
-	if sp := o.SpanRef(); sp != nil {
-		so = sp
-	}
-	built := make([]Profile, len(active))
-	ok := make([]bool, len(active))
-	err := par.RangesObserved(opts.Context, opts.Parallelism, len(active), func(start, end int) error {
-		var keys []int64 // per-worker scratch, reused across users
-		var builtN, cellsN int64
-		for i := start; i < end; i++ {
-			if opts.Context != nil && i&0xff == 0 {
-				if err := opts.Context.Err(); err != nil {
-					return err
-				}
-			}
-			keys = cells.AppendUserKeys(keys[:0], active[i])
-			cellsN += int64(len(keys))
-			p, err := fromCellKeys(keys)
-			if err != nil {
-				continue // no usable activity cells
-			}
-			built[i], ok[i] = p, true
-			builtN++
-		}
-		usersBuilt.Add(builtN)
-		cellsEmitted.Add(cellsN)
-		return nil
-	}, so)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]Profile, len(active))
-	for i, u := range active {
-		if ok[i] {
-			out[cells.UserID(u)] = built[i]
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w (threshold %d)", ErrNoActivity, opts.MinPosts)
-	}
-	return out, nil
+	return buildProfiles(cells, opts)
 }

@@ -1,7 +1,10 @@
 package profile
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"darkcrowd/internal/synth"
 	"darkcrowd/internal/trace"
@@ -277,5 +280,39 @@ func TestShiftFractional(t *testing.T) {
 	neg := p.ShiftFractional(-0.25)
 	if !almostEqual(neg[9], 0.25, 1e-12) || !almostEqual(neg[10], 0.75, 1e-12) {
 		t.Errorf("ShiftFractional(-0.25): bin9=%g bin10=%g", neg[9], neg[10])
+	}
+}
+
+// TestBuildGenericParallelFreshDataset runs the parallel region build on a
+// dataset whose columnar index was never built. Every region worker
+// filters the shared dataset, so under -race this catches a lazy index
+// build raced from inside the workers.
+func TestBuildGenericParallelFreshDataset(t *testing.T) {
+	t.Parallel()
+	fresh := func() *trace.Dataset {
+		ds := &trace.Dataset{Name: "fresh", GroundTruth: map[string]string{}}
+		base := time.Date(2017, time.March, 6, 0, 0, 0, 0, time.UTC)
+		for r, code := range []string{"de", "jp", "br", "us-ca"} {
+			for u := 0; u < 4; u++ {
+				id := fmt.Sprintf("%s-%d", code, u)
+				ds.GroundTruth[id] = code
+				for i := 0; i < 40; i++ {
+					at := base.Add(time.Duration(i*25+r*5+u) * time.Hour)
+					ds.Posts = append(ds.Posts, trace.Post{UserID: id, Time: at})
+				}
+			}
+		}
+		return ds
+	}
+	want, err := BuildGeneric(fresh(), GenericOptions{MinPosts: 10, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := BuildGeneric(fresh(), GenericOptions{MinPosts: 10, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.PerRegion) != 4 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("parallel build differs from sequential: %d regions", len(got.PerRegion))
 	}
 }

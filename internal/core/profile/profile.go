@@ -179,7 +179,7 @@ func (p Profile) Entropy() (float64, error) {
 // while the hot loop sheds time.Format and fmt.Sprintf entirely.
 type HourOf func(t time.Time) (hour int, epochDay int64)
 
-// CellOf is the columnar counterpart of HourOf: it buckets a post given
+// CellOf is the columnar counterpart of HourOf; it buckets a post given
 // only its Unix-seconds timestamp, exactly as stored in the trace index's
 // time column, so profile building never materializes a time.Time.
 type CellOf func(unixSec int64) (hour int, epochDay int64)
@@ -305,18 +305,14 @@ func Aggregate(profiles []Profile) (Profile, error) {
 	return sum, nil
 }
 
-// BuildOptions configures BuildUserProfiles.
+// BuildOptions configures BuildUserProfiles and BuildUserProfilesFused.
 type BuildOptions struct {
 	// MinPosts is the active-user threshold; users with fewer posts are
 	// dropped. Defaults to DefaultMinPosts (30).
 	MinPosts int
-	// HourOf selects the bucketing frame for the row-oriented path. Leave
-	// nil (the default) to take the columnar fast path; setting it forces
-	// per-post time.Time bucketing via ds.ByUser.
-	HourOf HourOf
-	// Cells selects the bucketing frame for the columnar fast path, which
-	// feeds epoch seconds straight from the trace index into the cell
-	// function. Defaults to UTCCells(). Ignored when HourOf is set.
+	// Cells selects the bucketing frame: BuildUserProfiles feeds epoch
+	// seconds straight from the trace index into the cell function.
+	// Defaults to UTCCells(). The fused build only supports the default.
 	Cells CellOf
 	// Parallelism is the number of workers building per-user profiles:
 	// 0 uses every core (GOMAXPROCS), 1 forces the sequential path. Each
@@ -335,29 +331,59 @@ type BuildOptions struct {
 // BuildUserProfiles builds one profile per active user of the dataset.
 // Users below the post threshold are silently dropped ("we have also
 // filtered out non active users", §IV); an error is returned only if no
-// user survives. The per-user builds run on opts.Parallelism workers, each
-// writing its own slots of an index-addressed result slice.
-//
-// With a nil opts.HourOf the build runs on the dataset's columnar index:
-// each worker streams a user's epoch seconds into a reused key buffer and
-// dedups cells by sorting, allocating nothing per user. The result is
-// bit-identical to the row path (integer cell counts divide the same way
-// regardless of visit order).
+// user survives. The build runs on the dataset's columnar index: each
+// worker streams a user's epoch seconds into a reused key buffer, buckets
+// them with opts.Cells and dedups cells by sorting, allocating nothing per
+// user.
 func BuildUserProfiles(ds *trace.Dataset, opts BuildOptions) (map[string]Profile, error) {
-	if opts.MinPosts == 0 {
-		opts.MinPosts = DefaultMinPosts
-	}
-	if opts.HourOf != nil {
-		return buildUserProfilesRows(ds, opts)
-	}
 	cells := opts.Cells
 	if cells == nil {
 		cells = UTCCells()
 	}
-	s := ds.Index()
-	active := make([]int, 0, s.NumUsers())
-	for u := 0; u < s.NumUsers(); u++ {
-		if s.Count(u) >= opts.MinPosts {
+	return buildProfiles(storeCells{ds.Index(), cells}, opts)
+}
+
+// cellSource is what the profile build reads: users at dense indices
+// 0..NumUsers()-1 with their post counts and packed per-post cell keys.
+// trace.UserCells (ingest-time keys) implements it, and storeCells
+// derives the keys from a trace index.
+type cellSource interface {
+	NumUsers() int
+	UserID(u int) string
+	Count(u int) int
+	AppendUserKeys(buf []int64, u int) []int64
+}
+
+// storeCells is the cellSource over a dataset's columnar index: it reads a
+// user's epoch seconds and buckets them, in place, in the cells frame.
+type storeCells struct {
+	*trace.Store
+	cells CellOf
+}
+
+// AppendUserKeys appends user u's packed cell keys to buf.
+func (c storeCells) AppendUserKeys(buf []int64, u int) []int64 {
+	n := len(buf)
+	buf = c.AppendUserTimes(buf, u)
+	for i := n; i < len(buf); i++ {
+		buf[i] = cellKey(c.cells(buf[i]))
+	}
+	return buf
+}
+
+// buildProfiles is the one per-user Eq. 1 build loop. It thresholds users
+// on their post count, builds the active ones on opts.Parallelism workers
+// (each writing its own slots of an index-addressed result slice), and
+// collects the profiles by user ID. Integer cell counts divide the same
+// way regardless of visit order, so every source of the same cell keys
+// yields a bit-identical map.
+func buildProfiles(src cellSource, opts BuildOptions) (map[string]Profile, error) {
+	if opts.MinPosts == 0 {
+		opts.MinPosts = DefaultMinPosts
+	}
+	active := make([]int, 0, src.NumUsers())
+	for u := 0; u < src.NumUsers(); u++ {
+		if src.Count(u) >= opts.MinPosts {
 			active = append(active, u)
 		}
 	}
@@ -375,7 +401,7 @@ func BuildUserProfiles(ds *trace.Dataset, opts BuildOptions) (map[string]Profile
 	built := make([]Profile, len(active))
 	ok := make([]bool, len(active))
 	err := par.RangesObserved(opts.Context, opts.Parallelism, len(active), func(start, end int) error {
-		var times, keys []int64 // per-worker scratch, reused across users
+		var keys []int64 // per-worker scratch, reused across users
 		var builtN, cellsN int64
 		for i := start; i < end; i++ {
 			if opts.Context != nil && i&0xff == 0 {
@@ -383,11 +409,7 @@ func BuildUserProfiles(ds *trace.Dataset, opts BuildOptions) (map[string]Profile
 					return err
 				}
 			}
-			times = s.AppendUserTimes(times[:0], active[i])
-			keys = keys[:0]
-			for _, sec := range times {
-				keys = append(keys, cellKey(cells(sec)))
-			}
+			keys = src.AppendUserKeys(keys[:0], active[i])
 			cellsN += int64(len(keys))
 			p, err := fromCellKeys(keys)
 			if err != nil {
@@ -406,63 +428,7 @@ func BuildUserProfiles(ds *trace.Dataset, opts BuildOptions) (map[string]Profile
 	out := make(map[string]Profile, len(active))
 	for i, u := range active {
 		if ok[i] {
-			out[s.UserID(u)] = built[i]
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w (threshold %d)", ErrNoActivity, opts.MinPosts)
-	}
-	return out, nil
-}
-
-// buildUserProfilesRows is the row-oriented build used when a custom HourOf
-// is set: per-user []trace.Post groups through FromPosts. Active users are
-// visited in sorted-ID order, matching the columnar path.
-func buildUserProfilesRows(ds *trace.Dataset, opts BuildOptions) (map[string]Profile, error) {
-	byUser := ds.ByUser()
-	active := make([]string, 0, len(byUser))
-	for userID, posts := range byUser {
-		if len(posts) >= opts.MinPosts {
-			active = append(active, userID)
-		}
-	}
-	sort.Strings(active)
-	o := opts.Obs.Stage("profile-build")
-	defer o.End()
-	o.SetWorkers(par.Workers(opts.Parallelism, len(active)))
-	o.Counter("profile.users_active").Add(int64(len(active)))
-	usersBuilt := o.Counter("profile.users_built")
-	var so par.ShardObserver
-	if sp := o.SpanRef(); sp != nil {
-		so = sp
-	}
-	built := make([]Profile, len(active))
-	ok := make([]bool, len(active))
-	err := par.RangesObserved(opts.Context, opts.Parallelism, len(active), func(start, end int) error {
-		var builtN int64
-		for i := start; i < end; i++ {
-			if opts.Context != nil && i&0xff == 0 {
-				if err := opts.Context.Err(); err != nil {
-					return err
-				}
-			}
-			p, err := FromPosts(byUser[active[i]], opts.HourOf)
-			if err != nil {
-				continue // no usable activity cells
-			}
-			built[i], ok[i] = p, true
-			builtN++
-		}
-		usersBuilt.Add(builtN)
-		return nil
-	}, so)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]Profile, len(active))
-	for i, userID := range active {
-		if ok[i] {
-			out[userID] = built[i]
+			out[src.UserID(u)] = built[i]
 		}
 	}
 	if len(out) == 0 {

@@ -252,11 +252,9 @@ func Geolocate(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("open trace: %w", err)
 		}
 		ing, err := trace.IngestCSV(cfg.TracePath, data, trace.IngestOptions{
-			ReadCSVOptions: trace.ReadCSVOptions{
-				Lenient:    cfg.Lenient,
-				MaxBadRows: cfg.MaxBadRows,
-			},
-			Workers: cfg.IngestWorkers,
+			Lenient:    cfg.Lenient,
+			MaxBadRows: cfg.MaxBadRows,
+			Workers:    cfg.IngestWorkers,
 			// The fused profile build consumes ingest-time cells, but only
 			// in the default UTC frame; a Cells override needs timestamps.
 			CollectCells: cfg.Cells == nil,

@@ -87,10 +87,7 @@ func TestDaemonStreamingEquivalence(t *testing.T) {
 	path := writeCrowd(t, dir)
 	batchRes, wantGeo := batchGeo(t, path)
 
-	ds, err := trace.ReadCSV(path, strings.NewReader(readFile(t, path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadTrace(t, path)
 	for _, chunk := range []int{1, 17, 400} {
 		posts := make([]trace.Post, len(ds.Posts))
 		copy(posts, ds.Posts)
@@ -135,13 +132,18 @@ func TestDaemonStreamingEquivalence(t *testing.T) {
 	}
 }
 
-func readFile(t *testing.T, path string) string {
+// loadTrace ingests the CSV trace at path.
+func loadTrace(t *testing.T, path string) *trace.Dataset {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(data)
+	res, err := trace.IngestCSV(path, data, trace.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Dataset
 }
 
 // TestDaemonConcurrentIngestRace streams the crowd from several writer
@@ -154,10 +156,7 @@ func TestDaemonConcurrentIngestRace(t *testing.T) {
 	path := writeCrowd(t, dir)
 	_, wantGeo := batchGeo(t, path)
 
-	ds, err := trace.ReadCSV(path, strings.NewReader(readFile(t, path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadTrace(t, path)
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	d, err := NewDaemon(ServeConfig{
 		Reference:     testReference(t),
@@ -256,10 +255,7 @@ func TestDaemonConcurrentIngestRace(t *testing.T) {
 func TestDaemonSnapshotWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	path := writeCrowd(t, dir)
-	ds, err := trace.ReadCSV(path, strings.NewReader(readFile(t, path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadTrace(t, path)
 	snap := dir + "/serve.dcs"
 	d1, err := NewDaemon(ServeConfig{
 		Reference:     testReference(t),

@@ -25,7 +25,7 @@ func benchIngestInput(b *testing.B) (csvBytes, snapBytes []byte, posts int) {
 		buf.WriteByte('\n')
 	}
 	csvBytes = buf.Bytes()
-	ds, _, err := ReadCSVOpts("bench", bytes.NewReader(csvBytes), ReadCSVOptions{})
+	ds, _, err := ingest("bench", csvBytes, IngestOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 	b.SetBytes(int64(len(snapBytes)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds, err := decodeSnapshot(snapBytes)
+		ds, err := ReadSnapshotBytes(snapBytes)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,11 +14,15 @@ package trace
 //   - posts are grouped per user CSR-style: posts[offsets[u]:offsets[u+1]]
 //     lists the dataset positions of user u's posts, in dataset order.
 //
-// Dataset methods (Users, ByUser, PostCounts, FilterUsers, FilterMinPosts,
-// Window) are views over these columns. The Store itself is immutable after
-// construction, so it is safe to share across goroutines; building it
-// lazily via Dataset.Index is not goroutine-safe (same as any lazy cache —
-// index once before fanning out).
+// A Store comes from exactly one of three places: IngestCSV builds it
+// during the parse merge, ReadSnapshotBytes decodes it from a .dcs file,
+// and Dataset.Index builds it from rows for every other dataset (the
+// synthetic generators' Builder output, ShardedHead folds, filtered
+// views). Dataset methods (Users, ByUser, PostCounts, FilterUsers,
+// FilterMinPosts, Window) are views over these columns. The Store itself
+// is immutable after construction, so it is safe to share across
+// goroutines; building it lazily via Dataset.Index is not goroutine-safe
+// (same as any lazy cache — index once before fanning out).
 
 import (
 	"fmt"
@@ -164,12 +168,6 @@ func (s *Store) AppendUserTimes(buf []int64, u int) []int64 {
 		buf = append(buf, s.when[pos])
 	}
 	return buf
-}
-
-// PostPositions returns the dataset positions of user u's posts, in dataset
-// order. The returned slice aliases the index; callers must not modify it.
-func (s *Store) PostPositions(u int) []int32 {
-	return s.posts[s.offsets[u]:s.offsets[u+1]]
 }
 
 // LimitError reports that a Builder hit a columnar capacity ceiling: the

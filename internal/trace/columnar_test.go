@@ -180,11 +180,11 @@ func TestStoreLayout(t *testing.T) {
 		t.Error("sample is chronological but SortedByTime() = false")
 	}
 	// CSR positions preserve dataset order within a user.
-	alicePos := s.PostPositions(0)
+	alicePos := s.posts[s.offsets[0]:s.offsets[1]]
 	want := []int32{0, 2, 4}
 	for i := range want {
 		if alicePos[i] != want[i] {
-			t.Fatalf("PostPositions(alice) = %v, want %v", alicePos, want)
+			t.Fatalf("positions of alice = %v, want %v", alicePos, want)
 		}
 	}
 	times := s.AppendUserTimes(nil, 0)
@@ -212,7 +212,7 @@ func TestIndexInvalidation(t *testing.T) {
 	if s2 == s1 {
 		t.Fatal("SortByTime did not invalidate the index")
 	}
-	if got := s2.PostPositions(0); got[0] != 0 { // "a" is now first
+	if got := s2.posts[s2.offsets[0]]; got != 0 { // "a" is now first
 		t.Errorf("rebuilt index stale: positions of a = %v", got)
 	}
 	// Appending posts changes the length; Index notices by itself.
@@ -236,7 +236,7 @@ func TestByUserAppendSafe(t *testing.T) {
 }
 
 // TestGroundTruthNotAliased is the regression test for the satellite fix:
-// FilterPosts, Window, and Subsample used to share the ground-truth map
+// FilterPosts and Window used to share the ground-truth map
 // with the source, so mutating a derived dataset corrupted the original.
 func TestGroundTruthNotAliased(t *testing.T) {
 	t.Parallel()
@@ -250,13 +250,6 @@ func TestGroundTruthNotAliased(t *testing.T) {
 		"WindowUnsorted": func(d *Dataset) *Dataset {
 			d.Posts[0], d.Posts[1] = d.Posts[1], d.Posts[0]
 			return d.Window(at(0), at(23))
-		},
-		"Subsample": func(d *Dataset) *Dataset {
-			out, err := d.Subsample(1, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
 		},
 	}
 	for name, fn := range derive {
@@ -394,7 +387,7 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 		t.Fatalf("WriteCSV output differs from encoding/csv:\n got %q\nwant %q", got.String(), want.String())
 	}
 	// And it must round-trip through the reader.
-	back, err := ReadCSV("quoting", bytes.NewReader(got.Bytes()))
+	back, _, err := ingest("quoting", got.Bytes(), IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,12 +434,12 @@ func TestReadCSVInterning(t *testing.T) {
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV("interned", bytes.NewReader(buf.Bytes()))
+	got, _, err := ingest("interned", buf.Bytes(), IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !samePosts(got.Posts, d.Posts) {
-		t.Fatal("ReadCSV round trip differs")
+		t.Fatal("CSV round trip differs")
 	}
 	// Every post of a user shares one user-ID string.
 	first := make(map[string]*byte)

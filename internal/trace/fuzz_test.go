@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzReadCSV feeds arbitrary bytes to both the strict and the lenient CSV
-// reader. Invariants:
+// FuzzReadCSV feeds arbitrary bytes to IngestCSV in strict and in lenient
+// mode. Invariants:
 //
 //   - neither reader may ever panic, whatever the input;
 //   - the lenient reader never keeps more rows than it saw, and its
@@ -24,9 +24,9 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("\"\n\x00,"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strict, err := ReadCSV("fuzz", bytes.NewReader(data))
-		lenient, report, lerr := ReadCSVOpts("fuzz", bytes.NewReader(data),
-			ReadCSVOptions{Lenient: true, MaxBadRows: 1 << 20, SampleCap: 4})
+		strict, _, err := ingest("fuzz", data, IngestOptions{})
+		lenient, report, lerr := ingest("fuzz", data,
+			IngestOptions{Lenient: true, MaxBadRows: 1 << 20, SampleCap: 4})
 		if lerr == nil && len(report.Rows) > 4 {
 			t.Fatalf("quarantine sample %d rows, cap 4", len(report.Rows))
 		}
@@ -50,7 +50,7 @@ func FuzzReadCSV(f *testing.F) {
 		if err := strict.WriteCSV(&once); err != nil {
 			t.Fatalf("WriteCSV of accepted dataset: %v", err)
 		}
-		back, err := ReadCSV("fuzz", bytes.NewReader(once.Bytes()))
+		back, _, err := ingest("fuzz", once.Bytes(), IngestOptions{})
 		if err != nil {
 			t.Fatalf("re-read of WriteCSV output: %v\n%q", err, once.Bytes())
 		}
@@ -97,8 +97,8 @@ func FuzzShardSplit(f *testing.F) {
 			start = int(rawWorkers) % len(data)
 		}
 		checkShardSplit(t, data, start, workers)
-		checkParallelEquivalence(t, data, ReadCSVOptions{}, workers)
-		checkParallelEquivalence(t, data, ReadCSVOptions{Lenient: true, MaxBadRows: 8, SampleCap: 3}, workers)
+		checkParallelEquivalence(t, data, IngestOptions{}, workers)
+		checkParallelEquivalence(t, data, IngestOptions{Lenient: true, MaxBadRows: 8, SampleCap: 3}, workers)
 	})
 }
 
@@ -111,9 +111,9 @@ func FuzzShardSplit(f *testing.F) {
 //   - anything accepted is canonical: re-encoding the decoded dataset
 //     reproduces the input byte-for-byte.
 func FuzzSnapshotDecode(f *testing.F) {
-	seed, _, err := ReadCSVOpts("seed", bytes.NewReader([]byte(
-		"user_id,time_rfc3339\nu1,2017-03-01T10:00:00Z\nu2,2017-03-01T10:00:00.5Z\nu1,2017-03-01T09:00:00Z\n")),
-		ReadCSVOptions{})
+	seed, _, err := ingest("seed", []byte(
+		"user_id,time_rfc3339\nu1,2017-03-01T10:00:00Z\nu2,2017-03-01T10:00:00.5Z\nu1,2017-03-01T09:00:00Z\n"),
+		IngestOptions{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("DCSNAP01\x01\x00\x00\x00\xff\xff\xff\xff"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ds, err := decodeSnapshot(data)
+		ds, err := ReadSnapshotBytes(data)
 		if err != nil {
 			var se *SnapshotError
 			if !errors.As(err, &se) {

@@ -5,107 +5,22 @@ package trace
 // without coordination, and one dataset has exactly one byte
 // representation. A long-running ingest daemon needs the complement — a
 // small, mutable, concurrency-safe tail that absorbs live posts and is
-// periodically compacted into a fresh immutable Dataset. Head is that
-// tail: a mutex-guarded Builder stacked on top of an immutable base
-// Dataset. Appends go to the Builder; Compact folds the tail into a new
-// base (suitable for WriteSnapshot) and resets the tail to empty.
-//
-// Head serializes every append through one mutex, which caps a serving
-// daemon at single-core ingest. ShardedHead is the scalable variant: N
-// user-hash shards, each a (Builder, arrival-sequence) pair behind its own
-// mutex, so appends for different users proceed in parallel. Every accepted
-// post draws a ticket from one global atomic sequence counter; Compact
-// merges the shard tails in ticket order, which makes the fold
-// deterministic — for a fixed append order the compacted Dataset (and its
-// snapshot bytes) is identical at every shard count, including the
-// one-mutex Head as the shards=1 degenerate case. The shard-invariance
-// property test pins exactly that, mirroring the IngestCSV
-// worker-invariance contract.
+// periodically compacted into a fresh immutable Dataset. ShardedHead is
+// that tail, stacked on top of an immutable base Dataset: N user-hash
+// shards, each a (Builder, arrival-sequence) pair behind its own mutex, so
+// appends for different users proceed in parallel. Every accepted post
+// draws a ticket from one global atomic sequence counter; Compact merges
+// the shard tails in ticket order, which makes the fold deterministic —
+// for a fixed append order the compacted Dataset (and its snapshot bytes)
+// is the base posts followed by the appended posts in append order, at
+// every shard count. The shard-invariance property test pins exactly
+// that, mirroring the IngestCSV worker-invariance contract.
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Head is a concurrency-safe mutable ingest head over an immutable base
-// Dataset. All methods are safe for concurrent use. The base Dataset and
-// every Dataset returned by Compact are immutable and must not be
-// mutated by callers.
-type Head struct {
-	mu   sync.Mutex
-	name string
-	base *Dataset // immutable; nil means empty
-	tail *Builder // pending posts since the last compaction
-}
-
-// NewHead returns a Head named name on top of base (nil for an empty
-// head). The caller hands ownership of base to the head and must not
-// mutate it afterwards.
-func NewHead(name string, base *Dataset) *Head {
-	return &Head{name: name, base: base, tail: NewBuilder(0)}
-}
-
-// Append records one post in the mutable tail. It returns a *LimitError
-// (and records nothing) if the tail would overflow the columnar ordinal
-// space — see Builder.TryUser/TryAdd.
-func (h *Head) Append(userID string, unixSec int64) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	u, err := h.tail.TryUser(userID)
-	if err != nil {
-		return err
-	}
-	return h.tail.TryAdd(u, unixSec)
-}
-
-// Pending returns the number of posts in the mutable tail, i.e. appended
-// since the last Compact.
-func (h *Head) Pending() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.tail.NumPosts()
-}
-
-// TotalPosts returns the number of posts in the head: compacted base plus
-// mutable tail.
-func (h *Head) TotalPosts() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := h.tail.NumPosts()
-	if h.base != nil {
-		n += len(h.base.Posts)
-	}
-	return n
-}
-
-// Compact folds the mutable tail into a fresh immutable base Dataset and
-// resets the tail to empty. The returned Dataset is safe to share, index
-// and snapshot (WriteSnapshot) without further coordination — later
-// Appends go to the new tail and never touch it. Posts keep arrival
-// order: base posts first, then tail posts in append order, exactly the
-// sequence a batch ingest of the same stream would hold.
-func (h *Head) Compact() *Dataset {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.tail.NumPosts() == 0 && h.base != nil {
-		return h.base
-	}
-	fresh := h.tail.Dataset(h.name, false)
-	if h.base != nil && len(h.base.Posts) > 0 {
-		merged := &Dataset{
-			Name:        h.name,
-			Posts:       make([]Post, 0, len(h.base.Posts)+len(fresh.Posts)),
-			GroundTruth: copyGroundTruth(h.base.GroundTruth),
-		}
-		merged.Posts = append(merged.Posts, h.base.Posts...)
-		merged.Posts = append(merged.Posts, fresh.Posts...)
-		fresh = merged
-	}
-	h.base = fresh
-	h.tail = NewBuilder(0)
-	return h.base
-}
 
 // DefaultHeadShards is the shard count NewShardedHead uses when asked for
 // zero shards: enough to spread an 8–16 way ingest load without making
@@ -130,7 +45,7 @@ type headShard struct {
 //
 // Compact is deterministic: posts are folded in global arrival-ticket
 // order, so for any fixed append order the compacted Dataset is identical
-// at every shard count (and identical to the single-mutex Head).
+// at every shard count.
 type ShardedHead struct {
 	name   string
 	mask   uint32
@@ -259,8 +174,8 @@ func (h *ShardedHead) Base() *Dataset { return h.base.Load() }
 // out; the merge itself runs unlocked, so concurrent appends are never
 // stalled behind the fold. Posts keep global arrival-ticket order: base
 // posts first, then tail posts in the order their appends were accepted —
-// for a fixed append order, exactly the sequence the single-mutex Head
-// would hold.
+// for a fixed append order, exactly the sequence a batch ingest of the
+// same stream would hold.
 func (h *ShardedHead) Compact() *Dataset {
 	h.compactMu.Lock()
 	defer h.compactMu.Unlock()

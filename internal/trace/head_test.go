@@ -83,125 +83,12 @@ func TestBuilderAddLimit(t *testing.T) {
 	b.Add(u, 2)
 }
 
-// TestHeadAppendCompact checks that a head fed post-by-post compacts into
-// exactly the Dataset a batch build of the same stream would hold —
-// arrival order preserved across multiple compactions.
-func TestHeadAppendCompact(t *testing.T) {
-	stream := []Post{
-		{UserID: "bob", Time: time.Unix(100, 0).UTC()},
-		{UserID: "alice", Time: time.Unix(50, 0).UTC()},
-		{UserID: "bob", Time: time.Unix(7200, 0).UTC()},
-		{UserID: "carol", Time: time.Unix(3600, 0).UTC()},
-		{UserID: "alice", Time: time.Unix(99, 0).UTC()},
-	}
-	h := NewHead("head", nil)
-	for i, p := range stream {
-		if err := h.Append(p.UserID, p.Time.Unix()); err != nil {
-			t.Fatal(err)
-		}
-		if i == 2 { // compact mid-stream: the rest lands in a fresh tail
-			h.Compact()
-			if got := h.Pending(); got != 0 {
-				t.Fatalf("Pending after Compact = %d", got)
-			}
-		}
-	}
-	if got := h.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
-	}
-	if got := h.TotalPosts(); got != len(stream) {
-		t.Fatalf("TotalPosts = %d, want %d", got, len(stream))
-	}
-	ds := h.Compact()
-	if !reflect.DeepEqual(ds.Posts, stream) {
-		t.Fatalf("compacted posts:\n%v\nwant:\n%v", ds.Posts, stream)
-	}
-	// Compacting an unchanged head is a no-op returning the same base.
-	if again := h.Compact(); again != ds {
-		t.Fatal("Compact with empty tail rebuilt the base")
-	}
-	// The compacted dataset indexes like any batch dataset.
-	if ds.Index().NumUsers() != 3 {
-		t.Fatalf("NumUsers = %d", ds.Index().NumUsers())
-	}
-}
-
-// TestHeadLimitPropagates injects a tiny post cap into the head's tail and
-// checks the typed error surfaces through Append without corrupting state.
-func TestHeadLimitPropagates(t *testing.T) {
-	h := NewHead("head", nil)
-	h.tail.postCap = 2
-	h.tail.userCap = 2
-	if err := h.Append("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Append("b", 2); err != nil {
-		t.Fatal(err)
-	}
-	var le *LimitError
-	if err := h.Append("a", 3); !errors.As(err, &le) || le.What != "posts" {
-		t.Fatalf("Append past post cap: %v", err)
-	}
-	if err := h.Append("c", 3); !errors.As(err, &le) || le.What != "users" {
-		t.Fatalf("Append past user cap: %v", err)
-	}
-	if got := h.Pending(); got != 2 {
-		t.Fatalf("failed appends mutated the head: Pending = %d", got)
-	}
-}
-
-// TestHeadConcurrentAppend hammers Append from many goroutines with
-// interleaved Compact/TotalPosts calls; the drained head must hold every
-// post exactly once. Run under -race this is the mutable head's safety
-// gate.
-func TestHeadConcurrentAppend(t *testing.T) {
-	const writers, perWriter = 8, 200
-	h := NewHead("head", nil)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				if err := h.Append(fmt.Sprintf("w%d-u%d", w, i%5), int64(w*perWriter+i)); err != nil {
-					t.Error(err)
-					return
-				}
-				if i%64 == 0 {
-					h.Compact()
-					_ = h.TotalPosts()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	ds := h.Compact()
-	if len(ds.Posts) != writers*perWriter {
-		t.Fatalf("compacted %d posts, want %d", len(ds.Posts), writers*perWriter)
-	}
-	// Every appended (user, second) pair survived exactly once.
-	got := make([]string, 0, len(ds.Posts))
-	for _, p := range ds.Posts {
-		got = append(got, fmt.Sprintf("%s@%d", p.UserID, p.Time.Unix()))
-	}
-	sort.Strings(got)
-	want := make([]string, 0, writers*perWriter)
-	for w := 0; w < writers; w++ {
-		for i := 0; i < perWriter; i++ {
-			want = append(want, fmt.Sprintf("w%d-u%d@%d", w, i%5, w*perWriter+i))
-		}
-	}
-	sort.Strings(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("concurrent appends lost or duplicated posts")
-	}
-}
-
 // TestShardedHeadShardInvariance is the deterministic-merge property test:
 // a fixed post stream appended sequentially must compact to exactly the
-// same Dataset — down to the snapshot bytes — at every shard count, and to
-// what the single-mutex Head produces, including mid-stream compactions
-// and a pre-existing base.
+// same Dataset — down to the snapshot bytes — at every shard count,
+// including mid-stream compactions and a pre-existing base. The reference
+// is the batch build of the same sequence: base posts, then the stream in
+// append order.
 func TestShardedHeadShardInvariance(t *testing.T) {
 	const posts = 700
 	stream := make([]Post, posts)
@@ -216,21 +103,16 @@ func TestShardedHeadShardInvariance(t *testing.T) {
 		base.Add(base.User(fmt.Sprintf("base-%d", i%5)), int64(1510000000+i))
 	}
 	for _, withBase := range []bool{false, true} {
-		var want []byte
-		var baseDS *Dataset
+		ref := NewBuilder(0)
 		if withBase {
-			baseDS = base.Dataset("head", false)
-		}
-		ref := NewHead("head", baseDS)
-		for i, p := range stream {
-			if err := ref.Append(p.UserID, p.Time.Unix()); err != nil {
-				t.Fatal(err)
-			}
-			if i == 333 {
-				ref.Compact()
+			for _, p := range base.Dataset("head", false).Posts {
+				ref.Add(ref.User(p.UserID), p.Time.Unix())
 			}
 		}
-		want = snapshotBytes(t, ref.Compact())
+		for _, p := range stream {
+			ref.Add(ref.User(p.UserID), p.Time.Unix())
+		}
+		want := snapshotBytes(t, ref.Dataset("head", false))
 		for _, shards := range []int{1, 2, 8, 16} {
 			var hb *Dataset
 			if withBase {
@@ -257,7 +139,7 @@ func TestShardedHeadShardInvariance(t *testing.T) {
 			}
 			ds := h.Compact()
 			if got := snapshotBytes(t, ds); !reflect.DeepEqual(got, want) {
-				t.Errorf("base=%v shards=%d: compacted snapshot differs from single-mutex Head", withBase, shards)
+				t.Errorf("base=%v shards=%d: compacted snapshot differs from the batch build", withBase, shards)
 			}
 			// Compacting an unchanged head returns the same immutable base.
 			if again := h.Compact(); again != ds {

@@ -11,28 +11,14 @@ import (
 
 const lenientHeader = "user_id,time_rfc3339\n"
 
-func TestReadCSVOptsStrictMatchesReadCSV(t *testing.T) {
-	t.Parallel()
-	in := lenientHeader + "u1,2017-03-01T10:00:00Z\nu2,2017-03-01T11:00:00Z\n"
-	strict, err := ReadCSV("x", strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
+// ingest runs IngestCSV and unpacks its result into the sequential
+// reader's (dataset, report, error) shape.
+func ingest(name string, data []byte, opts IngestOptions) (*Dataset, *QuarantineReport, error) {
+	res, err := IngestCSV(name, data, opts)
+	if res == nil {
+		return nil, nil, err
 	}
-	viaOpts, report, err := ReadCSVOpts("x", strings.NewReader(in), ReadCSVOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report != nil {
-		t.Errorf("strict mode produced a report: %+v", report)
-	}
-	if len(viaOpts.Posts) != len(strict.Posts) {
-		t.Fatalf("strict ReadCSVOpts: %d posts, want %d", len(viaOpts.Posts), len(strict.Posts))
-	}
-	// Strict mode must keep failing exactly where ReadCSV fails.
-	bad := lenientHeader + "u1,notatime\n"
-	if _, _, err := ReadCSVOpts("x", strings.NewReader(bad), ReadCSVOptions{}); err == nil {
-		t.Error("strict mode should fail on a bad timestamp")
-	}
+	return res.Dataset, res.Report, err
 }
 
 func TestReadCSVLenientQuarantinesBadRows(t *testing.T) {
@@ -44,7 +30,7 @@ func TestReadCSVLenientQuarantinesBadRows(t *testing.T) {
 		"u3,2017-03-01T12:00:00Z\n" +
 		"u5\"x,2017-03-01T13:00:00Z\n" + // bare-quote damage -> quarantined
 		"u4,2017-03-01T14:00:00Z\n"
-	ds, report, err := ReadCSVOpts("dirty", strings.NewReader(in), ReadCSVOptions{Lenient: true})
+	ds, report, err := ingest("dirty", []byte(in), IngestOptions{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +66,7 @@ func TestReadCSVLenientQuarantinesBadRows(t *testing.T) {
 func TestReadCSVLenientCleanFileEmptyReport(t *testing.T) {
 	t.Parallel()
 	in := lenientHeader + "u1,2017-03-01T10:00:00Z\n"
-	ds, report, err := ReadCSVOpts("clean", strings.NewReader(in), ReadCSVOptions{Lenient: true})
+	ds, report, err := ingest("clean", []byte(in), IngestOptions{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +78,7 @@ func TestReadCSVLenientCleanFileEmptyReport(t *testing.T) {
 func TestReadCSVLenientHeaderStaysStrict(t *testing.T) {
 	t.Parallel()
 	for _, in := range []string{"", "wrong,header\na,b\n"} {
-		if _, _, err := ReadCSVOpts("x", strings.NewReader(in), ReadCSVOptions{Lenient: true}); err == nil {
+		if _, _, err := ingest("x", []byte(in), IngestOptions{Lenient: true}); err == nil {
 			t.Errorf("lenient read of %q should still fail on the header", in)
 		}
 	}
@@ -105,8 +91,8 @@ func TestReadCSVLenientBudget(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		fmt.Fprintf(&sb, "u%d,notatime\n", i)
 	}
-	_, report, err := ReadCSVOpts("x", strings.NewReader(sb.String()),
-		ReadCSVOptions{Lenient: true, MaxBadRows: 4})
+	_, report, err := ingest("x", []byte(sb.String()),
+		IngestOptions{Lenient: true, MaxBadRows: 4})
 	var budget *BadRowBudgetError
 	if !errors.As(err, &budget) {
 		t.Fatalf("got %v, want *BadRowBudgetError", err)
@@ -118,8 +104,8 @@ func TestReadCSVLenientBudget(t *testing.T) {
 		t.Errorf("returned report counts %d bad rows, want 5 (budget+1)", report.BadRows)
 	}
 	// Within budget: all 10 quarantined, no error.
-	_, report, err = ReadCSVOpts("x", strings.NewReader(sb.String()),
-		ReadCSVOptions{Lenient: true, MaxBadRows: 10})
+	_, report, err = ingest("x", []byte(sb.String()),
+		IngestOptions{Lenient: true, MaxBadRows: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +122,7 @@ func TestReadCSVLenientSampleCap(t *testing.T) {
 		fmt.Fprintf(&sb, "u%d,notatime\n", i)
 	}
 	// Default cap.
-	_, report, err := ReadCSVOpts("x", strings.NewReader(sb.String()), ReadCSVOptions{Lenient: true})
+	_, report, err := ingest("x", []byte(sb.String()), IngestOptions{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +131,7 @@ func TestReadCSVLenientSampleCap(t *testing.T) {
 	}
 	// Explicit cap, and long raw values are truncated.
 	long := lenientHeader + "u1," + strings.Repeat("x", 200) + "\n"
-	_, report, err = ReadCSVOpts("x", strings.NewReader(long), ReadCSVOptions{Lenient: true, SampleCap: 1})
+	_, report, err = ingest("x", []byte(long), IngestOptions{Lenient: true, SampleCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +154,11 @@ func TestReadCSVLenientRoundTripUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	strict, err := ReadCSV("rt", bytes.NewReader(raw))
+	strict, _, err := ingest("rt", raw, IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lenient, report, err := ReadCSVOpts("rt", bytes.NewReader(raw), ReadCSVOptions{Lenient: true})
+	lenient, report, err := ingest("rt", raw, IngestOptions{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}

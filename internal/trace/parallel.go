@@ -1,13 +1,13 @@
 package trace
 
-// The parallel sharded CSV reader. After the columnar store and the
-// allocation-free kernels, cold-start ingest dominates the pipeline
-// (the CSV parse took ~3x the placement kernel at Twitter scale 20), so
-// the load path gets the same treatment as placement: split the input
-// on newline boundaries, parse shards concurrently on internal/par, and
-// merge deterministically so the result is bit-identical to ReadCSVOpts
-// at any worker count — including error messages, quarantine reports and
-// bad-row budget aborts.
+// IngestCSV is the one CSV entry point. After the columnar store and the
+// allocation-free kernels, cold-start ingest dominates the pipeline (the
+// CSV parse took ~3x the placement kernel at Twitter scale 20), so the
+// load path gets the same treatment as placement: split the input on
+// newline boundaries, parse shards concurrently on internal/par, and merge
+// deterministically so the result is bit-identical to the sequential
+// encoding/csv reader (readCSV) at any worker count — including error
+// messages, quarantine reports and bad-row budget aborts.
 //
 // The equivalence contract is strict and the test battery pins it:
 //
@@ -22,8 +22,8 @@ package trace
 //   - rare shapes with csv-specific normalization (\r handling, quoted
 //     fields) are delegated: a line containing '\r' is parsed by a
 //     one-line encoding/csv reader, and any input containing '"' falls
-//     back to ReadCSVOpts wholesale. The fast path only handles byte
-//     shapes whose csv semantics are trivially the identity.
+//     back to readCSV wholesale. The fast path only handles byte shapes
+//     whose csv semantics are trivially the identity.
 //
 // The fused-ingest hook rides on the same pass: with CollectCells set,
 // the shard loop also emits the integer profile cell (epochDay*24+hour,
@@ -41,11 +41,23 @@ import (
 	"darkcrowd/internal/par"
 )
 
-// IngestOptions tunes IngestCSV. The embedded ReadCSVOptions mean exactly
-// what they mean for ReadCSVOpts — lenient quarantining, budgets and
-// sample caps behave identically on every path.
+// IngestOptions tunes IngestCSV. Lenient quarantining, budgets and sample
+// caps behave identically on the sharded and the sequential path.
 type IngestOptions struct {
-	ReadCSVOptions
+	// Lenient switches the reader from fail-fast to quarantining: a
+	// malformed row is recorded in the QuarantineReport and skipped instead
+	// of aborting the whole load — the paper's real-world corpora are full
+	// of gap-ridden records. The header is always strict: a missing or
+	// wrong header means the wrong file, not a dirty row.
+	Lenient bool
+	// MaxBadRows is the lenient mode's bad-row budget: quarantining more
+	// than this many rows aborts the read with a *BadRowBudgetError. Zero
+	// or negative means no budget (quarantine everything).
+	MaxBadRows int
+	// SampleCap bounds how many quarantined rows are kept verbatim in the
+	// report (default DefaultQuarantineSample). The total count is always
+	// exact; only the per-row detail is capped.
+	SampleCap int
 	// Workers is the shard parallelism (<=0 selects GOMAXPROCS; clamped
 	// like par.Workers). The parsed result is bit-identical at any value.
 	Workers int
@@ -57,16 +69,13 @@ type IngestOptions struct {
 
 // IngestResult is what IngestCSV produces: the dataset with its columnar
 // index already built (Dataset.Index is free), the lenient-mode
-// quarantine report, the optional fused cells, and the worker count that
-// actually ran.
+// quarantine report and the optional fused cells.
 type IngestResult struct {
 	Dataset *Dataset
 	Report  *QuarantineReport
 	// Cells is non-nil when IngestOptions.CollectCells was set and the
 	// ingest succeeded.
 	Cells *UserCells
-	// Workers is the resolved shard count (1 on the sequential fallback).
-	Workers int
 }
 
 // UserCells is the fused-ingest product: per-post integer profile cells
@@ -111,10 +120,10 @@ func floorDiv3600(sec int64) int64 {
 	return q
 }
 
-// IngestCSV parses a CSV activity trace with sharded workers and builds
-// the columnar index as part of the merge. On error the result is nil,
-// except for a lenient bad-row budget abort which carries the partial
-// quarantine report (mirroring ReadCSVOpts).
+// IngestCSV parses a CSV activity trace (the layout WriteCSV emits) with
+// sharded workers and builds the columnar index as part of the merge. On
+// error the result is nil, except for a lenient bad-row budget abort,
+// which carries the partial quarantine report.
 func IngestCSV(name string, data []byte, opts IngestOptions) (*IngestResult, error) {
 	if bytes.IndexByte(data, '"') >= 0 {
 		// Quoted fields can span commas and newlines; shard splitting on
@@ -130,10 +139,7 @@ func IngestCSV(name string, data []byte, opts IngestOptions) (*IngestResult, err
 	cuts := shardSplit(data, bodyStart, workers)
 	keep := 1 // strict mode stops a shard at its first bad row
 	if opts.Lenient {
-		keep = opts.SampleCap
-		if keep <= 0 {
-			keep = DefaultQuarantineSample
-		}
+		keep = opts.sampleCap()
 	}
 	shards := make([]*shardResult, workers)
 	if err := par.Ranges(nil, workers, workers, func(start, end int) error {
@@ -144,16 +150,21 @@ func IngestCSV(name string, data []byte, opts IngestOptions) (*IngestResult, err
 	}); err != nil {
 		return nil, err
 	}
-	return mergeShards(name, shards, headerLines, opts, workers)
+	return mergeShards(name, shards, headerLines, opts)
 }
 
-// ingestSequential is the fallback path: ReadCSVOpts plus index/cells.
+// ingestSequential is the quoted-input fallback: readCSV plus index/cells,
+// under IngestCSV's error contract.
 func ingestSequential(name string, data []byte, opts IngestOptions) (*IngestResult, error) {
-	ds, report, err := ReadCSVOpts(name, bytes.NewReader(data), opts.ReadCSVOptions)
+	ds, report, err := readCSV(name, data, opts)
 	if err != nil {
-		return &IngestResult{Report: report, Workers: 1}, err
+		var budget *BadRowBudgetError
+		if errors.As(err, &budget) {
+			return &IngestResult{Report: report}, err
+		}
+		return nil, err
 	}
-	res := &IngestResult{Dataset: ds, Report: report, Workers: 1}
+	res := &IngestResult{Dataset: ds, Report: report}
 	s := ds.Index()
 	if opts.CollectCells {
 		keys := make([]int64, len(s.when))
@@ -198,7 +209,7 @@ func readOneCSVLine(raw []byte, terminated bool, physLine, fieldsPer int) ([]str
 	return rec, nil
 }
 
-// parseCSVHeader consumes the header the way ReadCSVOpts does: blank
+// parseCSVHeader consumes the header the way readCSV does: blank
 // lines are skipped, the first real line must be exactly csvHeader.
 // bodyStart is the byte offset of the first body line; headerLines the
 // number of physical lines consumed (blanks included).
@@ -427,7 +438,7 @@ func offsetParseError(pe *csv.ParseError, lineOff int) *csv.ParseError {
 // error/quarantine behavior exactly, re-intern shard dictionaries in
 // shard order (= first-appearance order), materialize Posts, and finish
 // the columnar store.
-func mergeShards(name string, shards []*shardResult, headerLines int, opts IngestOptions, workers int) (*IngestResult, error) {
+func mergeShards(name string, shards []*shardResult, headerLines int, opts IngestOptions) (*IngestResult, error) {
 	recOff := make([]int, len(shards)+1)
 	lineOff := make([]int, len(shards)+1)
 	postOff := make([]int, len(shards)+1)
@@ -481,7 +492,7 @@ func mergeShards(name string, shards []*shardResult, headerLines int, opts Inges
 					}
 				}
 				if qerr := opts.quarantine(report, row); qerr != nil {
-					return &IngestResult{Report: report, Workers: workers}, qerr
+					return &IngestResult{Report: report}, qerr
 				}
 			}
 		}
@@ -550,7 +561,7 @@ func mergeShards(name string, shards []*shardResult, headerLines int, opts Inges
 	s.finish(firstIDs, counts)
 	ds.idx = s
 
-	res := &IngestResult{Dataset: ds, Report: report, Workers: workers}
+	res := &IngestResult{Dataset: ds, Report: report}
 	if opts.CollectCells {
 		res.Cells = &UserCells{store: s, keys: cells}
 	}

@@ -133,12 +133,13 @@ func sameStore(t *testing.T, want, got *Store) {
 
 // checkParallelEquivalence runs both readers on the same bytes and
 // asserts every observable output matches.
-func checkParallelEquivalence(t *testing.T, data []byte, opts ReadCSVOptions, workers int) {
+func checkParallelEquivalence(t *testing.T, data []byte, opts IngestOptions, workers int) {
 	t.Helper()
-	seqDS, seqRep, seqErr := ReadCSVOpts("equiv", bytes.NewReader(data), opts)
+	seqDS, seqRep, seqErr := readCSV("equiv", data, opts)
 	var parDS *Dataset
 	var parRep *QuarantineReport
-	res, parErr := IngestCSV("equiv", data, IngestOptions{ReadCSVOptions: opts, Workers: workers})
+	opts.Workers = workers
+	res, parErr := IngestCSV("equiv", data, opts)
 	if res != nil {
 		parDS, parRep = res.Dataset, res.Report
 	}
@@ -180,7 +181,7 @@ func TestParallelReadEquivalence(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		data := genEquivCSV(r, seed%2 == 0)
-		optsVariants := []ReadCSVOptions{
+		optsVariants := []IngestOptions{
 			{},
 			{Lenient: true},
 			{Lenient: true, MaxBadRows: 1},
@@ -231,7 +232,7 @@ func TestParallelReadEdgeCases(t *testing.T) {
 	for i, data := range cases {
 		for _, lenient := range []bool{false, true} {
 			for _, workers := range parallelWorkerCounts {
-				opts := ReadCSVOptions{Lenient: lenient, MaxBadRows: 3}
+				opts := IngestOptions{Lenient: lenient, MaxBadRows: 3}
 				t.Run(fmt.Sprintf("case%02d/lenient=%v/w=%d", i, lenient, workers), func(t *testing.T) {
 					checkParallelEquivalence(t, []byte(data), opts, workers)
 				})
@@ -248,9 +249,9 @@ func TestIngestCellsMatchStore(t *testing.T) {
 	data := genEquivCSV(r, false)
 	for _, workers := range parallelWorkerCounts {
 		res, err := IngestCSV("cells", data, IngestOptions{
-			ReadCSVOptions: ReadCSVOptions{Lenient: true}, // the generator emits some invalid calendar dates
-			Workers:        workers,
-			CollectCells:   true,
+			Lenient:      true, // the generator emits some invalid calendar dates
+			Workers:      workers,
+			CollectCells: true,
 		})
 		if err != nil {
 			t.Fatalf("IngestCSV(workers=%d): %v", workers, err)
@@ -280,7 +281,9 @@ func TestIngestCellsMatchStore(t *testing.T) {
 }
 
 // TestIngestQuotedFallback pins the sequential fallback: any input
-// containing a quote parses via ReadCSVOpts with Workers reported as 1.
+// containing a quote parses via readCSV, still with cells. It also pins
+// IngestCSV's error contract on both paths: the result is nil on every
+// error except a lenient bad-row budget abort, which carries the report.
 func TestIngestQuotedFallback(t *testing.T) {
 	t.Parallel()
 	data := []byte("user_id,time_rfc3339\n\"u,1\",2021-01-01T00:00:00Z\nu2,2021-01-01T00:00:01Z\n")
@@ -288,14 +291,46 @@ func TestIngestQuotedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IngestCSV: %v", err)
 	}
-	if res.Workers != 1 {
-		t.Fatalf("quoted fallback Workers = %d, want 1", res.Workers)
-	}
 	if res.Cells == nil || len(res.Cells.keys) != 2 {
 		t.Fatalf("quoted fallback cells missing: %+v", res.Cells)
 	}
 	if got := res.Dataset.Posts[0].UserID; got != "u,1" {
 		t.Fatalf("quoted field mangled: %q", got)
+	}
+
+	for _, user := range []string{"u2", `"u,2"`} {
+		badHeader := "wrong,header\n" + user + ",2021-01-01T00:00:00Z\n"
+		badRows := "user_id,time_rfc3339\n" + user + ",notatime\nu3,notatime\n"
+		for _, tc := range []struct {
+			name   string
+			data   string
+			opts   IngestOptions
+			budget bool
+		}{
+			{"strict header", badHeader, IngestOptions{}, false},
+			{"lenient header", badHeader, IngestOptions{Lenient: true}, false},
+			{"strict row", badRows, IngestOptions{}, false},
+			{"budget abort", badRows, IngestOptions{Lenient: true, MaxBadRows: 1}, true},
+		} {
+			tc.opts.Workers = 4
+			res, err := IngestCSV("errors", []byte(tc.data), tc.opts)
+			if err == nil {
+				t.Fatalf("%s (user %s): no error", tc.name, user)
+			}
+			var budget *BadRowBudgetError
+			if errors.As(err, &budget) != tc.budget {
+				t.Fatalf("%s (user %s): err = %v, budget abort %v", tc.name, user, err, tc.budget)
+			}
+			if !tc.budget {
+				if res != nil {
+					t.Fatalf("%s (user %s): non-nil result %+v on error", tc.name, user, res)
+				}
+				continue
+			}
+			if res == nil || res.Dataset != nil || res.Report == nil || res.Report.BadRows != 2 {
+				t.Fatalf("%s (user %s): budget abort result %+v, want the report alone", tc.name, user, res)
+			}
+		}
 	}
 }
 

@@ -180,47 +180,6 @@ func (d *Dataset) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// ReadSnapshot decodes a .dcs snapshot into a Dataset with its columnar
-// index pre-built (Dataset.Index is free on the result). Every defect —
-// truncation, bit flips, version drift, cross-section inconsistency —
-// returns a *SnapshotError; a non-nil Dataset is always fully valid.
-func ReadSnapshot(r io.Reader) (*Dataset, error) {
-	data, err := readAllSized(r)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSnapshot(data)
-}
-
-// ReadSnapshotBytes is ReadSnapshot for a snapshot already in memory
-// (mmap, embedded data, a just-written buffer). The decode copies what it
-// keeps — data is not retained and may be reused or unmapped afterwards.
-func ReadSnapshotBytes(data []byte) (*Dataset, error) {
-	return decodeSnapshot(data)
-}
-
-// readAllSized reads r to EOF. When r can report its size (files,
-// bytes.Reader) the buffer is allocated once at the exact size instead of
-// grown through io.ReadAll's doubling copies — snapshots are read whole,
-// so the copies would double the load's memory traffic.
-func readAllSized(r io.Reader) ([]byte, error) {
-	if s, ok := r.(io.Seeker); ok {
-		cur, err1 := s.Seek(0, io.SeekCurrent)
-		end, err2 := s.Seek(0, io.SeekEnd)
-		if err1 == nil && err2 == nil && cur >= 0 && end >= cur {
-			if _, err := s.Seek(cur, io.SeekStart); err != nil {
-				return nil, err
-			}
-			buf := make([]byte, end-cur)
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, err
-			}
-			return buf, nil
-		}
-	}
-	return io.ReadAll(r)
-}
-
 // uvarint decodes a minimally-encoded varint, rejecting truncated and
 // non-minimal forms (non-minimal forms would break the canonical
 // encode-decode bijection).
@@ -242,8 +201,13 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// decodeSnapshot is ReadSnapshot on bytes (and the fuzz entry point).
-func decodeSnapshot(data []byte) (*Dataset, error) {
+// ReadSnapshotBytes decodes a .dcs snapshot into a Dataset with its
+// columnar index pre-built (Dataset.Index is free on the result). Every
+// defect — truncation, bit flips, version drift, cross-section
+// inconsistency — returns a *SnapshotError; a non-nil Dataset is always
+// fully valid. The decode copies what it keeps: data is not retained and
+// may be reused or unmapped afterwards.
+func ReadSnapshotBytes(data []byte) (*Dataset, error) {
 	if len(data) < 16 {
 		return nil, snapErr("header", "truncated header (%d bytes)", len(data))
 	}

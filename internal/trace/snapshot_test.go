@@ -19,7 +19,7 @@ func snapshotTestDataset(t *testing.T) *Dataset {
 		"zed,1969-12-31T23:59:59Z\n" +
 		"mid,2021-03-04T06:00:00+02:00\n" +
 		"abe,2021-03-04T05:06:08Z\n"
-	d, rep, err := ReadCSVOpts("snapshot-test", bytes.NewReader([]byte(csv)), ReadCSVOptions{})
+	d, rep, err := ingest("snapshot-test", []byte(csv), IngestOptions{})
 	if err != nil || !rep.Empty() {
 		t.Fatalf("test dataset failed to parse: %v %v", err, rep)
 	}
@@ -47,7 +47,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		"empty": {Name: "empty"},
 	}
 	r := rand.New(rand.NewSource(3))
-	gen, err := IngestCSV("gen", genEquivCSV(r, false), IngestOptions{ReadCSVOptions: ReadCSVOptions{Lenient: true}, Workers: 3})
+	gen, err := IngestCSV("gen", genEquivCSV(r, false), IngestOptions{Lenient: true, Workers: 3})
 	if err != nil {
 		t.Fatalf("generated dataset: %v", err)
 	}
@@ -55,9 +55,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for name, d := range cases {
 		t.Run(name, func(t *testing.T) {
 			raw := encodeSnapshot(t, d)
-			got, err := ReadSnapshot(bytes.NewReader(raw))
+			got, err := ReadSnapshotBytes(raw)
 			if err != nil {
-				t.Fatalf("ReadSnapshot: %v", err)
+				t.Fatalf("ReadSnapshotBytes: %v", err)
 			}
 			if got.Name != d.Name {
 				t.Fatalf("name %q, want %q", got.Name, d.Name)
@@ -82,7 +82,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotTimesSurvive(t *testing.T) {
 	t.Parallel()
 	d := snapshotTestDataset(t)
-	got, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, d)))
+	got, err := ReadSnapshotBytes(encodeSnapshot(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	raw := encodeSnapshot(t, snapshotTestDataset(t))
 	check := func(mutated []byte, what string) {
 		t.Helper()
-		ds, err := decodeSnapshot(mutated)
+		ds, err := ReadSnapshotBytes(mutated)
 		if err == nil {
 			t.Fatalf("%s: corrupted snapshot decoded successfully (%v)", what, ds.Summarize())
 		}
@@ -133,13 +133,13 @@ func TestSnapshotVersionDrift(t *testing.T) {
 	raw := encodeSnapshot(t, snapshotTestDataset(t))
 	futureVersion := bytes.Clone(raw)
 	futureVersion[8] = 2
-	if _, err := decodeSnapshot(futureVersion); err == nil {
+	if _, err := ReadSnapshotBytes(futureVersion); err == nil {
 		t.Fatal("future version accepted")
 	}
 	unknownTag := bytes.Clone(raw)
 	copy(unknownTag[16:], "XXXX")
 	var se *SnapshotError
-	if _, err := decodeSnapshot(unknownTag); !errors.As(err, &se) {
+	if _, err := ReadSnapshotBytes(unknownTag); !errors.As(err, &se) {
 		t.Fatalf("unknown tag: %v", err)
 	}
 }
@@ -149,7 +149,7 @@ func TestSnapshotVersionDrift(t *testing.T) {
 func TestSnapshotDecodedStoreUsable(t *testing.T) {
 	t.Parallel()
 	d := snapshotTestDataset(t)
-	got, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, d)))
+	got, err := ReadSnapshotBytes(encodeSnapshot(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}

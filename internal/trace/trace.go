@@ -12,12 +12,11 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -36,9 +35,9 @@ type Post struct {
 // to region codes for datasets with verified origin (the Twitter dataset of
 // Table I, or validation forums).
 type Dataset struct {
-	Name        string            `json:"name"`
-	Posts       []Post            `json:"posts"`
-	GroundTruth map[string]string `json:"ground_truth,omitempty"`
+	Name        string
+	Posts       []Post
+	GroundTruth map[string]string
 
 	// idx is the lazily built columnar index (see Index in columnar.go).
 	idx *Store
@@ -255,25 +254,7 @@ func (d *Dataset) SortByTime() {
 	d.idx = nil
 }
 
-// WriteJSON serializes the dataset.
-func (d *Dataset) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(d); err != nil {
-		return fmt.Errorf("trace: encode dataset: %w", err)
-	}
-	return nil
-}
-
-// ReadJSON deserializes a dataset written by WriteJSON.
-func ReadJSON(r io.Reader) (*Dataset, error) {
-	var d Dataset
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("trace: decode dataset: %w", err)
-	}
-	return &d, nil
-}
-
-// csvHeader is the column layout used by WriteCSV/ReadCSV.
+// csvHeader is the column layout used by WriteCSV and IngestCSV.
 var csvHeader = []string{"user_id", "time_rfc3339"}
 
 // WriteCSV writes the posts as CSV with a header row. Ground truth is not
@@ -342,36 +323,9 @@ func csvFieldNeedsQuotes(field string) bool {
 	return unicode.IsSpace(r1)
 }
 
-// ReadCSV reads a CSV produced by WriteCSV. Rows are parsed through a
-// fixed-layout RFC3339 fast path (falling back to time.Parse for offsets,
-// fractional seconds, or anything unusual), and user-ID strings are
-// interned so a million-post file holds one string per distinct user
-// instead of one per row.
-func ReadCSV(name string, r io.Reader) (*Dataset, error) {
-	ds, _, err := ReadCSVOpts(name, r, ReadCSVOptions{})
-	return ds, err
-}
-
 // DefaultQuarantineSample is how many quarantined rows a lenient read keeps
-// verbatim for diagnosis when ReadCSVOptions.SampleCap is zero.
+// verbatim for diagnosis when IngestOptions.SampleCap is zero.
 const DefaultQuarantineSample = 10
-
-// ReadCSVOptions tunes ReadCSVOpts.
-type ReadCSVOptions struct {
-	// Lenient switches the reader from fail-fast to quarantining: a
-	// malformed row is recorded in the QuarantineReport and skipped instead
-	// of aborting the whole load. The header is always strict — a missing
-	// or wrong header means the wrong file, not a dirty row.
-	Lenient bool
-	// MaxBadRows is the lenient mode's bad-row budget: quarantining more
-	// than this many rows aborts the read with a *BadRowBudgetError. Zero
-	// or negative means no budget (quarantine everything).
-	MaxBadRows int
-	// SampleCap bounds how many quarantined rows are kept verbatim in the
-	// report (default DefaultQuarantineSample). The total count is always
-	// exact; only the per-row detail is capped.
-	SampleCap int
-}
 
 // QuarantinedRow describes one malformed row a lenient read skipped.
 type QuarantinedRow struct {
@@ -425,15 +379,19 @@ func (e *BadRowBudgetError) Error() string {
 	return fmt.Sprintf("trace: bad-row budget exhausted: %s, budget %d", e.Report, e.Budget)
 }
 
+// sampleCap resolves SampleCap's default.
+func (opts *IngestOptions) sampleCap() int {
+	if opts.SampleCap <= 0 {
+		return DefaultQuarantineSample
+	}
+	return opts.SampleCap
+}
+
 // quarantine records one bad row, enforcing the sample cap and the budget.
 // It returns the budget error once the count passes MaxBadRows.
-func (opts *ReadCSVOptions) quarantine(q *QuarantineReport, row QuarantinedRow) error {
+func (opts *IngestOptions) quarantine(q *QuarantineReport, row QuarantinedRow) error {
 	q.BadRows++
-	keep := opts.SampleCap
-	if keep <= 0 {
-		keep = DefaultQuarantineSample
-	}
-	if len(q.Rows) < keep {
+	if len(q.Rows) < opts.sampleCap() {
 		const rawCap = 80
 		if len(row.Raw) > rawCap {
 			row.Raw = row.Raw[:rawCap] + "..."
@@ -446,15 +404,14 @@ func (opts *ReadCSVOptions) quarantine(q *QuarantineReport, row QuarantinedRow) 
 	return nil
 }
 
-// ReadCSVOpts is the configurable CSV reader behind ReadCSV.
-// In strict mode (the default) it behaves exactly like ReadCSV: the
-// first malformed row aborts the read, and the returned report is nil. In
-// lenient mode malformed rows are skipped into the returned
-// QuarantineReport — the paper's real-world corpora are full of gap-ridden
-// records, and a longitudinal pipeline must survive them — up to the
-// MaxBadRows budget. Well-formed rows parse identically in both modes.
-func ReadCSVOpts(name string, r io.Reader, opts ReadCSVOptions) (*Dataset, *QuarantineReport, error) {
-	cr := csv.NewReader(r)
+// readCSV is the sequential encoding/csv reader: IngestCSV's fallback for
+// quoted input, and the reference the sharded reader is tested against.
+// In strict mode the first malformed row aborts the read and the returned
+// report is nil. In lenient mode malformed rows are skipped into the
+// returned QuarantineReport up to the MaxBadRows budget. Well-formed rows
+// parse identically in both modes. Workers and CollectCells are ignored.
+func readCSV(name string, data []byte, opts IngestOptions) (*Dataset, *QuarantineReport, error) {
+	cr := csv.NewReader(bytes.NewReader(data))
 	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if errors.Is(err, io.EOF) {
@@ -710,21 +667,4 @@ func (s Summary) String() string {
 	return fmt.Sprintf("%s: %d users, %d posts (%.1f posts/user), %s .. %s",
 		s.Name, s.Users, s.Posts, s.MeanPosts,
 		s.First.Format("2006-01-02"), s.Last.Format("2006-01-02"))
-}
-
-// Subsample keeps each post independently with the given probability,
-// deterministically under the seed — used to study how the methodology
-// degrades as data thins out. Ground truth is carried over unchanged.
-func (d *Dataset) Subsample(prob float64, seed int64) (*Dataset, error) {
-	if prob < 0 || prob > 1 {
-		return nil, fmt.Errorf("trace: subsample probability %g outside [0,1]", prob)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := &Dataset{Name: d.Name, GroundTruth: copyGroundTruth(d.GroundTruth)}
-	for _, p := range d.Posts {
-		if rng.Float64() < prob {
-			out.Posts = append(out.Posts, p)
-		}
-	}
-	return out, nil
 }

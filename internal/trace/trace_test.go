@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -141,24 +142,31 @@ func TestSortByTime(t *testing.T) {
 	}
 }
 
+// TestJSONRoundTrip pins Post's JSON encoding, which the crawler
+// checkpoint persists as a []Post.
 func TestJSONRoundTrip(t *testing.T) {
 	t.Parallel()
-	d := sample()
-	var buf bytes.Buffer
-	if err := d.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
+	posts := sample().Posts
+	data, err := json.Marshal(posts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != d.Name || got.NumPosts() != d.NumPosts() {
-		t.Errorf("round trip lost data: %+v", got.Summarize())
+	if want := `{"user_id":"alice","time":"2017-06-01T09:00:00Z"}`; !strings.HasPrefix(string(data), "["+want) {
+		t.Errorf("encoding = %s, want it to start with [%s", data, want)
 	}
-	if got.GroundTruth["alice"] != "de" {
-		t.Error("ground truth lost in round trip")
+	var got []Post
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadJSON(strings.NewReader("{broken")); err == nil {
+	if len(got) != len(posts) {
+		t.Fatalf("round trip kept %d posts, want %d", len(got), len(posts))
+	}
+	for i := range posts {
+		if got[i].UserID != posts[i].UserID || !got[i].Time.Equal(posts[i].Time) {
+			t.Errorf("post %d differs: %+v vs %+v", i, got[i], posts[i])
+		}
+	}
+	if err := json.Unmarshal([]byte("[{broken"), &got); err == nil {
 		t.Error("broken JSON should fail")
 	}
 }
@@ -170,7 +178,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV("sample", &buf)
+	got, _, err := ingest("sample", buf.Bytes(), IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +194,14 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestReadCSVErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := ReadCSV("x", strings.NewReader("")); err == nil {
-		t.Error("empty CSV should fail")
-	}
-	if _, err := ReadCSV("x", strings.NewReader("wrong,header\na,b\n")); err == nil {
-		t.Error("bad header should fail")
-	}
-	if _, err := ReadCSV("x", strings.NewReader("user_id,time_rfc3339\nu1,notatime\n")); err == nil {
-		t.Error("bad timestamp should fail")
+	for _, tc := range []struct{ what, in string }{
+		{"empty CSV", ""},
+		{"bad header", "wrong,header\na,b\n"},
+		{"bad timestamp", "user_id,time_rfc3339\nu1,notatime\n"},
+	} {
+		if _, _, err := ingest("x", []byte(tc.in), IngestOptions{}); err == nil {
+			t.Errorf("%s should fail", tc.what)
+		}
 	}
 }
 
@@ -224,48 +232,5 @@ func TestSummarize(t *testing.T) {
 	empty := (&Dataset{Name: "e"}).Summarize()
 	if empty.Users != 0 || empty.MeanPosts != 0 {
 		t.Errorf("empty summary = %+v", empty)
-	}
-}
-
-func TestSubsample(t *testing.T) {
-	t.Parallel()
-	d := &Dataset{Name: "big", GroundTruth: map[string]string{"u": "de"}}
-	for i := 0; i < 1000; i++ {
-		d.Posts = append(d.Posts, Post{UserID: "u", Time: at(i % 24)})
-	}
-	half, err := d.Subsample(0.5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := half.NumPosts(); n < 400 || n > 600 {
-		t.Errorf("subsample kept %d of 1000 at p=0.5", n)
-	}
-	// Deterministic under the seed.
-	again, err := d.Subsample(0.5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.NumPosts() != half.NumPosts() {
-		t.Error("subsample not deterministic")
-	}
-	all, err := d.Subsample(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.NumPosts() != 1000 {
-		t.Errorf("p=1 kept %d", all.NumPosts())
-	}
-	none, err := d.Subsample(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if none.NumPosts() != 0 {
-		t.Errorf("p=0 kept %d", none.NumPosts())
-	}
-	if _, err := d.Subsample(1.5, 1); err == nil {
-		t.Error("p>1 accepted")
-	}
-	if half.GroundTruth["u"] != "de" {
-		t.Error("ground truth lost")
 	}
 }
