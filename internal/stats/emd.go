@@ -84,18 +84,23 @@ func EMDCircularScratch(p, q, scratch []float64) (float64, error) {
 // This is the placement kernel: nearest-zone assignment compares one user
 // profile against all 24 rotations of the generic profile, and calling
 // EMDCircular 24 times re-validates both inputs and re-allocates workspace
-// on every rotation. Here the inputs are validated once per call, the
-// diff/median workspace (2n floats of scratch, caller-reusable) is shared
-// across rotations, and the median uses the O(n) selection of
-// medianScratch instead of a full sort.
+// on every rotation. Here the inputs are validated once per call and the
+// diff workspace (2n floats of scratch, caller-reusable) is shared across
+// rotations; at n = 24 the median is medianNet24, which reads the diffs in
+// place, so 2n floats are all the kernel needs and it allocates nothing.
+// Other sizes take n more floats for medianScratch's copy, grown if the
+// scratch is short, and sizes above 24 allocate the doubled copy of q.
 //
-// Each rotation's cumulative-difference pass still runs the exact
-// accumulation order of EMDCircular (cum += p[i] - q_r[i], left to right).
-// A shared-prefix-sum formulation (F(i) - S(i+r) + S(r)) would reuse one
+// Rotations run in pairs, r and r+1 in one loop, so the two serial add
+// chains of one rotation (the cumulative differences, then the sum of
+// |d - mu|) overlap with the other rotation's; for odd n the last pair
+// recomputes rotation 0. Each rotation still runs the exact accumulation
+// order of EMDCircular (cum += p[i] - q_r[i], left to right). A
+// shared-prefix-sum formulation (F(i) - S(i+r) + S(r)) would reuse one
 // cumulative pass across all rotations but rounds differently in floating
 // point; keeping the per-rotation accumulation makes every out[r]
-// bit-identical to EMDCircular(p, q_r), which the equivalence property
-// tests and the end-to-end golden fixture pin down.
+// bit-identical to EMDCircular(p, q_r), which the equivalence and
+// reference tests and the end-to-end golden fixture pin down.
 func EMDCircularAllRotations(p, q, out, scratch []float64) ([]float64, error) {
 	if err := checkEMDInputs(p, q); err != nil {
 		return nil, err
@@ -105,32 +110,33 @@ func EMDCircularAllRotations(p, q, out, scratch []float64) ([]float64, error) {
 		out = make([]float64, n)
 	}
 	out = out[:n]
-	if cap(scratch) < 2*n {
-		scratch = make([]float64, 2*n)
+	need := 2 * n
+	if n != 24 {
+		need = 3 * n
 	}
-	diffs, tmp := scratch[:n], scratch[n:2*n]
-	for r := 0; r < n; r++ {
-		// The wrapped index q[(i+r) mod n] is unrolled into two straight
-		// ranges (q[r:], then q[:r]); the accumulation order over i is
-		// unchanged, so the rounding matches the modular loop exactly.
-		var cum float64
-		i := 0
-		for _, qv := range q[r:] {
-			cum += p[i] - qv
-			diffs[i] = cum
-			i++
+	if cap(scratch) < need {
+		scratch = make([]float64, need)
+	}
+	da, db, tmp := scratch[:n], scratch[n:2*n], scratch[2*n:need]
+	// q twice over, so that every rotation is one straight slice of it;
+	// the stack buffer holds it for n <= 24.
+	var buf [48]float64
+	qq := append(append(buf[:0], q...), q...)
+	for r := 0; r < n; r += 2 {
+		qa, qb := qq[r:r+n], qq[r+1:r+1+n]
+		var ca, cb float64
+		for i, pv := range p {
+			ca += pv - qa[i]
+			cb += pv - qb[i]
+			da[i], db[i] = ca, cb
 		}
-		for _, qv := range q[:r] {
-			cum += p[i] - qv
-			diffs[i] = cum
-			i++
+		mua, mub := medianScratch(da, tmp), medianScratch(db, tmp)
+		var ta, tb float64
+		for i, d := range da {
+			ta += math.Abs(d - mua)
+			tb += math.Abs(db[i] - mub)
 		}
-		mu := medianScratch(diffs, tmp)
-		var total float64
-		for _, d := range diffs {
-			total += math.Abs(d - mu)
-		}
-		out[r] = total
+		out[r], out[(r+1)%n] = ta, tb
 	}
 	return out, nil
 }
@@ -157,30 +163,35 @@ func checkEMDInputs(p, q []float64) error {
 			return fmt.Errorf("stats: infinite mass at index %d", i)
 		}
 	}
+	// With non-negative cells totalling at most m, every cumulative
+	// difference and the median lie in [-m, m], so each |d - mu| is at most
+	// 2m and a distance at most 2nm. Capping m at MaxFloat64/(4n) keeps all
+	// of them finite with room for rounding; an overflowing sum (Inf) fails
+	// the cap too, where the mass check above cannot see it (Inf - Inf is
+	// NaN).
+	if m := math.Max(sp, sq); !(m <= math.MaxFloat64/float64(4*len(p))) {
+		return fmt.Errorf("%w: total mass %g over %d cells", ErrMassOverflow, m, len(p))
+	}
 	return nil
 }
 
-// medianScratch computes the median without touching xs, working on a copy
-// held in tmp (which must have at least len(xs) capacity). Profile-sized
-// inputs (n <= 32 — EMD on 24-hour histograms always hits this) use an
-// insertion sort, which beats quickselect here because EMD feeds it
-// cumulative-difference sequences that arrive nearly sorted; larger inputs
-// use an O(n) quickselect. Both return the same order statistics as a full
-// sort, so the value matches the previous sort.Float64s implementation
-// exactly.
+// medianScratch computes the median without touching xs. The 24 values of
+// an hourly histogram, which every EMD kernel call passes, go to the
+// medianNet24 comparator network, which reads xs in place and needs no tmp.
+// Any other size works on a copy held in tmp (which must have at least
+// len(xs) capacity): n <= 32 uses an insertion sort, larger inputs an O(n)
+// quickselect. All three return the same order statistics as a full sort,
+// so the value matches a sort.Float64s median exactly.
 func medianScratch(xs, tmp []float64) float64 {
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
+	if n == 24 {
+		return medianNet24(xs)
+	}
 	tmp = tmp[:n]
 	copy(tmp, xs)
-	if n == 24 {
-		// The EMD kernels always land here (24-hour histograms); the
-		// branchless comparator network sidesteps the data-dependent
-		// mispredictions that make insertion sort slow on them.
-		return medianNet24(tmp)
-	}
 	if n <= 32 {
 		insertionSort(tmp)
 		if n%2 == 1 {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -207,6 +208,51 @@ func TestEMDErrors(t *testing.T) {
 	}
 	if _, err := EMDCircular([]float64{1, -0.5, 0.5}, []float64{0.5, 0, 0.5}); err == nil {
 		t.Error("negative mass should fail")
+	}
+}
+
+// TestEMDMassOverflow pins the rejection of finite cells whose total
+// mass overflows: each entry point must return ErrMassOverflow, not a NaN
+// or infinite distance with a nil error. Just under the cap, the
+// worst-shaped pair must give finite distances.
+func TestEMDMassOverflow(t *testing.T) {
+	t.Parallel()
+	p, q := make([]float64, 24), make([]float64, 24)
+	p[0], p[1] = 1e308, 1e308
+	q[2], q[3] = 1e308, 1e308
+	entries := map[string]func(p, q []float64) ([]float64, error){
+		"EMDLinear": func(p, q []float64) ([]float64, error) {
+			d, err := EMDLinear(p, q)
+			return []float64{d}, err
+		},
+		"EMDCircular": func(p, q []float64) ([]float64, error) {
+			d, err := EMDCircular(p, q)
+			return []float64{d}, err
+		},
+		"EMDCircularAllRotations": func(p, q []float64) ([]float64, error) {
+			return EMDCircularAllRotations(p, q, nil, nil)
+		},
+	}
+	for name, emd := range entries {
+		if d, err := emd(p, q); !errors.Is(err, ErrMassOverflow) {
+			t.Errorf("%s on overflowing mass = %v, %v; want ErrMassOverflow", name, d, err)
+		}
+	}
+	// All mass in one cell on each side, half a day apart: every cumulative
+	// difference is m or 0, the largest spread the cap has to bound.
+	m := math.MaxFloat64 / (4 * 24)
+	p, q = make([]float64, 24), make([]float64, 24)
+	p[0], q[12] = m, m
+	for name, emd := range entries {
+		ds, err := emd(p, q)
+		if err != nil {
+			t.Fatalf("%s at the cap: %v", name, err)
+		}
+		for _, d := range ds {
+			if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+				t.Errorf("%s at the cap = %v; want finite non-negative", name, d)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,8 @@ package stats
 
 // Fuzz targets for the EMD primitives, mirroring the wire-codec fuzzers in
 // internal/onion: the distances must never panic — malformed input
-// (length mismatch, negative mass, NaN, Inf) must surface as an error —
+// (length mismatch, negative mass, NaN, Inf, a total mass that overflows)
+// must surface as an error —
 // and whenever they accept a pair they must behave like a metric:
 // non-negative, exactly symmetric, and zero on identical inputs.
 
@@ -60,6 +61,18 @@ func seedHistograms(f *testing.F) {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	f.Add(buf)
+	// Finite cells whose total mass overflows: Sum is +Inf on both sides
+	// and Inf - Inf is NaN, which no mass-mismatch comparison catches; the
+	// distances would be NaN or +Inf. They must be rejected.
+	buf = []byte{24}
+	for i := 0; i < 48; i++ {
+		v := 0.0
+		if i == 0 || i == 1 || i == 24+2 || i == 24+3 {
+			v = 1e308
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	f.Add(buf)
 }
 
 // fuzzEMD drives one EMD variant through the metric properties.
@@ -71,7 +84,7 @@ func fuzzEMD(f *testing.F, emd func(p, q []float64) (float64, error)) {
 		if err != nil {
 			return // rejected input: an error is the correct outcome
 		}
-		if math.IsNaN(d) || d < 0 {
+		if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
 			t.Fatalf("EMD(%v, %v) = %v; want finite non-negative", p, q, d)
 		}
 		back, err := emd(q, p)
@@ -117,6 +130,35 @@ func FuzzEMDCircularScratch(f *testing.F) {
 		}
 		if wantErr == nil && math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("scratch variant diverged: %v vs %v", want, got)
+		}
+	})
+}
+
+// FuzzEMDCircularAllRotations pins the kernel to EMDCircular on every
+// rotation: the same inputs are accepted, and each accepted distance is
+// finite, non-negative and bit-identical to EMDCircular(p, q_r).
+func FuzzEMDCircularAllRotations(f *testing.F) {
+	seedHistograms(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, q := decodeHistogramPair(data)
+		got, err := EMDCircularAllRotations(p, q, nil, nil)
+		if _, wantErr := EMDCircular(p, q); (err == nil) != (wantErr == nil) {
+			t.Fatalf("error mismatch: kernel %v, EMDCircular %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		for r, d := range got {
+			if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+				t.Fatalf("rotation %d: kernel %v; want finite non-negative", r, d)
+			}
+			// Rotating q reorders its mass sum, which can move a pair on
+			// the edge of a validation bound across it; compare only what
+			// EMDCircular accepts.
+			want, err := EMDCircular(p, Rotate(q, r))
+			if err == nil && math.Float64bits(d) != math.Float64bits(want) {
+				t.Fatalf("rotation %d: kernel %v, EMDCircular %v", r, d, want)
+			}
 		}
 	})
 }

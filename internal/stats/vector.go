@@ -22,6 +22,11 @@ var ErrEmptyInput = errors.New("stats: empty input")
 // ErrLengthMismatch is returned when two vectors must have the same length.
 var ErrLengthMismatch = errors.New("stats: length mismatch")
 
+// ErrMassOverflow is returned by the EMD functions when a histogram's total
+// mass is so large that the cumulative differences or the distance could
+// overflow float64 and come out as NaN or ±Inf.
+var ErrMassOverflow = errors.New("stats: EMD input mass overflows float64")
+
 // Sum returns the sum of the values.
 func Sum(xs []float64) float64 {
 	var s float64
