@@ -54,7 +54,12 @@ import (
 type Post = trace.Post
 
 // Dataset is a named activity trace with optional ground-truth labels.
+// Its posts are read with NumPosts and Post.
 type Dataset = trace.Dataset
+
+// NewDataset builds a dataset from (user, UTC time) rows, keeping their
+// order.
+func NewDataset(name string, posts []Post) *Dataset { return trace.NewDataset(name, posts) }
 
 // Profile is a 24-bin activity distribution (Eq. 1/2 of the paper).
 type Profile = profile.Profile
@@ -148,7 +153,7 @@ func GeolocateCrowd(posts []Post, ref *Reference, opts Options) (*Report, error)
 	if ref == nil {
 		return nil, fmt.Errorf("darkcrowd: nil reference")
 	}
-	ds := &Dataset{Name: "crowd", Posts: posts}
+	ds := NewDataset("crowd", posts)
 	profiles, err := profile.BuildUserProfiles(ds, profile.BuildOptions{
 		MinPosts:    opts.MinPosts,
 		Parallelism: opts.Parallelism,

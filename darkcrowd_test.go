@@ -25,7 +25,7 @@ func TestEndToEndFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := GeolocateCrowd(crowd.Posts, ref, Options{})
+	report, err := GeolocateCrowd(postsOf(crowd), ref, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestClassifyHemisphereFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := ClassifyHemisphere(crowd.Posts)
+	h, err := ClassifyHemisphere(postsOf(crowd))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,4 +147,13 @@ func TestReferenceJSONRoundTrip(t *testing.T) {
 	if _, err := ReadReference(strings.NewReader("{}")); err == nil {
 		t.Error("empty reference accepted")
 	}
+}
+
+// postsOf materializes a dataset's rows through the Post accessor.
+func postsOf(ds *Dataset) []Post {
+	out := make([]Post, ds.NumPosts())
+	for i := range out {
+		out[i] = ds.Post(i)
+	}
+	return out
 }

@@ -108,8 +108,7 @@ func run() error {
 		fmt.Println("  direct scrape refused:", err)
 	}
 	// Replay one month of posts with hourly monitor sweeps.
-	replay := crowd.Clone()
-	replay.SortByTime()
+	replay := crowd.SortedByTime()
 	first, _, _ := replay.TimeRange()
 	var simNow time.Time
 	monitor := crawler.NewMonitor(c, "watched")
@@ -121,8 +120,8 @@ func run() error {
 	end := first.AddDate(0, 1, 0)
 	idx := 0
 	for t := first; t.Before(end); t = t.Add(time.Hour) {
-		for idx < len(replay.Posts) && replay.Posts[idx].Time.Before(t.Add(time.Hour)) {
-			p := replay.Posts[idx]
+		for idx < replay.NumPosts() && replay.Post(idx).Time.Before(t.Add(time.Hour)) {
+			p := replay.Post(idx)
 			if !p.Time.Before(t) {
 				if _, err := f.PostAt(th.ID, p.UserID, "replayed", p.Time); err != nil {
 					return err
@@ -135,9 +134,10 @@ func run() error {
 			return err
 		}
 	}
+	observed := monitor.Dataset()
 	fmt.Printf("  monitored %d sweeps, observed %d posts with our own clock\n",
-		monitor.Polls(), monitor.Dataset().NumPosts())
-	profiles, err := profile.BuildUserProfiles(monitor.Dataset(), profile.BuildOptions{MinPosts: 5})
+		monitor.Polls(), observed.NumPosts())
+	profiles, err := profile.BuildUserProfiles(observed, profile.BuildOptions{MinPosts: 5})
 	if err != nil {
 		return err
 	}

@@ -97,7 +97,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	report, err := darkcrowd.GeolocateCrowd(res.Dataset.Posts, ref, darkcrowd.Options{})
+	posts := make([]darkcrowd.Post, res.Dataset.NumPosts())
+	for i := range posts {
+		posts[i] = res.Dataset.Post(i)
+	}
+	report, err := darkcrowd.GeolocateCrowd(posts, ref, darkcrowd.Options{})
 	if err != nil {
 		return err
 	}

@@ -35,7 +35,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	report, err := darkcrowd.GeolocateCrowd(crowd.Posts, ref, darkcrowd.Options{})
+	posts := make([]darkcrowd.Post, crowd.NumPosts())
+	for i := range posts {
+		posts[i] = crowd.Post(i)
+	}
+	report, err := darkcrowd.GeolocateCrowd(posts, ref, darkcrowd.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

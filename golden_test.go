@@ -99,7 +99,7 @@ func goldenRun(t *testing.T) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := GeolocateCrowd(crowd.Posts, ref, Options{})
+	report, err := GeolocateCrowd(postsOf(crowd), ref, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestGeolocateCrowdGoldenIngestInvariant(t *testing.T) {
 		{"fused", fused.Dataset},
 	}
 	for _, p := range paths {
-		report, err := GeolocateCrowd(p.ds.Posts, ref, Options{})
+		report, err := GeolocateCrowd(postsOf(p.ds), ref, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
@@ -240,7 +240,7 @@ func TestGeolocateCrowdGoldenParallelismInvariant(t *testing.T) {
 	}
 	var base goldenReport
 	for i, workers := range []int{1, 2, 4, 7, 16} {
-		report, err := GeolocateCrowd(crowd.Posts, ref, Options{Parallelism: workers})
+		report, err := GeolocateCrowd(postsOf(crowd), ref, Options{Parallelism: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -276,7 +276,7 @@ func TestGeolocateCrowdObservationInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := GeolocateCrowd(crowd.Posts, ref, Options{})
+	plain, err := GeolocateCrowd(postsOf(crowd), ref, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestGeolocateCrowdObservationInvariant(t *testing.T) {
 		Span:    obs.StartSpan("geolocate"),
 		Log:     obs.NewLogger(&logBuf),
 	}
-	observed, err := GeolocateCrowd(crowd.Posts, ref, Options{Obs: o})
+	observed, err := GeolocateCrowd(postsOf(crowd), ref, Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

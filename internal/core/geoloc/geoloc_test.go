@@ -236,10 +236,10 @@ func TestDistanceKindString(t *testing.T) {
 
 func TestMostActiveUsers(t *testing.T) {
 	t.Parallel()
-	ds := &trace.Dataset{Posts: []trace.Post{
+	ds := trace.NewDataset("", []trace.Post{
 		{UserID: "light"}, {UserID: "heavy"}, {UserID: "heavy"},
 		{UserID: "heavy"}, {UserID: "mid"}, {UserID: "mid"},
-	}}
+	})
 	top := MostActiveUsers(ds, 2)
 	if len(top) != 2 || top[0] != "heavy" || top[1] != "mid" {
 		t.Errorf("MostActiveUsers = %v", top)
@@ -293,10 +293,13 @@ func TestPlacementShiftInvariant(t *testing.T) {
 	}
 	basePeak := peakOf(base)
 	for _, k := range []int{1, 3, -2, 6} {
-		shifted := base.Clone()
-		for i := range shifted.Posts {
-			shifted.Posts[i].Time = shifted.Posts[i].Time.Add(time.Duration(k) * time.Hour)
+		posts := make([]trace.Post, base.NumPosts())
+		for i := range posts {
+			posts[i] = base.Post(i)
+			posts[i].Time = posts[i].Time.Add(time.Duration(k) * time.Hour)
 		}
+		shifted := trace.NewDataset(base.Name, posts)
+		shifted.GroundTruth = base.GroundTruth
 		got := peakOf(shifted)
 		want := (basePeak - tz.Offset(k)).Normalize()
 		if got.CircularDistance(want) > 1 {

@@ -219,13 +219,14 @@ func TestFromPostsMatchesLegacy(t *testing.T) {
 func TestBuildUserProfilesColumnarMatchesRows(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(43))
-	ds := &trace.Dataset{Name: "eq"}
+	var posts []trace.Post
 	for u := 0; u < 30; u++ {
 		id := fmt.Sprintf("user-%02d", u)
 		for _, at := range randomTimes(rng, 20+rng.Intn(60)) {
-			ds.Posts = append(ds.Posts, trace.Post{UserID: id, Time: at})
+			posts = append(posts, trace.Post{UserID: id, Time: at})
 		}
 	}
+	ds := trace.NewDataset("eq", posts)
 	de, err := tz.ByCode("de")
 	if err != nil {
 		t.Fatal(err)
@@ -315,14 +316,15 @@ func TestZoneDistancesMatchPerZoneEMD(t *testing.T) {
 // structurally: the columnar per-user work (cell keys, dedup, profile)
 // allocates nothing once worker scratch is warm.
 func TestBuildUserProfilesSteadyStateAllocs(t *testing.T) {
-	ds := &trace.Dataset{Name: "allocs"}
+	var posts []trace.Post
 	base := time.Date(2017, time.May, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 200; i++ {
-		ds.Posts = append(ds.Posts, trace.Post{
+		posts = append(posts, trace.Post{
 			UserID: "u",
 			Time:   base.Add(time.Duration(i*7) * time.Hour),
 		})
 	}
+	ds := trace.NewDataset("allocs", posts)
 	src := storeCells{ds.Index(), UTCCells()}
 	keys := make([]int64, 0, 256)
 	avg := testing.AllocsPerRun(100, func() {

@@ -101,9 +101,6 @@ func BuildGeneric(ds *trace.Dataset, opts GenericOptions) (*GenericResult, error
 		region   Profile   // the aggregated region profile
 	}
 	builds := make([]regionBuild, len(codes))
-	// The region workers all filter ds, and the lazy index build behind
-	// FilterUsers is not safe to race: build it once up front.
-	ds.Index()
 	err := par.Ranges(opts.Context, opts.Parallelism, len(codes), func(start, end int) error {
 		for i := start; i < end; i++ {
 			code := codes[i]

@@ -148,7 +148,6 @@ func TestBuildGenericErrors(t *testing.T) {
 	}
 	bad := &trace.Dataset{
 		Name:        "bad-code",
-		Posts:       []trace.Post{},
 		GroundTruth: map[string]string{"u": "not-a-region"},
 	}
 	if _, err := BuildGeneric(bad, GenericOptions{}); err == nil {
@@ -284,24 +283,27 @@ func TestShiftFractional(t *testing.T) {
 }
 
 // TestBuildGenericParallelFreshDataset runs the parallel region build on a
-// dataset whose columnar index was never built. Every region worker
-// filters the shared dataset, so under -race this catches a lazy index
-// build raced from inside the workers.
+// freshly built dataset. Every region worker filters the one shared
+// dataset, so under -race this catches any write to its store from inside
+// the workers.
 func TestBuildGenericParallelFreshDataset(t *testing.T) {
 	t.Parallel()
 	fresh := func() *trace.Dataset {
-		ds := &trace.Dataset{Name: "fresh", GroundTruth: map[string]string{}}
+		gt := map[string]string{}
+		var posts []trace.Post
 		base := time.Date(2017, time.March, 6, 0, 0, 0, 0, time.UTC)
 		for r, code := range []string{"de", "jp", "br", "us-ca"} {
 			for u := 0; u < 4; u++ {
 				id := fmt.Sprintf("%s-%d", code, u)
-				ds.GroundTruth[id] = code
+				gt[id] = code
 				for i := 0; i < 40; i++ {
 					at := base.Add(time.Duration(i*25+r*5+u) * time.Hour)
-					ds.Posts = append(ds.Posts, trace.Post{UserID: id, Time: at})
+					posts = append(posts, trace.Post{UserID: id, Time: at})
 				}
 			}
 		}
+		ds := trace.NewDataset("fresh", posts)
+		ds.GroundTruth = gt
 		return ds
 	}
 	want, err := BuildGeneric(fresh(), GenericOptions{MinPosts: 10, Parallelism: 1})

@@ -55,7 +55,7 @@ func profilesBitEqual(t *testing.T, got, want map[string]Profile) {
 func TestAccumulatorMatchesBatchBuild(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7} {
 		posts := randomStream(seed, 40, 60)
-		ds := &trace.Dataset{Name: "stream", Posts: posts}
+		ds := trace.NewDataset("stream", posts)
 		want, err := BuildUserProfiles(ds, BuildOptions{MinPosts: 10})
 		if err != nil {
 			t.Fatal(err)

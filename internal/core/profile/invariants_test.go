@@ -19,7 +19,7 @@ var eqOneBuilders = []struct {
 	build func(t *testing.T, posts []trace.Post, minPosts int) map[string]Profile
 }{
 	{"batch", func(t *testing.T, posts []trace.Post, minPosts int) map[string]Profile {
-		out, err := BuildUserProfiles(&trace.Dataset{Name: "eq1", Posts: posts}, BuildOptions{MinPosts: minPosts, Parallelism: 3})
+		out, err := BuildUserProfiles(trace.NewDataset("eq1", posts), BuildOptions{MinPosts: minPosts, Parallelism: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +27,7 @@ var eqOneBuilders = []struct {
 	}},
 	{"fused", func(t *testing.T, posts []trace.Post, minPosts int) map[string]Profile {
 		var buf bytes.Buffer
-		if err := (&trace.Dataset{Posts: posts}).WriteCSV(&buf); err != nil {
+		if err := trace.NewDataset("", posts).WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		res, err := trace.IngestCSV("eq1", buf.Bytes(), trace.IngestOptions{Workers: 3, CollectCells: true})

@@ -204,20 +204,21 @@ func TestUniform(t *testing.T) {
 
 func TestBuildUserProfilesThreshold(t *testing.T) {
 	t.Parallel()
-	ds := &trace.Dataset{Name: "t"}
+	var posts []trace.Post
 	// "active" posts 35 times across distinct hours/days, "casual" posts 3 times.
 	for i := 0; i < 35; i++ {
-		ds.Posts = append(ds.Posts, trace.Post{
+		posts = append(posts, trace.Post{
 			UserID: "active",
 			Time:   time.Date(2017, time.March, 1+i%28, (9+i)%24, 0, 0, 0, time.UTC),
 		})
 	}
 	for i := 0; i < 3; i++ {
-		ds.Posts = append(ds.Posts, trace.Post{
+		posts = append(posts, trace.Post{
 			UserID: "casual",
 			Time:   time.Date(2017, time.March, 1+i, 10, 0, 0, 0, time.UTC),
 		})
 	}
+	ds := trace.NewDataset("t", posts)
 	profiles, err := BuildUserProfiles(ds, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +238,7 @@ func TestBuildUserProfilesThreshold(t *testing.T) {
 		t.Error("casual user should survive MinPosts=2")
 	}
 	// All below threshold: error.
-	tiny := &trace.Dataset{Posts: []trace.Post{{UserID: "x", Time: time.Now().UTC()}}}
+	tiny := trace.NewDataset("", []trace.Post{{UserID: "x", Time: time.Now().UTC()}})
 	if _, err := BuildUserProfiles(tiny, BuildOptions{}); err == nil {
 		t.Error("no surviving users should fail")
 	}
@@ -249,15 +250,15 @@ func TestRemoveHolidays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := &trace.Dataset{Posts: []trace.Post{
+	ds := trace.NewDataset("", []trace.Post{
 		{UserID: "u", Time: time.Date(2017, time.December, 25, 12, 0, 0, 0, time.UTC)},
 		{UserID: "u", Time: time.Date(2017, time.May, 25, 12, 0, 0, 0, time.UTC)},
-	}}
+	})
 	got := RemoveHolidays(ds, de)
 	if got.NumPosts() != 1 {
 		t.Fatalf("RemoveHolidays kept %d posts, want 1", got.NumPosts())
 	}
-	if got.Posts[0].Time.Month() != time.May {
+	if got.Post(0).Time.Month() != time.May {
 		t.Error("wrong post removed")
 	}
 }

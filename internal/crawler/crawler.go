@@ -434,7 +434,10 @@ func (c *Crawler) ScrapeResumable(ctx context.Context, datasetName string, opts 
 	o := c.Obs.Stage("crawl")
 	defer o.End()
 	startRetries := c.retries.Load()
-	res := &Result{Dataset: &trace.Dataset{Name: datasetName}}
+	res := &Result{}
+	// The crawl collects rows (the checkpoint persists them as JSON) and
+	// builds the dataset once, when it completes.
+	var posts []trace.Post
 
 	done := map[string]bool{}
 	var doneOrder []string
@@ -454,7 +457,7 @@ func (c *Crawler) ScrapeResumable(ctx context.Context, datasetName string, opts 
 		// Skips recorded in the snapshot are deliberately NOT restored:
 		// a thread not marked done gets a fresh retry budget on resume,
 		// and its skip record is rebuilt only if it fails again.
-		res.Dataset.Posts = append(res.Dataset.Posts, ck.Posts...)
+		posts = append(posts, ck.Posts...)
 		doneOrder = append(doneOrder, ck.DoneThreads...)
 		for _, id := range ck.DoneThreads {
 			done[id] = true
@@ -487,7 +490,7 @@ func (c *Crawler) ScrapeResumable(ctx context.Context, datasetName string, opts 
 			Pages:        res.Pages,
 			Skipped:      res.Skipped,
 			Errors:       res.Errors,
-			Posts:        res.Dataset.Posts,
+			Posts:        posts,
 		}
 		if err := snap.save(opts.Path); err != nil {
 			return err
@@ -529,7 +532,7 @@ func (c *Crawler) ScrapeResumable(ctx context.Context, datasetName string, opts 
 			if done[id] {
 				continue
 			}
-			posts, pages, err := c.scrapeThread(ctx, id, res.ServerOffset)
+			threadPosts, pages, err := c.scrapeThread(ctx, id, res.ServerOffset)
 			if err != nil {
 				// Cancellation and hidden timestamps are crawl-level
 				// conditions, not a flaky thread.
@@ -551,13 +554,13 @@ func (c *Crawler) ScrapeResumable(ctx context.Context, datasetName string, opts 
 			}
 			res.Threads++
 			res.Pages += pages
-			res.Dataset.Posts = append(res.Dataset.Posts, posts...)
+			posts = append(posts, threadPosts...)
 			o.Counter("crawler.threads_scraped").Inc()
 			o.Counter("crawler.pages").Add(int64(pages))
-			o.Counter("crawler.posts_collected").Add(int64(len(posts)))
+			o.Counter("crawler.posts_collected").Add(int64(len(threadPosts)))
 			o.AddItems(1)
 			if o.Enabled() {
-				o.Eventf("crawl", "thread done", "thread", id, "pages", pages, "posts", len(posts))
+				o.Eventf("crawl", "thread done", "thread", id, "pages", pages, "posts", len(threadPosts))
 			}
 			done[id] = true
 			doneOrder = append(doneOrder, id)
@@ -570,6 +573,7 @@ func (c *Crawler) ScrapeResumable(ctx context.Context, datasetName string, opts 
 		}
 	}
 	res.Retries = int(c.retries.Load() - startRetries)
+	res.Dataset = trace.NewDataset(datasetName, posts)
 	if opts.Path != "" {
 		// The crawl is complete; the snapshot would only confuse the
 		// next run.

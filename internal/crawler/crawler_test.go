@@ -96,10 +96,10 @@ func TestScrapeRecoversTrueTimestamps(t *testing.T) {
 	// Timestamps normalized to true UTC: the multiset of scraped
 	// (author, second-truncated time) pairs equals the ground truth.
 	wantSet := make(map[string]int)
-	for _, p := range truth.Posts {
+	for _, p := range postsOf(truth) {
 		wantSet[p.UserID+"|"+p.Time.UTC().Truncate(time.Second).Format(time.RFC3339)]++
 	}
-	for _, p := range res.Dataset.Posts {
+	for _, p := range postsOf(res.Dataset) {
 		key := p.UserID + "|" + p.Time.UTC().Format(time.RFC3339)
 		if wantSet[key] == 0 {
 			t.Fatalf("scraped post not in ground truth: %s", key)
@@ -146,7 +146,7 @@ func TestScrapeRoundTripsExactTimes(t *testing.T) {
 	if res.Dataset.NumPosts() != 1 {
 		t.Fatalf("posts = %d", res.Dataset.NumPosts())
 	}
-	got := res.Dataset.Posts[0].Time
+	got := res.Dataset.Post(0).Time
 	if !got.Equal(want) {
 		t.Errorf("recovered time %v, want %v", got, want)
 	}
@@ -308,4 +308,13 @@ func TestMeasureOffsetSecondProbeTolerates409(t *testing.T) {
 	if got != time.Hour {
 		t.Errorf("second probe offset = %v", got)
 	}
+}
+
+// postsOf materializes a dataset's rows through the Post accessor.
+func postsOf(ds *trace.Dataset) []trace.Post {
+	out := make([]trace.Post, ds.NumPosts())
+	for i := range out {
+		out[i] = ds.Post(i)
+	}
+	return out
 }

@@ -32,8 +32,9 @@ type Monitor struct {
 	// and simulations drive it to compress months into milliseconds.
 	Clock func() time.Time
 
-	seen    map[int]bool
-	dataset *trace.Dataset
+	seen  map[int]bool
+	name  string
+	posts []trace.Post
 	// FirstSweepBaseline controls whether the posts found by the very
 	// first Poll are recorded (false, the default) or only used to seed
 	// the seen-set (true). Pre-existing posts have unknown true times, so
@@ -48,13 +49,14 @@ func NewMonitor(c *Crawler, datasetName string) *Monitor {
 	return &Monitor{
 		Crawler:            c,
 		seen:               make(map[int]bool),
-		dataset:            &trace.Dataset{Name: datasetName},
+		name:               datasetName,
 		FirstSweepBaseline: true,
 	}
 }
 
-// Dataset returns the accumulated observations (live view, not a copy).
-func (m *Monitor) Dataset() *trace.Dataset { return m.dataset }
+// Dataset returns the observations accumulated so far, as a dataset built
+// from them at the call.
+func (m *Monitor) Dataset() *trace.Dataset { return trace.NewDataset(m.name, m.posts) }
 
 // Polls returns how many sweeps have run.
 func (m *Monitor) Polls() int { return m.polls }
@@ -130,7 +132,7 @@ func (m *Monitor) pollThread(ctx context.Context, threadID string, observedAt ti
 			if baseline {
 				continue
 			}
-			m.dataset.Posts = append(m.dataset.Posts, trace.Post{
+			m.posts = append(m.posts, trace.Post{
 				UserID: author,
 				Time:   observedAt,
 			})

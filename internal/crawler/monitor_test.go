@@ -101,7 +101,7 @@ func TestMonitorObservesNewPosts(t *testing.T) {
 		t.Errorf("per-user counts %v", counts)
 	}
 	// Observation times within a minute of the true posting times.
-	for i, p := range ds.Posts {
+	for i, p := range postsOf(ds) {
 		if d := p.Time.Sub(want[i].at); d < 0 || d > 2*time.Minute {
 			t.Errorf("post %d observed at %v, posted at %v", i, p.Time, want[i].at)
 		}

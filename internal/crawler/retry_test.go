@@ -139,12 +139,12 @@ func TestScrapeSurvivesScriptedTransportFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Dataset.Posts) != len(res.Dataset.Posts) {
-		t.Fatalf("faulted crawl: %d posts, clean crawl: %d", len(res.Dataset.Posts), len(want.Dataset.Posts))
+	if want.Dataset.NumPosts() != res.Dataset.NumPosts() {
+		t.Fatalf("faulted crawl: %d posts, clean crawl: %d", res.Dataset.NumPosts(), want.Dataset.NumPosts())
 	}
-	for i := range want.Dataset.Posts {
-		if want.Dataset.Posts[i] != res.Dataset.Posts[i] {
-			t.Fatalf("post %d differs: %+v vs %+v", i, res.Dataset.Posts[i], want.Dataset.Posts[i])
+	for i := 0; i < want.Dataset.NumPosts(); i++ {
+		if want.Dataset.Post(i) != res.Dataset.Post(i) {
+			t.Fatalf("post %d differs: %+v vs %+v", i, res.Dataset.Post(i), want.Dataset.Post(i))
 		}
 	}
 }

@@ -217,8 +217,7 @@ func (l *Lab) DiscussionMonitor() (*Result, error) {
 	// Monitor mode: replay the crowd's posts into the forum in hourly
 	// batches of simulated time, sweeping after each batch. The monitor's
 	// own clock supplies the timestamps.
-	replay := crowd.Clone()
-	replay.SortByTime()
+	replay := crowd.SortedByTime()
 	var simNow time.Time
 	monitor := crawler.NewMonitor(c, "monitored")
 	monitor.Clock = func() time.Time { return simNow }
@@ -243,8 +242,8 @@ func (l *Lab) DiscussionMonitor() (*Result, error) {
 	idx := 0
 	observed := 0
 	for t := first; t.Before(windowEnd); t = t.Add(time.Hour) {
-		for idx < len(replay.Posts) && replay.Posts[idx].Time.Before(t.Add(time.Hour)) {
-			p := replay.Posts[idx]
+		for idx < replay.NumPosts() && replay.Post(idx).Time.Before(t.Add(time.Hour)) {
+			p := replay.Post(idx)
 			if !p.Time.Before(t) {
 				if _, err := f.PostAt(threads[idx%len(threads)], p.UserID, "replayed", p.Time); err != nil {
 					return nil, err

@@ -419,9 +419,9 @@ func (f *Forum) ImportCrowd(ds *trace.Dataset, opts ImportOptions) error {
 			return fmt.Errorf("forum: import member %q: %w", u, err)
 		}
 	}
-	sorted := ds.Clone()
-	sorted.SortByTime()
-	for i, p := range sorted.Posts {
+	sorted := ds.SortedByTime()
+	for i := 0; i < sorted.NumPosts(); i++ {
+		p := sorted.Post(i)
 		thread := threadIDs[i%len(threadIDs)]
 		body := fmt.Sprintf("Post %d by %s.", i+1, p.UserID)
 		if _, err := f.PostAt(thread, p.UserID, body, p.Time); err != nil {

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"darkcrowd/internal/obs"
 )
 
 // inboxSize bounds each node's cell queue. Links apply backpressure when a
@@ -47,10 +45,6 @@ type Network struct {
 	// faults, when set, vets every routed cell (deterministic
 	// drop/delay/reset injection; see FaultInjector).
 	faults *FaultInjector
-
-	// Cell counters, resolved once by SetObserver so the routing hot path
-	// never touches the registry; all nil (no-op) when unobserved.
-	cellsSent, cellsDropped, cellsReset, cellsDelayed, cellsUnroutable *obs.Counter
 }
 
 // NewNetwork creates an empty network. The seed drives relay selection so
@@ -157,52 +151,29 @@ func (n *Network) SetFaultInjector(fi *FaultInjector) {
 	n.faults = fi
 }
 
-// SetObserver installs (or, with nil, removes) the fabric's cell counters:
-// onion.cells_sent, onion.cells_dropped, onion.cells_reset,
-// onion.cells_delayed and onion.cells_unroutable. The counters are
-// resolved once here, so counting on the routing hot path is a single
-// atomic add — and a no-op nil pointer when unobserved. Observation only:
-// routing decisions are identical with or without it.
-func (n *Network) SetObserver(o *obs.Observer) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cellsSent = o.Counter("onion.cells_sent")
-	n.cellsDropped = o.Counter("onion.cells_dropped")
-	n.cellsReset = o.Counter("onion.cells_reset")
-	n.cellsDelayed = o.Counter("onion.cells_delayed")
-	n.cellsUnroutable = o.Counter("onion.cells_unroutable")
-}
-
 // send routes a cell to the destination node. Unknown destinations are
 // dropped, as a failed TCP link would drop traffic.
 func (n *Network) send(to string, c Cell) {
 	n.mu.RLock()
 	nd, ok := n.nodes[to]
 	fi := n.faults
-	sent, dropped, reset := n.cellsSent, n.cellsDropped, n.cellsReset
-	delayed, unroutable := n.cellsDelayed, n.cellsUnroutable
 	n.mu.RUnlock()
 	if !ok {
-		unroutable.Inc()
 		return
 	}
 	if fi != nil {
 		switch action, delay := fi.decide(c); action {
 		case faultDrop:
-			dropped.Inc()
 			return
 		case faultReset:
 			// The link resets: the destination sees the circuit die
 			// instead of the cell.
-			reset.Inc()
 			nd.deliver(Cell{Circ: c.Circ, Cmd: CmdDestroy, From: c.From})
 			return
 		case faultDelay:
-			delayed.Inc()
 			time.Sleep(delay)
 		}
 	}
-	sent.Inc()
 	nd.deliver(c)
 }
 

@@ -18,11 +18,9 @@ package pipeline
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"io/fs"
 	"os"
@@ -141,8 +139,28 @@ type Result struct {
 // checkpointVersion guards the on-disk format; bump it when the layout
 // changes so stale snapshots fail loudly instead of resuming garbage.
 // v2: placements may carry per-user margins and the fingerprint covers the
-// margins flag.
-const checkpointVersion = 2
+// margins flag. v3: the fingerprint is checkpointKey (the dataset's .dcs
+// content hash plus the stage settings), replacing an FNV-1a over rows
+// whose UnixNano timestamps wrapped outside 1678–2262.
+const checkpointVersion = 3
+
+// ErrCheckpointVersion is wrapped by the error for a checkpoint written by
+// another format version: it fails closed and is never resumed.
+var ErrCheckpointVersion = errors.New("pipeline: checkpoint version mismatch")
+
+// ErrCheckpointMismatch is wrapped by the error for a checkpoint taken for
+// different inputs or settings (its fingerprint differs).
+var ErrCheckpointMismatch = errors.New("pipeline: checkpoint fingerprint mismatch")
+
+// checkpointError carries a checkpoint failure's full message and unwraps
+// to its sentinel.
+type checkpointError struct {
+	msg  string
+	kind error
+}
+
+func (e *checkpointError) Error() string { return e.msg }
+func (e *checkpointError) Unwrap() error { return e.kind }
 
 // checkpoint is the cumulative snapshot of a staged run: each field is
 // nil until its stage completes, and the whole struct is rewritten
@@ -158,23 +176,20 @@ type checkpoint struct {
 	Geo         *geoloc.Geolocation        `json:"geo,omitempty"`
 }
 
-// fingerprint digests everything the pipeline's output depends on: the
-// full post sequence (user IDs and timestamps), the reference identity,
-// and the stage settings. Worker counts are deliberately excluded — the
-// output is identical for every parallelism setting.
-func fingerprint(ds *trace.Dataset, cfg Config) string {
-	h := fnv.New64a()
-	io.WriteString(h, ds.Name)
-	var buf [8]byte
-	for _, p := range ds.Posts {
-		io.WriteString(h, p.UserID)
-		buf[0] = 0
-		h.Write(buf[:1])
-		binary.LittleEndian.PutUint64(buf[:], uint64(p.Time.UnixNano()))
-		h.Write(buf[:])
-	}
-	fmt.Fprintf(h, "|ref=%s|minposts=%d|polish=%v|margins=%v", cfg.ReferenceID, cfg.MinPosts, cfg.SkipPolish, cfg.Margins)
-	return fmt.Sprintf("%016x", h.Sum64())
+// checkpointKey is the checkpoint fingerprint: a digest of everything the
+// pipeline's output depends on — the dataset content hash (HashDataset,
+// which covers the name, every user ID and every exact instant), the
+// reference identity, and the stage settings. Worker counts are
+// deliberately excluded — the output is identical for every parallelism
+// setting.
+func checkpointKey(dsHash string, cfg Config) (string, error) {
+	return hashJSON(struct {
+		Dataset    string `json:"dataset_sha256"`
+		Reference  string `json:"reference"`
+		MinPosts   int    `json:"min_posts"`
+		SkipPolish bool   `json:"skip_polish"`
+		Margins    bool   `json:"margins"`
+	}{dsHash, cfg.ReferenceID, cfg.MinPosts, cfg.SkipPolish, cfg.Margins})
 }
 
 // loadCheckpoint reads a snapshot, returning (nil, nil) when none exists
@@ -193,11 +208,12 @@ func loadCheckpoint(path, fp string) (*checkpoint, error) {
 		return nil, fmt.Errorf("pipeline: parse checkpoint %s: %w", path, err)
 	}
 	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("pipeline: checkpoint %s has version %d, want %d", path, ck.Version, checkpointVersion)
+		return nil, &checkpointError{fmt.Sprintf("pipeline: checkpoint %s has version %d, want %d",
+			path, ck.Version, checkpointVersion), ErrCheckpointVersion}
 	}
 	if ck.Fingerprint != fp {
-		return nil, fmt.Errorf("pipeline: checkpoint %s was taken for different inputs or settings (fingerprint %s, want %s); delete it to start over",
-			path, ck.Fingerprint, fp)
+		return nil, &checkpointError{fmt.Sprintf("pipeline: checkpoint %s was taken for different inputs or settings (fingerprint %s, want %s); delete it to start over",
+			path, ck.Fingerprint, fp), ErrCheckpointMismatch}
 	}
 	return &ck, nil
 }
@@ -285,9 +301,20 @@ func Geolocate(cfg Config) (*Result, error) {
 	lo.End()
 	res := &Result{Dataset: ds, Quarantine: quarantine, SnapshotLoaded: snapLoaded, SnapshotWritten: snapWritten}
 
-	fp := fingerprint(ds, cfg)
+	// The dataset content hash keys the checkpoint and anchors the
+	// provenance chain; it is one pass over the columns, so it is computed
+	// only when one of them asks, and once.
+	var dsHash, fp string
+	if cfg.CheckpointPath != "" || cfg.Provenance {
+		if dsHash, err = HashDataset(ds); err != nil {
+			return nil, err
+		}
+	}
 	var ck *checkpoint
 	if cfg.CheckpointPath != "" {
+		if fp, err = checkpointKey(dsHash, cfg); err != nil {
+			return nil, err
+		}
 		ck, err = loadCheckpoint(cfg.CheckpointPath, fp)
 		if err != nil {
 			return nil, err
@@ -474,7 +501,7 @@ func Geolocate(cfg Config) (*Result, error) {
 	}
 
 	if cfg.Provenance {
-		prov, err := buildProvenance(ds, cfg, ck, profiles, res)
+		prov, err := buildProvenance(ds, dsHash, cfg, ck, profiles, res)
 		if err != nil {
 			return nil, err
 		}
@@ -487,12 +514,9 @@ func Geolocate(cfg Config) (*Result, error) {
 // The chain is built at the end of the run but in stage order, and every
 // payload is an artifact the checkpoint round-trips (or a pure function of
 // them), so a fresh run and a checkpoint-resumed run chain identically.
-// kept is the post-polish profile map actually placed.
-func buildProvenance(ds *trace.Dataset, cfg Config, ck *checkpoint, kept map[string]profile.Profile, res *Result) (*Provenance, error) {
-	dsHash, err := HashDataset(ds)
-	if err != nil {
-		return nil, err
-	}
+// dsHash is HashDataset(ds); kept is the post-polish profile map actually
+// placed.
+func buildProvenance(ds *trace.Dataset, dsHash string, cfg Config, ck *checkpoint, kept map[string]profile.Profile, res *Result) (*Provenance, error) {
 	prov := &Provenance{
 		Version: provenanceVersion,
 		Dataset: DatasetID{Name: ds.Name, Posts: ds.NumPosts(), SHA256: dsHash},

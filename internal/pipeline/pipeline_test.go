@@ -1,12 +1,14 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"darkcrowd/internal/atomicio"
 	"darkcrowd/internal/core/profile"
@@ -173,7 +175,7 @@ func TestGeolocateResumesAfterCheckpointWriteFailure(t *testing.T) {
 		t.Fatalf("got %v, want injected checkpoint failure", err)
 	}
 	// The first save (reference) must still be installed and parseable.
-	ck, err := loadCheckpoint(cfg.CheckpointPath, fingerprint(clean.Dataset, cfg))
+	ck, err := loadCheckpoint(cfg.CheckpointPath, testCheckpointKey(t, clean.Dataset, cfg))
 	if err != nil || ck == nil {
 		t.Fatalf("previous checkpoint lost: ck=%v err=%v", ck, err)
 	}
@@ -227,7 +229,7 @@ func TestGeolocateCheckpointFingerprintGuard(t *testing.T) {
 	} {
 		changed := cfg
 		mutate(&changed)
-		if _, err := Geolocate(changed); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		if _, err := Geolocate(changed); !errors.Is(err, ErrCheckpointMismatch) || !strings.Contains(err.Error(), "fingerprint") {
 			t.Errorf("%s change resumed a stale checkpoint: %v", name, err)
 		}
 	}
@@ -240,7 +242,7 @@ func TestGeolocateCheckpointFingerprintGuard(t *testing.T) {
 	if err := os.WriteFile(tracePath, extra, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Geolocate(cfg); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := Geolocate(cfg); !errors.Is(err, ErrCheckpointMismatch) || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("trace change resumed a stale checkpoint: %v", err)
 	}
 }
@@ -384,24 +386,141 @@ func TestGeolocateSnapshotPaths(t *testing.T) {
 	}
 }
 
+// testCheckpointKey is the checkpoint fingerprint Geolocate computes for
+// ds under cfg.
+func testCheckpointKey(t *testing.T, ds *trace.Dataset, cfg Config) string {
+	t.Helper()
+	dsHash, err := HashDataset(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := checkpointKey(dsHash, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
 // TestFingerprintSensitivity: the fingerprint moves with everything the
 // output depends on and ignores what it doesn't (worker count).
 func TestFingerprintSensitivity(t *testing.T) {
 	t.Parallel()
 	ds := &trace.Dataset{Name: "fp"}
 	base := Config{ReferenceID: "r"}
-	fp := fingerprint(ds, base)
-	if fp != fingerprint(ds, base) {
+	fp := testCheckpointKey(t, ds, base)
+	if fp != testCheckpointKey(t, ds, base) {
 		t.Error("fingerprint is not deterministic")
 	}
 	workers := base
 	workers.Workers = 7
-	if fingerprint(ds, workers) != fp {
+	if testCheckpointKey(t, ds, workers) != fp {
 		t.Error("worker count must not change the fingerprint")
 	}
-	minPosts := base
-	minPosts.MinPosts = 3
-	if fingerprint(ds, minPosts) == fp {
-		t.Error("MinPosts change must change the fingerprint")
+	for name, mutate := range map[string]func(*Config){
+		"reference": func(c *Config) { c.ReferenceID = "other-ref" },
+		"minposts":  func(c *Config) { c.MinPosts = 3 },
+		"polish":    func(c *Config) { c.SkipPolish = true },
+		"margins":   func(c *Config) { c.Margins = true },
+	} {
+		changed := base
+		mutate(&changed)
+		if testCheckpointKey(t, ds, changed) == fp {
+			t.Errorf("%s change must change the fingerprint", name)
+		}
+	}
+	renamed := &trace.Dataset{Name: "fp2"}
+	if testCheckpointKey(t, renamed, base) == fp {
+		t.Error("dataset change must change the fingerprint")
+	}
+}
+
+// unixNanoTwins are two instants whose UnixNano values are equal: the
+// second lies outside the ±292-year int64 nanosecond range and wraps onto
+// the first. Both are valid RFC3339 trace timestamps.
+const unixNanoTwinA, unixNanoTwinB = "2017-03-01T12:00:00Z", "2601-09-20T11:34:33.709551616Z"
+
+// TestCheckpointRejectsUnixNanoTwin is the regression test for a
+// fingerprint over UnixNano timestamps: two traces differing only in one
+// post's instant, A and its wrapped twin B, hashed alike, so a checkpoint
+// of A resumed against B. The .dcs content hash keeps whole seconds and
+// nanoseconds apart, so B must fail with the mismatch error.
+func TestCheckpointRejectsUnixNanoTwin(t *testing.T) {
+	a, err := time.Parse(time.RFC3339, unixNanoTwinA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := time.Parse(time.RFC3339, unixNanoTwinB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.UnixNano() != b.UnixNano() || a.Equal(b) {
+		t.Fatalf("not a UnixNano collision: %d vs %d", a.UnixNano(), b.UnixNano())
+	}
+	dir := t.TempDir()
+	tracePath := writeCrowd(t, dir)
+	crowd, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withPost := func(stamp string) {
+		t.Helper()
+		data := append(bytes.Clone(crowd), []byte("twin-user,"+stamp+"\n")...)
+		if err := os.WriteFile(tracePath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := Config{
+		TracePath:      tracePath,
+		Reference:      testReference(t),
+		ReferenceID:    "test-ref",
+		CheckpointPath: filepath.Join(dir, "stage.ckpt"),
+	}
+	withPost(unixNanoTwinA)
+	if _, err := Geolocate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	withPost(unixNanoTwinB)
+	_, err = Geolocate(cfg)
+	if !errors.Is(err, ErrCheckpointMismatch) || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("trace with the UnixNano twin: got %v, want ErrCheckpointMismatch", err)
+	}
+}
+
+// TestCheckpointOldVersionFailsClosed: a checkpoint written by format
+// version 2 — the row-fingerprint format — is refused with
+// ErrCheckpointVersion, never resumed.
+func TestCheckpointOldVersionFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		TracePath:      writeCrowd(t, dir),
+		Reference:      testReference(t),
+		ReferenceID:    "test-ref",
+		CheckpointPath: filepath.Join(dir, "stage.ckpt"),
+	}
+	if _, err := Geolocate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &ck); err != nil {
+		t.Fatal(err)
+	}
+	ck["version"] = json.RawMessage("2")
+	old, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.CheckpointPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Geolocate(cfg)
+	if !errors.Is(err, ErrCheckpointVersion) || res != nil {
+		t.Fatalf("v2 checkpoint: got %v, want ErrCheckpointVersion", err)
+	}
+	if want := "has version 2, want 3"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not say %q", err, want)
 	}
 }

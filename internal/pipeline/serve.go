@@ -286,7 +286,7 @@ func NewDaemon(cfg ServeConfig) (*Daemon, error) {
 				return nil, fmt.Errorf("pipeline: load snapshot %s: %w (delete it to start empty)", cfg.SnapshotPath, err)
 			}
 			d.cSnapLoads.Add(1)
-			d.o.Eventf("serve", "warm-started from snapshot", "posts", len(base.Posts))
+			d.o.Eventf("serve", "warm-started from snapshot", "posts", base.NumPosts())
 		}
 	}
 	d.head = trace.NewShardedHead("serve", base, cfg.Shards)
@@ -296,15 +296,23 @@ func NewDaemon(cfg ServeConfig) (*Daemon, error) {
 		d.shards[i].zones = make(map[string]zoneEntry)
 	}
 	if base != nil {
-		for i := range base.Posts {
-			id := base.Posts[i].UserID
-			d.shards[d.head.ShardOfString(id)].acc.Add(id, base.Posts[i].Time.Unix())
+		// Feed the accumulators user by user from the store columns: one
+		// shard hash per user, and the user's seconds in dataset order.
+		s := base.Index()
+		var secs []int64
+		for u := 0; u < s.NumUsers(); u++ {
+			id := s.UserID(u)
+			acc := d.shards[d.head.ShardOfString(id)].acc
+			secs = s.AppendUserTimes(secs[:0], u)
+			for _, sec := range secs {
+				acc.Add(id, sec)
+			}
 		}
 		users := 0
 		for i := range d.shards {
 			users += d.shards[i].acc.NumUsers()
 		}
-		d.gen.Store(uint64(len(base.Posts)))
+		d.gen.Store(uint64(base.NumPosts()))
 		d.users.Store(int64(users))
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -16,8 +16,8 @@ import (
 func TestDaemonIngestLineEndings(t *testing.T) {
 	dir := t.TempDir()
 	csvPath := writeCrowd(t, dir)
-	ds := loadTrace(t, csvPath)
-	lf := ndjson(ds.Posts)
+	rows := loadPosts(t, csvPath)
+	lf := ndjson(rows)
 
 	variants := map[string]func([]byte) []byte{
 		"lf": func(b []byte) []byte { return b },
@@ -50,8 +50,8 @@ func TestDaemonIngestLineEndings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Accepted != len(ds.Posts) || res.Rejected != 0 {
-			t.Fatalf("%s: accepted %d rejected %d, want %d/0", name, res.Accepted, res.Rejected, len(ds.Posts))
+		if res.Accepted != len(rows) || res.Rejected != 0 {
+			t.Fatalf("%s: accepted %d rejected %d, want %d/0", name, res.Accepted, res.Rejected, len(rows))
 		}
 		if res.Users > res.Posts {
 			t.Fatalf("%s: result reports %d users for %d posts", name, res.Users, res.Posts)

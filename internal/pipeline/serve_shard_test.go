@@ -29,7 +29,7 @@ func TestDaemonShardInvariance(t *testing.T) {
 	dir := t.TempDir()
 	path := writeCrowd(t, dir)
 	_, wantGeo := batchGeo(t, path)
-	ds := loadTrace(t, path)
+	rows := loadPosts(t, path)
 
 	var wantSnap []byte
 	for _, shards := range daemonShardCounts {
@@ -45,12 +45,12 @@ func TestDaemonShardInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Odd-sized chunks so folds land mid-request.
-		for i := 0; i < len(ds.Posts); i += 211 {
+		for i := 0; i < len(rows); i += 211 {
 			end := i + 211
-			if end > len(ds.Posts) {
-				end = len(ds.Posts)
+			if end > len(rows) {
+				end = len(rows)
 			}
-			if _, err := d.Ingest(bytes.NewReader(ndjson(ds.Posts[i:end]))); err != nil {
+			if _, err := d.Ingest(bytes.NewReader(ndjson(rows[i:end]))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -65,8 +65,8 @@ func TestDaemonShardInvariance(t *testing.T) {
 		if string(gotGeo) != wantGeo {
 			t.Errorf("shards=%d: drained report differs from batch geolocate output", shards)
 		}
-		if rep.Gen != uint64(len(ds.Posts)) || rep.Posts != len(ds.Posts) {
-			t.Errorf("shards=%d: gen/posts = %d/%d, want %d", shards, rep.Gen, rep.Posts, len(ds.Posts))
+		if rep.Gen != uint64(len(rows)) || rep.Posts != len(rows) {
+			t.Errorf("shards=%d: gen/posts = %d/%d, want %d", shards, rep.Gen, rep.Posts, len(rows))
 		}
 		if err := d.Close(); err != nil {
 			t.Fatal(err)

@@ -87,10 +87,10 @@ func TestDaemonStreamingEquivalence(t *testing.T) {
 	path := writeCrowd(t, dir)
 	batchRes, wantGeo := batchGeo(t, path)
 
-	ds := loadTrace(t, path)
+	rows := loadPosts(t, path)
 	for _, chunk := range []int{1, 17, 400} {
-		posts := make([]trace.Post, len(ds.Posts))
-		copy(posts, ds.Posts)
+		posts := make([]trace.Post, len(rows))
+		copy(posts, rows)
 		rand.New(rand.NewSource(int64(chunk))).Shuffle(len(posts), func(i, j int) {
 			posts[i], posts[j] = posts[j], posts[i]
 		})
@@ -132,8 +132,8 @@ func TestDaemonStreamingEquivalence(t *testing.T) {
 	}
 }
 
-// loadTrace ingests the CSV trace at path.
-func loadTrace(t *testing.T, path string) *trace.Dataset {
+// loadPosts ingests the CSV trace at path and returns its rows.
+func loadPosts(t *testing.T, path string) []trace.Post {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -143,7 +143,11 @@ func loadTrace(t *testing.T, path string) *trace.Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Dataset
+	posts := make([]trace.Post, res.Dataset.NumPosts())
+	for i := range posts {
+		posts[i] = res.Dataset.Post(i)
+	}
+	return posts
 }
 
 // TestDaemonConcurrentIngestRace streams the crowd from several writer
@@ -156,7 +160,7 @@ func TestDaemonConcurrentIngestRace(t *testing.T) {
 	path := writeCrowd(t, dir)
 	_, wantGeo := batchGeo(t, path)
 
-	ds := loadTrace(t, path)
+	rows := loadPosts(t, path)
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	d, err := NewDaemon(ServeConfig{
 		Reference:     testReference(t),
@@ -179,8 +183,8 @@ func TestDaemonConcurrentIngestRace(t *testing.T) {
 			defer wg.Done()
 			// Writer w streams every writers-th post, in chunks of 37.
 			var shard []trace.Post
-			for i := w; i < len(ds.Posts); i += writers {
-				shard = append(shard, ds.Posts[i])
+			for i := w; i < len(rows); i += writers {
+				shard = append(shard, rows[i])
 			}
 			for i := 0; i < len(shard); i += 37 {
 				end := i + 37
@@ -206,7 +210,7 @@ func TestDaemonConcurrentIngestRace(t *testing.T) {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
-			paths := []string{"/report", "/healthz", "/place/" + ds.Posts[r].UserID, "/place/nobody-here"}
+			paths := []string{"/report", "/healthz", "/place/" + rows[r].UserID, "/place/nobody-here"}
 			for i := 0; ; i++ {
 				select {
 				case <-stopRead:
@@ -237,12 +241,12 @@ func TestDaemonConcurrentIngestRace(t *testing.T) {
 	if string(gotGeo) != wantGeo {
 		t.Error("drained concurrent-ingest report differs from batch geolocate output")
 	}
-	if rep.Posts != len(ds.Posts) {
-		t.Errorf("report posts = %d, want %d", rep.Posts, len(ds.Posts))
+	if rep.Posts != len(rows) {
+		t.Errorf("report posts = %d, want %d", rep.Posts, len(rows))
 	}
 	snap := o.Metrics.Snapshot()
-	if snap.Counters["serve.posts_ingested"] != int64(len(ds.Posts)) {
-		t.Errorf("serve.posts_ingested = %d, want %d", snap.Counters["serve.posts_ingested"], len(ds.Posts))
+	if snap.Counters["serve.posts_ingested"] != int64(len(rows)) {
+		t.Errorf("serve.posts_ingested = %d, want %d", snap.Counters["serve.posts_ingested"], len(rows))
 	}
 	if snap.Counters["serve.compactions"] == 0 {
 		t.Error("no compactions recorded despite CompactEvery=512")
@@ -255,7 +259,7 @@ func TestDaemonConcurrentIngestRace(t *testing.T) {
 func TestDaemonSnapshotWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	path := writeCrowd(t, dir)
-	ds := loadTrace(t, path)
+	rows := loadPosts(t, path)
 	snap := dir + "/serve.dcs"
 	d1, err := NewDaemon(ServeConfig{
 		Reference:     testReference(t),
@@ -266,7 +270,7 @@ func TestDaemonSnapshotWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d1.Ingest(bytes.NewReader(ndjson(ds.Posts))); err != nil {
+	if _, err := d1.Ingest(bytes.NewReader(ndjson(rows))); err != nil {
 		t.Fatal(err)
 	}
 	rep1, err := d1.Report()
@@ -281,8 +285,8 @@ func TestDaemonSnapshotWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("final snapshot unreadable: %v", err)
 	}
-	if restored.NumPosts() != len(ds.Posts) {
-		t.Fatalf("snapshot holds %d posts, want %d", restored.NumPosts(), len(ds.Posts))
+	if restored.NumPosts() != len(rows) {
+		t.Fatalf("snapshot holds %d posts, want %d", restored.NumPosts(), len(rows))
 	}
 
 	d2, err := NewDaemon(ServeConfig{
@@ -295,8 +299,8 @@ func TestDaemonSnapshotWarmStart(t *testing.T) {
 	}
 	defer d2.Close()
 	h := d2.Healthz()
-	if h.Posts != len(ds.Posts) || h.Gen != uint64(len(ds.Posts)) {
-		t.Fatalf("warm start: posts/gen = %d/%d, want %d", h.Posts, h.Gen, len(ds.Posts))
+	if h.Posts != len(rows) || h.Gen != uint64(len(rows)) {
+		t.Fatalf("warm start: posts/gen = %d/%d, want %d", h.Posts, h.Gen, len(rows))
 	}
 	rep2, err := d2.Report()
 	if err != nil {
@@ -451,7 +455,7 @@ func TestDaemonIngestResultConsistency(t *testing.T) {
 // counts; a refit after an ingest that moves a user's zone does not.
 func TestDaemonRefitSamplesUnchanged(t *testing.T) {
 	dir := t.TempDir()
-	ds := loadTrace(t, writeCrowd(t, dir))
+	rows := loadPosts(t, writeCrowd(t, dir))
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	d, err := NewDaemon(ServeConfig{Reference: testReference(t), RefitDebounce: -1, Obs: o})
 	if err != nil {
@@ -465,14 +469,14 @@ func TestDaemonRefitSamplesUnchanged(t *testing.T) {
 		return c["serve.refits"], c["serve.refit_samples_unchanged"]
 	}
 
-	mustPost(t, srv.URL, ndjson(ds.Posts))
+	mustPost(t, srv.URL, ndjson(rows))
 	rep := getReport(t, srv.URL)
 	getReport(t, srv.URL)
 	if r, u := counters(); r != 1 || u != 0 {
 		t.Fatalf("after two reports on one generation: refits=%d unchanged=%d, want 1, 0", r, u)
 	}
 
-	lurker := []trace.Post{{UserID: "lurker", Time: ds.Posts[0].Time}}
+	lurker := []trace.Post{{UserID: "lurker", Time: rows[0].Time}}
 	mustPost(t, srv.URL, ndjson(lurker))
 	getReport(t, srv.URL)
 	if r, u := counters(); r != 2 || u != 1 {
@@ -482,10 +486,10 @@ func TestDaemonRefitSamplesUnchanged(t *testing.T) {
 	// Give one user four copies of their posts, 12 hours later and on
 	// days they never posted: the new cells dominate the profile and
 	// pull the user's zone across the circle.
-	user := ds.Posts[0].UserID
+	user := rows[0].UserID
 	before := rep.Geo.Placement.Assignments[user]
 	var moved []trace.Post
-	for _, p := range ds.Posts {
+	for _, p := range rows {
 		if p.UserID == user {
 			for k := 1; k <= 4; k++ {
 				shift := time.Duration(400*k)*24*time.Hour + 12*time.Hour

@@ -44,22 +44,15 @@ func TestSumAndMean(t *testing.T) {
 
 func TestStdDev(t *testing.T) {
 	t.Parallel()
-	got, err := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %g, want 2", got)
-	}
-	if _, err := StdDev(nil); err == nil {
-		t.Error("StdDev(nil) should fail")
-	}
 	m, s, err := MeanStdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(m, 5, 1e-12) || !almostEqual(s, 2, 1e-12) {
 		t.Errorf("MeanStdDev = (%g, %g), want (5, 2)", m, s)
+	}
+	if _, _, err := MeanStdDev(nil); err == nil {
+		t.Error("MeanStdDev(nil) should fail")
 	}
 }
 
@@ -109,25 +102,6 @@ func TestNormalizeProperty(t *testing.T) {
 	}
 	if err := quick.Check(sumsToOne, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	t.Parallel()
-	tests := []struct {
-		in   []float64
-		want int
-	}{
-		{nil, -1},
-		{[]float64{3}, 0},
-		{[]float64{1, 5, 2}, 1},
-		{[]float64{5, 5, 2}, 0}, // tie breaks low
-		{[]float64{-3, -1, -2}, 1},
-	}
-	for _, tt := range tests {
-		if got := ArgMax(tt.in); got != tt.want {
-			t.Errorf("ArgMax(%v) = %d, want %d", tt.in, got, tt.want)
-		}
 	}
 }
 
@@ -306,40 +280,7 @@ func TestEntropy(t *testing.T) {
 	if _, err := Entropy([]float64{1.5, -0.5}); err == nil {
 		t.Error("negative probability should fail")
 	}
-}
-
-func TestKLDivergence(t *testing.T) {
-	t.Parallel()
-	p := []float64{0.5, 0.5}
-	q := []float64{0.5, 0.5}
-	d, err := KLDivergence(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(d, 0, 1e-12) {
-		t.Errorf("D(p||p) = %g", d)
-	}
-	d, err = KLDivergence([]float64{1, 0}, []float64{0.5, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(d, 1, 1e-12) {
-		t.Errorf("D = %g, want 1 bit", d)
-	}
-	d, err = KLDivergence([]float64{0.5, 0.5}, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(d, 1) {
-		t.Errorf("missing support should be +Inf, got %g", d)
-	}
-	if _, err := KLDivergence([]float64{1}, []float64{0.5, 0.5}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := KLDivergence(nil, nil); err == nil {
-		t.Error("empty should fail")
-	}
-	if _, err := KLDivergence([]float64{-1, 2}, []float64{0.5, 0.5}); err == nil {
+	if _, err := Entropy([]float64{1.5, -0.5}); err == nil {
 		t.Error("negative probability should fail")
 	}
 }

@@ -118,8 +118,8 @@ func TestGenerateCrowdDeterminism(t *testing.T) {
 	if a.NumPosts() != b.NumPosts() {
 		t.Fatalf("same seed, different post counts: %d vs %d", a.NumPosts(), b.NumPosts())
 	}
-	for i := range a.Posts {
-		if a.Posts[i] != b.Posts[i] {
+	for i := 0; i < a.NumPosts(); i++ {
+		if a.Post(i) != b.Post(i) {
 			t.Fatalf("post %d differs", i)
 		}
 	}
@@ -129,8 +129,8 @@ func TestGenerateCrowdDeterminism(t *testing.T) {
 	}
 	same := a.NumPosts() == c.NumPosts()
 	if same {
-		for i := range a.Posts {
-			if a.Posts[i] != c.Posts[i] {
+		for i := 0; i < a.NumPosts(); i++ {
+			if a.Post(i) != c.Post(i) {
 				same = false
 				break
 			}
@@ -508,7 +508,8 @@ func TestWeekendEffect(t *testing.T) {
 	}
 	jp := mustRegion("jp")
 	var weekendPosts, weekdayPosts int
-	for _, p := range ds.Posts {
+	for i := 0; i < ds.NumPosts(); i++ {
+		p := ds.Post(i)
 		switch jp.LocalTime(p.Time).Weekday() {
 		case time.Saturday, time.Sunday:
 			weekendPosts++
@@ -530,7 +531,8 @@ func TestWeekendEffect(t *testing.T) {
 		t.Fatal(err)
 	}
 	weekendPosts, weekdayPosts = 0, 0
-	for _, p := range plain.Posts {
+	for i := 0; i < plain.NumPosts(); i++ {
+		p := plain.Post(i)
 		switch jp.LocalTime(p.Time).Weekday() {
 		case time.Saturday, time.Sunday:
 			weekendPosts++

@@ -2,8 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
-	"time"
 )
 
 // benchDataset builds a mid-sized CSV + snapshot pair once per benchmark
@@ -21,7 +22,7 @@ func benchIngestInput(b *testing.B) (csvBytes, snapBytes []byte, posts int) {
 		buf.WriteByte(byte('a' + (u/26)%26))
 		buf.WriteByte(byte('a' + u/676))
 		buf.WriteByte(',')
-		buf.Write(appendRFC3339(nil, time.Unix(sec, 0).UTC()))
+		buf.Write(appendRFC3339(nil, sec, 0))
 		buf.WriteByte('\n')
 	}
 	csvBytes = buf.Bytes()
@@ -36,11 +37,30 @@ func benchIngestInput(b *testing.B) (csvBytes, snapBytes []byte, posts int) {
 	return csvBytes, snap.Bytes(), ds.NumPosts()
 }
 
+// reportBytesPerPost reports the live heap the dataset build returns
+// holds, per post ("B/post"): heap in use after a GC with the result kept
+// alive, minus heap in use after a GC before the build. input — what the
+// build reads — is kept alive across both readings, so its bytes cancel;
+// scratch the build drops is not counted; a negative delta reads 0.
+func reportBytesPerPost(b *testing.B, input any, build func() *Dataset) {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ds := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	delta := max(int64(after.HeapAlloc)-int64(before.HeapAlloc), 0)
+	b.ReportMetric(float64(delta)/float64(ds.NumPosts()), "B/post")
+	runtime.KeepAlive(ds)
+	runtime.KeepAlive(input)
+}
+
 func BenchmarkSnapshotDecode(b *testing.B) {
 	_, snapBytes, posts := benchIngestInput(b)
-	b.SetBytes(int64(len(snapBytes)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	decode := func() *Dataset {
 		ds, err := ReadSnapshotBytes(snapBytes)
 		if err != nil {
 			b.Fatal(err)
@@ -48,14 +68,19 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 		if ds.NumPosts() != posts {
 			b.Fatal("short decode")
 		}
+		return ds
 	}
+	b.SetBytes(int64(len(snapBytes)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
+	}
+	reportBytesPerPost(b, snapBytes, decode)
 }
 
 func BenchmarkParallelRead(b *testing.B) {
 	csvBytes, _, posts := benchIngestInput(b)
-	b.SetBytes(int64(len(csvBytes)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	read := func() *Dataset {
 		res, err := IngestCSV("bench", csvBytes, IngestOptions{Workers: 4})
 		if err != nil {
 			b.Fatal(err)
@@ -63,5 +88,51 @@ func BenchmarkParallelRead(b *testing.B) {
 		if res.Dataset.NumPosts() != posts {
 			b.Fatal("short read")
 		}
+		return res.Dataset
 	}
+	b.SetBytes(int64(len(csvBytes)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
+	}
+	reportBytesPerPost(b, csvBytes, read)
+}
+
+// BenchmarkCompact times one head fold: 65,536 appended posts (a quarter
+// of them by users the base has not seen) folded into a 100,000-post base,
+// the daemon's default fold size. Appends are not timed.
+func BenchmarkCompact(b *testing.B) {
+	_, snapBytes, _ := benchIngestInput(b)
+	base, err := ReadSnapshotBytes(snapBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const tail = 1 << 16
+	ids := make([]string, 1000)
+	for i := range ids {
+		if i%4 == 0 {
+			ids[i] = fmt.Sprintf("new-user-%d", i)
+		} else {
+			ids[i] = base.Index().UserID(i % base.Index().NumUsers())
+		}
+	}
+	fill := func() *ShardedHead {
+		h := NewShardedHead("bench", base, 0)
+		for i := 0; i < tail; i++ {
+			if err := h.Append(ids[i%len(ids)], int64(1496275200+i*37)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return h
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h := fill()
+		b.StartTimer()
+		if ds := h.Compact(); ds.NumPosts() != base.NumPosts()+tail {
+			b.Fatal("short fold")
+		}
+	}
+	reportBytesPerPost(b, base, func() *Dataset { return fill().Compact() })
 }

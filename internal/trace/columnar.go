@@ -1,28 +1,28 @@
 package trace
 
-// The columnar index. The paper's Twitter substrate is 6,058,635 users
-// (Table I); at that scale the row-oriented []Post representation makes
-// every per-user operation — grouping, counting, the active-user
-// threshold, profile building — re-scan and re-allocate. Store is a
-// compact, read-only, column-oriented index of a Dataset:
+// The columnar store. The paper's Twitter substrate is 6,058,635 users
+// (Table I); at that scale a row-oriented []Post (40 B a post, a string
+// header and a time.Time) makes every per-user operation — grouping,
+// counting, the active-user threshold, profile building — re-scan and
+// re-allocate. Store is the one in-memory form of a trace: a Dataset is a
+// name, optional ground truth and one immutable Store.
 //
-//   - user IDs are interned once into a dense, sorted dictionary
-//     (ids / lookup), so hot loops carry int32 user indices instead of
-//     hashing strings;
-//   - timestamps live in an int64 epoch-seconds column (when), post-parallel
-//     with Posts;
+//   - user IDs are interned once into a dense, sorted dictionary (ids,
+//     binary-searched by Lookup), so hot loops carry int32 user indices
+//     instead of hashing strings;
+//   - timestamps live in an int64 epoch-seconds column (when) and a
+//     sparse sub-second column: the ascending positions of the posts with
+//     a fractional second (nanoAt) and their nanoseconds (nanoNS) — the
+//     layout of the .dcs NANO section — so every instant round-trips
+//     exactly while whole-second traces pay nothing for it;
 //   - posts are grouped per user CSR-style: posts[offsets[u]:offsets[u+1]]
 //     lists the dataset positions of user u's posts, in dataset order.
 //
-// A Store comes from exactly one of three places: IngestCSV builds it
-// during the parse merge, ReadSnapshotBytes decodes it from a .dcs file,
-// and Dataset.Index builds it from rows for every other dataset (the
-// synthetic generators' Builder output, ShardedHead folds, filtered
-// views). Dataset methods (Users, ByUser, PostCounts, FilterUsers,
-// FilterMinPosts, Window) are views over these columns. The Store itself
-// is immutable after construction, so it is safe to share across
-// goroutines; building it lazily via Dataset.Index is not goroutine-safe
-// (same as any lazy cache — index once before fanning out).
+// Every constructor — IngestCSV's merge, ReadSnapshotBytes, NewDataset,
+// Builder.Dataset, ShardedHead.Compact and the derived-dataset methods —
+// fills these columns directly; rows exist only as values handed out by
+// Dataset.Post. A Store never changes after construction, so it is safe
+// to share across goroutines without coordination.
 
 import (
 	"fmt"
@@ -31,109 +31,213 @@ import (
 	"time"
 )
 
-// Store is the columnar index of a Dataset. Zero value is an empty store;
-// build one with Dataset.Index or a Builder.
+// Store is the columnar form of a Dataset. Build one through a Dataset
+// constructor; Dataset.Index returns it.
 type Store struct {
-	ids     []string         // dense user index -> user ID, sorted ascending
-	lookup  map[string]int32 // user ID -> dense user index
-	userOf  []int32          // per post, in dataset order: dense user index
-	when    []int64          // per post, in dataset order: Unix seconds (UTC)
-	posts   []int32          // dataset positions grouped by user (CSR payload)
-	offsets []int32          // user u owns posts[offsets[u]:offsets[u+1]]
+	ids     []string // dense user index -> user ID, sorted ascending
+	userOf  []int32  // per post, in dataset order: dense user index
+	when    []int64  // per post, in dataset order: Unix seconds (floor)
+	nanoAt  []int32  // ascending positions of the posts with sub-second parts
+	nanoNS  []int32  // parallel to nanoAt: nanoseconds, in (0, 1e9)
+	posts   []int32  // dataset positions grouped by user (CSR payload)
+	offsets []int32  // user u owns posts[offsets[u]:offsets[u+1]]
 
-	// sortedByTime records whether the indexed Posts were in chronological
-	// order, enabling binary-searched Window.
+	// sortedByTime records whether the posts are in chronological order.
 	sortedByTime bool
 }
 
-// Index returns the dataset's columnar index, building it on first use.
-// The index is cached; it is rebuilt automatically when len(d.Posts) has
-// changed since the last build, and SortByTime drops it. Other in-place
-// edits that keep the count are not detected: build a new Dataset
-// instead. The first Index call on a given dataset is not safe to race
-// with other calls.
+// emptyStore backs the zero Dataset.
+var emptyStore = &Store{offsets: []int32{0}, sortedByTime: true}
+
+// Index returns the dataset's columnar store. It is built once, when the
+// dataset is constructed, and never changes.
 func (d *Dataset) Index() *Store {
-	if d.idx != nil && len(d.idx.userOf) == len(d.Posts) {
-		return d.idx
+	if d.s == nil {
+		return emptyStore
 	}
-	d.idx = buildStore(d.Posts)
-	return d.idx
+	return d.s
 }
 
-// buildStore constructs the columnar index from a post slice: one interning
-// pass, a dictionary sort, then a counting-sort scatter into CSR layout.
+// buildStore constructs the store of a row slice, keeping the row order.
 func buildStore(posts []Post) *Store {
-	s := &Store{
-		lookup: make(map[string]int32),
-		userOf: make([]int32, len(posts)),
-		when:   make([]int64, len(posts)),
-	}
-	// Pass 1: intern users in first-appearance order, fill the post-parallel
-	// columns, detect chronological order.
-	var firstIDs []string
-	var counts []int32
-	s.sortedByTime = true
+	index := make(map[string]int32)
+	var ids []string
+	userOf := make([]int32, len(posts))
+	when := make([]int64, len(posts))
+	var nanoAt, nanoNS []int32
 	for i := range posts {
 		p := &posts[i]
-		u, ok := s.lookup[p.UserID]
+		u, ok := index[p.UserID]
 		if !ok {
-			u = int32(len(firstIDs))
-			s.lookup[p.UserID] = u
-			firstIDs = append(firstIDs, p.UserID)
-			counts = append(counts, 0)
+			u = int32(len(ids))
+			index[p.UserID] = u
+			ids = append(ids, p.UserID)
 		}
-		s.userOf[i] = u
-		s.when[i] = p.Time.Unix()
-		counts[u]++
-		if i > 0 && p.Time.Before(posts[i-1].Time) {
-			s.sortedByTime = false
+		userOf[i] = u
+		when[i] = p.Time.Unix()
+		if ns := p.Time.Nanosecond(); ns != 0 {
+			nanoAt = append(nanoAt, int32(i))
+			nanoNS = append(nanoNS, int32(ns))
 		}
 	}
-	s.finish(firstIDs, counts)
-	return s
+	return newStore(ids, userOf, when, nanoAt, nanoNS)
 }
 
-// finish completes a provisionally-filled store: lookup maps each user ID
-// to its first-appearance index, firstIDs lists the IDs in that order,
-// counts holds per-provisional-user post counts, and userOf/when/
-// sortedByTime are already post-parallel. It sorts the dictionary, remaps
-// userOf to sorted ranks in place, and scatters the CSR payload. Shared
-// by buildStore and the sharded parallel reader's merge, so both produce
-// bit-identical stores.
-func (s *Store) finish(firstIDs []string, counts []int32) {
-	// Sort the dictionary and remap the provisional indices to sorted ones,
-	// so user index order == lexicographic user ID order everywhere.
-	nu := len(firstIDs)
-	perm := make([]int32, nu) // rank -> provisional index
-	for i := range perm {
-		perm[i] = int32(i)
+// newStore completes provisional columns into a Store. ids lists distinct
+// user IDs in any order (entries no post refers to are dropped); userOf
+// indexes ids and is remapped in place to sorted dictionary ranks; when and
+// the sparse nanoAt/nanoNS column are taken over as they are. ids is not
+// modified. Every constructor funnels through here, so equal post
+// sequences give identical stores whatever path built them.
+func newStore(ids []string, userOf []int32, when []int64, nanoAt, nanoNS []int32) *Store {
+	counts := make([]int32, len(ids))
+	for _, u := range userOf {
+		counts[u]++
 	}
-	sort.Slice(perm, func(a, b int) bool { return firstIDs[perm[a]] < firstIDs[perm[b]] })
-	rank := make([]int32, nu) // provisional index -> rank
-	s.ids = make([]string, nu)
-	sortedCounts := make([]int32, nu)
+	// The used users, ordered by ID, so user index order == lexicographic
+	// user ID order everywhere. Derived stores pass an already sorted
+	// dictionary and skip the sort.
+	perm := make([]int32, 0, len(ids))
+	sorted := true
+	for u, c := range counts {
+		if c == 0 {
+			continue
+		}
+		if n := len(perm); n > 0 && ids[perm[n-1]] >= ids[u] {
+			sorted = false
+		}
+		perm = append(perm, int32(u))
+	}
+	if !sorted {
+		sort.Slice(perm, func(a, b int) bool { return ids[perm[a]] < ids[perm[b]] })
+	}
+	nu := len(perm)
+	s := &Store{
+		ids:     make([]string, nu),
+		userOf:  userOf,
+		when:    when,
+		nanoAt:  nanoAt,
+		nanoNS:  nanoNS,
+		offsets: make([]int32, nu+1),
+	}
+	rank := make([]int32, len(ids)) // provisional index -> rank
 	for r, prov := range perm {
 		rank[prov] = int32(r)
-		s.ids[r] = firstIDs[prov]
-		s.lookup[firstIDs[prov]] = int32(r)
-		sortedCounts[r] = counts[prov]
+		s.ids[r] = ids[prov]
+		s.offsets[r+1] = s.offsets[r] + counts[prov]
 	}
-	for i, prov := range s.userOf {
-		s.userOf[i] = rank[prov]
+	// A sorted dictionary without unused entries is its own ranking.
+	if !sorted || nu < len(ids) {
+		for i, prov := range userOf {
+			userOf[i] = rank[prov]
+		}
 	}
-	// CSR offsets (prefix sums) and scatter, preserving dataset order
-	// within each user.
-	s.offsets = make([]int32, nu+1)
-	for u, c := range sortedCounts {
-		s.offsets[u+1] = s.offsets[u] + c
-	}
-	s.posts = make([]int32, len(s.userOf))
+	// Scatter the CSR payload, preserving dataset order within each user.
+	s.posts = make([]int32, len(userOf))
 	cursor := make([]int32, nu)
 	copy(cursor, s.offsets[:nu])
-	for i, u := range s.userOf {
+	for i, u := range userOf {
 		s.posts[cursor[u]] = int32(i)
 		cursor[u]++
 	}
+	s.sortedByTime = chronological(when, nanoAt, nanoNS)
+	return s
+}
+
+// nanoCursor reads a sparse sub-second column in position order: next(i)
+// returns post i's nanoseconds, called for i = 0, 1, 2, ... in turn.
+type nanoCursor struct {
+	at, ns []int32
+	j      int
+}
+
+func (c *nanoCursor) next(i int) int32 {
+	if c.j < len(c.at) && int(c.at[c.j]) == i {
+		c.j++
+		return c.ns[c.j-1]
+	}
+	return 0
+}
+
+// chronological reports whether the instants (seconds plus the sparse
+// sub-second column) are non-decreasing.
+func chronological(when []int64, nanoAt, nanoNS []int32) bool {
+	c := nanoCursor{at: nanoAt, ns: nanoNS}
+	prevNS := int32(0)
+	for i := range when {
+		ns := c.next(i)
+		if i > 0 && (when[i] < when[i-1] || (when[i] == when[i-1] && ns < prevNS)) {
+			return false
+		}
+		prevNS = ns
+	}
+	return true
+}
+
+// nano returns the sub-second part of post i.
+func (s *Store) nano(i int) int32 {
+	if len(s.nanoAt) == 0 {
+		return 0
+	}
+	j := sort.Search(len(s.nanoAt), func(j int) bool { return int(s.nanoAt[j]) >= i })
+	if j < len(s.nanoAt) && int(s.nanoAt[j]) == i {
+		return s.nanoNS[j]
+	}
+	return 0
+}
+
+// time returns the exact instant of post i, in UTC.
+func (s *Store) time(i int) time.Time {
+	return time.Unix(s.when[i], int64(s.nano(i))).UTC()
+}
+
+// post materializes row i.
+func (s *Store) post(i int) Post {
+	return Post{UserID: s.ids[s.userOf[i]], Time: s.time(i)}
+}
+
+// before reports whether post i is strictly earlier than (sec, ns).
+func (s *Store) before(i int, sec int64, ns int32) bool {
+	return s.when[i] < sec || (s.when[i] == sec && s.nano(i) < ns)
+}
+
+// subset builds the store of the posts keep accepts, in dataset order.
+// The dictionary is already sorted, so only users left without posts
+// drop out.
+func (s *Store) subset(keep func(i int) bool) *Store {
+	var userOf []int32
+	var when []int64
+	var nanoAt, nanoNS []int32
+	c := nanoCursor{at: s.nanoAt, ns: s.nanoNS}
+	for i := range s.userOf {
+		ns := c.next(i)
+		if !keep(i) {
+			continue
+		}
+		if ns != 0 {
+			nanoAt = append(nanoAt, int32(len(when)))
+			nanoNS = append(nanoNS, ns)
+		}
+		userOf = append(userOf, s.userOf[i])
+		when = append(when, s.when[i])
+	}
+	return newStore(s.ids, userOf, when, nanoAt, nanoNS)
+}
+
+// permute builds the store holding post order[k] at position k.
+func (s *Store) permute(order []int32) *Store {
+	userOf := make([]int32, len(order))
+	when := make([]int64, len(order))
+	var nanoAt, nanoNS []int32
+	for k, i := range order {
+		userOf[k] = s.userOf[i]
+		when[k] = s.when[i]
+		if ns := s.nano(int(i)); ns != 0 {
+			nanoAt = append(nanoAt, int32(k))
+			nanoNS = append(nanoNS, ns)
+		}
+	}
+	return newStore(s.ids, userOf, when, nanoAt, nanoNS)
 }
 
 // NumUsers returns the number of distinct users.
@@ -147,8 +251,8 @@ func (s *Store) UserID(u int) string { return s.ids[u] }
 
 // Lookup returns the dense index of a user ID.
 func (s *Store) Lookup(id string) (int, bool) {
-	u, ok := s.lookup[id]
-	return int(u), ok
+	u := sort.SearchStrings(s.ids, id)
+	return u, u < len(s.ids) && s.ids[u] == id
 }
 
 // Count returns the number of posts of the user at dense index u.
@@ -156,8 +260,7 @@ func (s *Store) Count(u int) int {
 	return int(s.offsets[u+1] - s.offsets[u])
 }
 
-// SortedByTime reports whether the indexed posts were chronologically
-// ordered.
+// SortedByTime reports whether the posts are in chronological order.
 func (s *Store) SortedByTime() bool { return s.sortedByTime }
 
 // AppendUserTimes appends the Unix-second timestamps of user u's posts (in
@@ -295,16 +398,26 @@ func (b *Builder) Add(user int32, unixSec int64) {
 // NumPosts returns the number of posts recorded so far.
 func (b *Builder) NumPosts() int { return len(b.userOf) }
 
-// Dataset materializes the accumulated columns into a Dataset. When
-// sortByTime is set the posts are ordered chronologically (stable, so
-// same-instant posts keep insertion order — matching Dataset.SortByTime).
+// Dataset builds a Dataset from the accumulated columns; the builder stays
+// usable. When sortByTime is set the posts are ordered chronologically
+// (stable, so same-instant posts keep insertion order — matching
+// Dataset.SortedByTime).
 func (b *Builder) Dataset(name string, sortByTime bool) *Dataset {
-	d := &Dataset{Name: name, Posts: make([]Post, len(b.userOf))}
-	for i := range b.userOf {
-		d.Posts[i] = Post{UserID: b.ids[b.userOf[i]], Time: time.Unix(b.when[i], 0).UTC()}
-	}
+	n := len(b.userOf)
+	userOf := make([]int32, n)
+	when := make([]int64, n)
 	if sortByTime {
-		d.SortByTime()
+		order := make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
+		}
+		sort.SliceStable(order, func(x, y int) bool { return b.when[order[x]] < b.when[order[y]] })
+		for k, i := range order {
+			userOf[k], when[k] = b.userOf[i], b.when[i]
+		}
+	} else {
+		copy(userOf, b.userOf)
+		copy(when, b.when)
 	}
-	return d
+	return &Dataset{Name: name, s: newStore(b.ids, userOf, when, nil, nil)}
 }

@@ -16,19 +16,21 @@ import (
 // columnar index has to index correctly.
 func randomDataset(seed int64, users, posts int) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
-	d := &Dataset{Name: fmt.Sprintf("rand-%d", seed), GroundTruth: map[string]string{}}
 	base := time.Date(2017, time.March, 1, 0, 0, 0, 0, time.UTC)
+	rows := make([]Post, 0, posts)
 	for i := 0; i < posts; i++ {
 		// Zipf-ish skew: low user indices post much more often.
 		u := int(float64(users) * rng.Float64() * rng.Float64())
 		if u >= users {
 			u = users - 1
 		}
-		d.Posts = append(d.Posts, Post{
+		rows = append(rows, Post{
 			UserID: fmt.Sprintf("user-%03d", u),
 			Time:   base.Add(time.Duration(rng.Intn(90*24*3600)) * time.Second),
 		})
 	}
+	d := NewDataset(fmt.Sprintf("rand-%d", seed), rows)
+	d.GroundTruth = map[string]string{}
 	for u := 0; u < users; u++ {
 		if rng.Intn(2) == 0 {
 			d.GroundTruth[fmt.Sprintf("user-%03d", u)] = []string{"de", "fr", "it"}[rng.Intn(3)]
@@ -37,12 +39,13 @@ func randomDataset(seed int64, users, posts int) *Dataset {
 	return d
 }
 
-// Legacy reference implementations — the pre-columnar method bodies — that
-// the property tests compare the view-based methods against.
+// Legacy reference implementations — the pre-columnar method bodies, over
+// the rows Post hands out — that the property tests compare the
+// view-based methods against.
 
 func legacyUsers(d *Dataset) []string {
 	seen := make(map[string]bool)
-	for _, p := range d.Posts {
+	for _, p := range rows(d) {
 		seen[p.UserID] = true
 	}
 	out := make([]string, 0, len(seen))
@@ -55,7 +58,7 @@ func legacyUsers(d *Dataset) []string {
 
 func legacyByUser(d *Dataset) map[string][]Post {
 	out := make(map[string][]Post)
-	for _, p := range d.Posts {
+	for _, p := range rows(d) {
 		out[p.UserID] = append(out[p.UserID], p)
 	}
 	return out
@@ -63,7 +66,7 @@ func legacyByUser(d *Dataset) map[string][]Post {
 
 func legacyPostCounts(d *Dataset) map[string]int {
 	out := make(map[string]int)
-	for _, p := range d.Posts {
+	for _, p := range rows(d) {
 		out[p.UserID]++
 	}
 	return out
@@ -71,7 +74,7 @@ func legacyPostCounts(d *Dataset) map[string]int {
 
 func legacyWindow(d *Dataset, from, to time.Time) []Post {
 	var out []Post
-	for _, p := range d.Posts {
+	for _, p := range rows(d) {
 		if !p.Time.Before(from) && p.Time.Before(to) {
 			out = append(out, p)
 		}
@@ -96,7 +99,7 @@ func TestColumnarViewsMatchLegacy(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		d := randomDataset(seed, 40, 1500)
 		if seed%2 == 0 {
-			d.SortByTime() // exercise both the sorted and unsorted index paths
+			d = d.SortedByTime() // exercise both the sorted and unsorted index paths
 		}
 
 		if got, want := d.Users(), legacyUsers(d); len(got) != len(want) {
@@ -132,12 +135,12 @@ func TestColumnarViewsMatchLegacy(t *testing.T) {
 		keep := func(id string) bool { return id[len(id)-1]%2 == 0 }
 		gotF := d.FilterUsers(keep)
 		var wantF []Post
-		for _, p := range d.Posts {
+		for _, p := range rows(d) {
 			if keep(p.UserID) {
 				wantF = append(wantF, p)
 			}
 		}
-		if !samePosts(gotF.Posts, wantF) {
+		if !samePosts(rows(gotF), wantF) {
 			t.Fatalf("seed %d: FilterUsers posts differ", seed)
 		}
 		for u := range gotF.GroundTruth {
@@ -148,7 +151,7 @@ func TestColumnarViewsMatchLegacy(t *testing.T) {
 
 		from := time.Date(2017, time.March, 20, 0, 0, 0, 0, time.UTC)
 		to := time.Date(2017, time.April, 10, 0, 0, 0, 0, time.UTC)
-		if got := d.Window(from, to); !samePosts(got.Posts, legacyWindow(d, from, to)) {
+		if got := d.Window(from, to); !samePosts(rows(got), legacyWindow(d, from, to)) {
 			t.Fatalf("seed %d: Window posts differ from per-post scan", seed)
 		}
 	}
@@ -192,33 +195,37 @@ func TestStoreLayout(t *testing.T) {
 		t.Errorf("AppendUserTimes(alice) = %v", times)
 	}
 
-	unsorted := &Dataset{Posts: []Post{{UserID: "b", Time: at(12)}, {UserID: "a", Time: at(9)}}}
+	unsorted := NewDataset("", []Post{{UserID: "b", Time: at(12)}, {UserID: "a", Time: at(9)}})
 	if unsorted.Index().SortedByTime() {
 		t.Error("out-of-order dataset reported SortedByTime")
 	}
 }
 
-func TestIndexInvalidation(t *testing.T) {
+// TestIndexImmutable: the store is built once, at construction; deriving
+// a sorted dataset builds a new store and leaves the source's alone.
+func TestIndexImmutable(t *testing.T) {
 	t.Parallel()
-	d := &Dataset{Posts: []Post{{UserID: "b", Time: at(12)}, {UserID: "a", Time: at(9)}}}
+	d := NewDataset("", []Post{{UserID: "b", Time: at(12)}, {UserID: "a", Time: at(9)}})
 	s1 := d.Index()
 	if d.Index() != s1 {
-		t.Error("index not cached across calls")
+		t.Error("store not shared across calls")
 	}
-	// SortByTime reorders posts in place: the index must be rebuilt even
-	// though the post count is unchanged.
-	d.SortByTime()
-	s2 := d.Index()
+	sorted := d.SortedByTime()
+	s2 := sorted.Index()
 	if s2 == s1 {
-		t.Fatal("SortByTime did not invalidate the index")
+		t.Fatal("SortedByTime of an unsorted dataset shares its store")
 	}
-	if got := s2.posts[s2.offsets[0]]; got != 0 { // "a" is now first
-		t.Errorf("rebuilt index stale: positions of a = %v", got)
+	if got := s2.posts[s2.offsets[0]]; got != 0 { // "a" is first in the sorted copy
+		t.Errorf("sorted store: positions of a = %v", got)
 	}
-	// Appending posts changes the length; Index notices by itself.
-	d.Posts = append(d.Posts, Post{UserID: "c", Time: at(15)})
-	if d.Index().NumUsers() != 3 {
-		t.Error("length change not detected")
+	if got := s1.posts[s1.offsets[0]]; got != 1 { // and still second in the source
+		t.Errorf("source store changed: positions of a = %v", got)
+	}
+	if sorted.SortedByTime().Index() != s2 {
+		t.Error("SortedByTime of a sorted dataset rebuilt the store")
+	}
+	if (&Dataset{}).Index().NumUsers() != 0 || (&Dataset{}).NumPosts() != 0 {
+		t.Error("zero Dataset is not empty")
 	}
 }
 
@@ -248,8 +255,11 @@ func TestGroundTruthNotAliased(t *testing.T) {
 			return d.Window(at(0), at(23))
 		},
 		"WindowUnsorted": func(d *Dataset) *Dataset {
-			d.Posts[0], d.Posts[1] = d.Posts[1], d.Posts[0]
-			return d.Window(at(0), at(23))
+			posts := rows(d)
+			posts[0], posts[1] = posts[1], posts[0]
+			u := NewDataset(d.Name, posts)
+			u.GroundTruth = d.GroundTruth
+			return u.Window(at(0), at(23))
 		},
 	}
 	for name, fn := range derive {
@@ -266,24 +276,23 @@ func TestGroundTruthNotAliased(t *testing.T) {
 func TestBuilderMatchesAppendAndSort(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 4; seed++ {
-		want := randomDataset(seed, 25, 800)
-		want.GroundTruth = nil
-		b := NewBuilder(len(want.Posts))
-		for _, p := range want.Posts {
+		src := randomDataset(seed, 25, 800)
+		b := NewBuilder(src.NumPosts())
+		for _, p := range rows(src) {
 			b.Add(b.User(p.UserID), p.Time.Unix())
 		}
-		if b.NumPosts() != len(want.Posts) {
-			t.Fatalf("seed %d: builder has %d posts, want %d", seed, b.NumPosts(), len(want.Posts))
+		if b.NumPosts() != src.NumPosts() {
+			t.Fatalf("seed %d: builder has %d posts, want %d", seed, b.NumPosts(), src.NumPosts())
 		}
-		got := b.Dataset(want.Name, true)
-		want.SortByTime()
-		if got.Name != want.Name || !samePosts(got.Posts, want.Posts) {
-			t.Fatalf("seed %d: Builder dataset differs from append+SortByTime", seed)
+		got := b.Dataset(src.Name, true)
+		want := rows(src.SortedByTime())
+		if got.Name != src.Name || !samePosts(rows(got), want) {
+			t.Fatalf("seed %d: Builder dataset differs from NewDataset+SortedByTime", seed)
 		}
 		// Bit-compatible time.Time: materialized values must be == to the
 		// time.Date-derived ones, not merely Equal.
-		for i := range got.Posts {
-			if got.Posts[i].Time != want.Posts[i].Time {
+		for i, p := range rows(got) {
+			if p.Time != want[i].Time {
 				t.Fatalf("seed %d: post %d time representation differs", seed, i)
 			}
 		}
@@ -291,12 +300,29 @@ func TestBuilderMatchesAppendAndSort(t *testing.T) {
 
 	unsorted := NewBuilder(0)
 	u := unsorted.User("x")
+	unsorted.User("interned-without-posts")
 	unsorted.Add(u, at(12).Unix())
 	unsorted.Add(u, at(9).Unix())
 	got := unsorted.Dataset("x", false)
-	if got.Posts[0].Time != at(12) {
+	if got.Post(0).Time != at(12) {
 		t.Error("sortByTime=false should keep insertion order")
 	}
+	if users := got.Users(); len(users) != 1 || users[0] != "x" {
+		t.Errorf("users = %v, want [x]: a user without posts is not part of the dataset", users)
+	}
+}
+
+// parseRFC3339 is parseStamp as a time.Time, for comparison with
+// time.Parse.
+func parseRFC3339(s string) (time.Time, error) {
+	sec, ts, fast, err := parseStamp(s)
+	if err != nil {
+		return time.Time{}, err
+	}
+	if fast {
+		return time.Unix(sec, 0).UTC(), nil
+	}
+	return ts, nil
 }
 
 func TestParseRFC3339FastPath(t *testing.T) {
@@ -364,10 +390,11 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 		" leadingspace", "\tleadingtab", " nbsp", `\.`, "", "trailing ",
 		"ünïcode", `"`, `a,"b",c`,
 	}
-	d := &Dataset{Name: "quoting"}
+	var posts []Post
 	for i, id := range ids {
-		d.Posts = append(d.Posts, Post{UserID: id, Time: at(i % 24)})
+		posts = append(posts, Post{UserID: id, Time: at(i % 24)})
 	}
+	d := NewDataset("quoting", posts)
 	var got bytes.Buffer
 	if err := d.WriteCSV(&got); err != nil {
 		t.Fatal(err)
@@ -377,7 +404,7 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 	if err := cw.Write([]string{"user_id", "time_rfc3339"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range d.Posts {
+	for _, p := range rows(d) {
 		if err := cw.Write([]string{p.UserID, p.Time.UTC().Format(time.RFC3339)}); err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +418,7 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !samePosts(back.Posts, d.Posts) {
+	if !samePosts(rows(back), posts) {
 		t.Fatal("quoted round trip differs")
 	}
 }
@@ -403,7 +430,7 @@ func TestAppendRFC3339MatchesFormat(t *testing.T) {
 	t.Parallel()
 	check := func(at time.Time) {
 		t.Helper()
-		got := string(appendRFC3339(nil, at))
+		got := string(appendRFC3339(nil, at.Unix(), int32(at.Nanosecond())))
 		want := at.UTC().Format(time.RFC3339)
 		if got != want {
 			t.Fatalf("appendRFC3339(%v) = %q, want %q", at, got, want)
@@ -438,12 +465,12 @@ func TestReadCSVInterning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !samePosts(got.Posts, d.Posts) {
+	if !samePosts(rows(got), rows(d)) {
 		t.Fatal("CSV round trip differs")
 	}
 	// Every post of a user shares one user-ID string.
 	first := make(map[string]*byte)
-	for _, p := range got.Posts {
+	for _, p := range rows(got) {
 		data := unsafe.StringData(p.UserID)
 		if prev, ok := first[p.UserID]; !ok {
 			first[p.UserID] = data

@@ -41,8 +41,8 @@ func FuzzReadCSV(f *testing.F) {
 		if !report.Empty() {
 			t.Fatalf("strict accepted but lenient quarantined %d rows", report.BadRows)
 		}
-		if len(lenient.Posts) != len(strict.Posts) {
-			t.Fatalf("lenient kept %d posts, strict %d", len(lenient.Posts), len(strict.Posts))
+		if lenient.NumPosts() != strict.NumPosts() {
+			t.Fatalf("lenient kept %d posts, strict %d", lenient.NumPosts(), strict.NumPosts())
 		}
 		// Round trip: encode, re-read, re-encode. Posts must survive
 		// exactly and the encoding must be a byte-identical fixpoint.
@@ -54,12 +54,12 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-read of WriteCSV output: %v\n%q", err, once.Bytes())
 		}
-		if len(back.Posts) != len(strict.Posts) {
-			t.Fatalf("round trip kept %d posts, want %d", len(back.Posts), len(strict.Posts))
+		if back.NumPosts() != strict.NumPosts() {
+			t.Fatalf("round trip kept %d posts, want %d", back.NumPosts(), strict.NumPosts())
 		}
-		for i := range strict.Posts {
-			if back.Posts[i].UserID != strict.Posts[i].UserID || !back.Posts[i].Time.Equal(strict.Posts[i].Time) {
-				t.Fatalf("post %d drifted in round trip: %+v vs %+v", i, back.Posts[i], strict.Posts[i])
+		for i := 0; i < strict.NumPosts(); i++ {
+			if back.Post(i).UserID != strict.Post(i).UserID || !back.Post(i).Time.Equal(strict.Post(i).Time) {
+				t.Fatalf("post %d drifted in round trip: %+v vs %+v", i, back.Post(i), strict.Post(i))
 			}
 		}
 		var twice bytes.Buffer

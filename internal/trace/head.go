@@ -17,9 +17,9 @@ package trace
 // that, mirroring the IngestCSV worker-invariance contract.
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultHeadShards is the shard count NewShardedHead uses when asked for
@@ -56,15 +56,6 @@ type ShardedHead struct {
 
 	base      atomic.Pointer[Dataset] // immutable; nil means empty
 	compactMu sync.Mutex              // serializes Compact folds
-
-	// buf is the compactor's amortized output buffer (guarded by
-	// compactMu). The current base's Posts always alias buf[:len], so a
-	// fold with spare capacity appends in place instead of re-copying the
-	// whole base — growth doubles, making compaction amortized O(1) per
-	// post instead of O(total). Published Datasets never see the appended
-	// region (their slice length is fixed), so readers need no
-	// coordination.
-	buf []Post
 }
 
 // NewShardedHead returns a ShardedHead named name on top of base (nil for
@@ -160,7 +151,7 @@ func (h *ShardedHead) Pending() int { return int(h.pending.Load()) }
 func (h *ShardedHead) TotalPosts() int {
 	n := int(h.pending.Load())
 	if base := h.base.Load(); base != nil {
-		n += len(base.Posts)
+		n += base.NumPosts()
 	}
 	return n
 }
@@ -196,51 +187,76 @@ func (h *ShardedHead) Compact() *Dataset {
 	if total == 0 && base != nil {
 		return base
 	}
-	baseLen := 0
-	var gt map[string]string
+	bs, gt := emptyStore, map[string]string(nil)
 	if base != nil {
-		baseLen = len(base.Posts)
-		gt = copyGroundTruth(base.GroundTruth)
+		bs, gt = base.Index(), copyGroundTruth(base.GroundTruth)
 	}
-	// Make room in the amortized buffer. The base's Posts alias
-	// h.buf[:baseLen] after the first fold, so with spare capacity the
-	// merge appends in place and the base is never re-copied.
-	if cap(h.buf) < baseLen+total {
-		newCap := 2 * cap(h.buf)
-		if newCap < baseLen+total {
-			newCap = baseLen + total
+	// The fold writes the columns of the new store directly: the base's
+	// columns first (its dictionary ranks are the provisional user
+	// indices), then each tail user resolved once to a base rank or a new
+	// provisional index.
+	ids := append([]string(nil), bs.ids...)
+	baseLen := len(bs.userOf)
+	userOf := make([]int32, baseLen, baseLen+total)
+	copy(userOf, bs.userOf)
+	when := make([]int64, baseLen, baseLen+total)
+	copy(when, bs.when)
+	fresh := make(map[string]int32)
+	remaps := make([][]int32, len(parts))
+	for i := range parts {
+		t := parts[i].tail
+		if t == nil {
+			continue
 		}
-		grown := make([]Post, baseLen, newCap)
-		if base != nil {
-			copy(grown, base.Posts)
-		}
-		h.buf = grown
-	} else {
-		h.buf = h.buf[:baseLen]
-	}
-	// Tickets within one shard are monotonically increasing (drawn under
-	// the shard lock in append order), so restoring global arrival order
-	// is a K-way merge of sorted runs — no global sort, no scratch slice.
-	idx := make([]int, len(parts))
-	for filled := 0; filled < total; filled++ {
-		best := -1
-		var bestSeq uint64
-		for i := range parts {
-			t := parts[i].tail
-			if t == nil || idx[i] >= t.NumPosts() {
+		remap := make([]int32, len(t.ids))
+		for u, id := range t.ids {
+			if r, ok := bs.Lookup(id); ok {
+				remap[u] = int32(r)
 				continue
 			}
-			if s := parts[i].seqs[idx[i]]; best < 0 || s < bestSeq {
-				best, bestSeq = i, s
+			g, ok := fresh[id]
+			if !ok {
+				g = int32(len(ids))
+				fresh[id] = g
+				ids = append(ids, id)
 			}
+			remap[u] = g
 		}
-		t := parts[best].tail
-		j := idx[best]
-		h.buf = append(h.buf, Post{UserID: t.ids[t.userOf[j]], Time: time.Unix(t.when[j], 0).UTC()})
-		idx[best]++
+		remaps[i] = remap
 	}
-	fresh := &Dataset{Name: h.name, Posts: h.buf, GroundTruth: gt}
-	h.base.Store(fresh)
+	// Restore global arrival order by ticket rank. Tickets are unique, and
+	// each was drawn after the previous fold swapped its shard, so this
+	// fold's tickets lie in a window at most about two folds wide: count
+	// the tickets below each one in that window, and every post goes
+	// straight to its position — no merge, no sort.
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for i := range parts {
+		if seqs := parts[i].seqs; len(seqs) > 0 {
+			lo, hi = min(lo, seqs[0]), max(hi, seqs[len(seqs)-1])
+		}
+	}
+	below := make([]int32, hi-lo+2) // below[t-lo]: this fold's tickets < t
+	for i := range parts {
+		for _, t := range parts[i].seqs {
+			below[t-lo+1] = 1
+		}
+	}
+	for k := 1; k < len(below); k++ {
+		below[k] += below[k-1]
+	}
+	userOf, when = userOf[:baseLen+total], when[:baseLen+total]
+	for i := range parts {
+		t := parts[i].tail
+		for j, seq := range parts[i].seqs {
+			at := baseLen + int(below[seq-lo])
+			userOf[at] = remaps[i][t.userOf[j]]
+			when[at] = t.when[j]
+		}
+	}
+	// Tail posts are whole seconds, so the base's sub-second column is the
+	// new store's; stores are immutable, so it is shared, not copied.
+	folded := &Dataset{Name: h.name, GroundTruth: gt, s: newStore(ids, userOf, when, bs.nanoAt, bs.nanoNS)}
+	h.base.Store(folded)
 	h.pending.Add(-int64(total))
-	return fresh
+	return folded
 }

@@ -105,7 +105,7 @@ func TestShardedHeadShardInvariance(t *testing.T) {
 	for _, withBase := range []bool{false, true} {
 		ref := NewBuilder(0)
 		if withBase {
-			for _, p := range base.Dataset("head", false).Posts {
+			for _, p := range rows(base.Dataset("head", false)) {
 				ref.Add(ref.User(p.UserID), p.Time.Unix())
 			}
 		}
@@ -179,14 +179,14 @@ func TestShardedHeadAppendBytes(t *testing.T) {
 		t.Errorf("AppendBytes allocates %v per post for a known user", allocs)
 	}
 	ds := h.Compact()
-	for _, p := range ds.Posts {
+	for _, p := range rows(ds) {
 		if p.UserID != "alice" {
 			t.Fatalf("unexpected user %q", p.UserID)
 		}
 	}
 	// 1 initial + 1 AllocsPerRun warm-up + 500 measured runs.
-	if len(ds.Posts) != 502 {
-		t.Fatalf("compacted %d posts, want 502", len(ds.Posts))
+	if ds.NumPosts() != 502 {
+		t.Fatalf("compacted %d posts, want 502", ds.NumPosts())
 	}
 }
 
@@ -243,11 +243,11 @@ func TestShardedHeadConcurrentAppend(t *testing.T) {
 		}
 		wg.Wait()
 		ds := h.Compact()
-		if len(ds.Posts) != writers*perWriter {
-			t.Fatalf("shards=%d: compacted %d posts, want %d", shards, len(ds.Posts), writers*perWriter)
+		if ds.NumPosts() != writers*perWriter {
+			t.Fatalf("shards=%d: compacted %d posts, want %d", shards, ds.NumPosts(), writers*perWriter)
 		}
-		got := make([]string, 0, len(ds.Posts))
-		for _, p := range ds.Posts {
+		got := make([]string, 0, ds.NumPosts())
+		for _, p := range rows(ds) {
 			got = append(got, fmt.Sprintf("%s@%d", p.UserID, p.Time.Unix()))
 		}
 		sort.Strings(got)

@@ -34,8 +34,8 @@ func TestReadCSVLenientQuarantinesBadRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ds.Posts); got != 3 {
-		t.Errorf("kept %d posts, want 3: %+v", got, ds.Posts)
+	if got := ds.NumPosts(); got != 3 {
+		t.Errorf("kept %d posts, want 3: %+v", got, rows(ds))
 	}
 	if report.BadRows != 3 {
 		t.Errorf("BadRows = %d, want 3: %+v", report.BadRows, report)
@@ -57,8 +57,8 @@ func TestReadCSVLenientQuarantinesBadRows(t *testing.T) {
 	}
 	// Survivors are the well-formed rows, in order.
 	for i, want := range []string{"u1", "u3", "u4"} {
-		if ds.Posts[i].UserID != want {
-			t.Errorf("post %d is %q, want %q", i, ds.Posts[i].UserID, want)
+		if ds.Post(i).UserID != want {
+			t.Errorf("post %d is %q, want %q", i, ds.Post(i).UserID, want)
 		}
 	}
 }
@@ -70,8 +70,8 @@ func TestReadCSVLenientCleanFileEmptyReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds.Posts) != 1 || !report.Empty() {
-		t.Errorf("clean lenient read: %d posts, report %+v", len(ds.Posts), report)
+	if ds.NumPosts() != 1 || !report.Empty() {
+		t.Errorf("clean lenient read: %d posts, report %+v", ds.NumPosts(), report)
 	}
 }
 
@@ -144,11 +144,12 @@ func TestReadCSVLenientSampleCap(t *testing.T) {
 // reader must produce exactly the strict reader's dataset.
 func TestReadCSVLenientRoundTripUnchanged(t *testing.T) {
 	t.Parallel()
-	d := &Dataset{Name: "rt"}
+	var posts []Post
 	base := time.Date(2017, 2, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 50; i++ {
-		d.Posts = append(d.Posts, Post{UserID: fmt.Sprintf("u%d", i%7), Time: base.Add(time.Duration(i) * time.Hour)})
+		posts = append(posts, Post{UserID: fmt.Sprintf("u%d", i%7), Time: base.Add(time.Duration(i) * time.Hour)})
 	}
+	d := NewDataset("rt", posts)
 	var buf bytes.Buffer
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -165,12 +166,12 @@ func TestReadCSVLenientRoundTripUnchanged(t *testing.T) {
 	if !report.Empty() {
 		t.Errorf("clean file quarantined rows: %+v", report)
 	}
-	if len(strict.Posts) != len(lenient.Posts) {
-		t.Fatalf("lenient kept %d posts, strict %d", len(lenient.Posts), len(strict.Posts))
+	if strict.NumPosts() != lenient.NumPosts() {
+		t.Fatalf("lenient kept %d posts, strict %d", lenient.NumPosts(), strict.NumPosts())
 	}
-	for i := range strict.Posts {
-		if strict.Posts[i] != lenient.Posts[i] {
-			t.Fatalf("post %d differs: %+v vs %+v", i, strict.Posts[i], lenient.Posts[i])
+	for i := 0; i < strict.NumPosts(); i++ {
+		if strict.Post(i) != lenient.Post(i) {
+			t.Fatalf("post %d differs: %+v vs %+v", i, strict.Post(i), lenient.Post(i))
 		}
 	}
 }

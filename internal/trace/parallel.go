@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"darkcrowd/internal/par"
 )
@@ -67,8 +66,7 @@ type IngestOptions struct {
 	CollectCells bool
 }
 
-// IngestResult is what IngestCSV produces: the dataset with its columnar
-// index already built (Dataset.Index is free), the lenient-mode
+// IngestResult is what IngestCSV produces: the dataset, the lenient-mode
 // quarantine report and the optional fused cells.
 type IngestResult struct {
 	Dataset *Dataset
@@ -121,7 +119,7 @@ func floorDiv3600(sec int64) int64 {
 }
 
 // IngestCSV parses a CSV activity trace (the layout WriteCSV emits) with
-// sharded workers and builds the columnar index as part of the merge. On
+// sharded workers and builds the columnar store as part of the merge. On
 // error the result is nil, except for a lenient bad-row budget abort,
 // which carries the partial quarantine report.
 func IngestCSV(name string, data []byte, opts IngestOptions) (*IngestResult, error) {
@@ -153,7 +151,7 @@ func IngestCSV(name string, data []byte, opts IngestOptions) (*IngestResult, err
 	return mergeShards(name, shards, headerLines, opts)
 }
 
-// ingestSequential is the quoted-input fallback: readCSV plus index/cells,
+// ingestSequential is the quoted-input fallback: readCSV plus the cells,
 // under IngestCSV's error contract.
 func ingestSequential(name string, data []byte, opts IngestOptions) (*IngestResult, error) {
 	ds, report, err := readCSV(name, data, opts)
@@ -312,7 +310,7 @@ type shardResult struct {
 	when    []int64          // per post: Unix seconds (floor)
 	cells   []int64          // per post: floorDiv3600(when), if collecting
 	nanoAt  []int32          // shard-local post indices with sub-second parts
-	nanoT   []time.Time      // parallel to nanoAt: exact parsed instants
+	nanoNS  []int32          // parallel to nanoAt: their nanoseconds
 	lines   int              // physical lines consumed
 	recs    int              // records consumed (non-blank lines)
 	bad     []shardBad       // first keep malformed records, in order
@@ -338,12 +336,11 @@ func (sh *shardResult) record(user, ts []byte, lenient bool, keep int, collectCe
 	}
 	if !fast {
 		sec = t.Unix()
-		if t.Nanosecond() != 0 {
-			// The whole-seconds column drops the fractional part (like the
-			// store's epoch column); remember the exact instant for the
-			// Post materialization.
+		if ns := t.Nanosecond(); ns != 0 {
+			// The seconds column holds the floor; the fractional part goes
+			// to the sparse sub-second column.
 			sh.nanoAt = append(sh.nanoAt, int32(len(sh.when)))
-			sh.nanoT = append(sh.nanoT, t)
+			sh.nanoNS = append(sh.nanoNS, int32(ns))
 		}
 	}
 	u, ok := sh.lookup[string(user)]
@@ -367,6 +364,14 @@ func (sh *shardResult) record(user, ts []byte, lenient bool, keep int, collectCe
 // delegated to a one-line encoding/csv reader.
 func parseShard(seg []byte, lenient bool, keep int, collectCells bool) *shardResult {
 	sh := &shardResult{lookup: make(map[string]int32)}
+	// Size the columns once: a line holds at most one post, and counting
+	// newlines is far cheaper than growing the columns by appends.
+	lines := bytes.Count(seg, []byte{'\n'}) + 1
+	sh.userOf = make([]int32, 0, lines)
+	sh.when = make([]int64, 0, lines)
+	if collectCells {
+		sh.cells = make([]int64, 0, lines)
+	}
 	rest := seg
 	for len(rest) > 0 {
 		nl := bytes.IndexByte(rest, '\n')
@@ -436,8 +441,8 @@ func offsetParseError(pe *csv.ParseError, lineOff int) *csv.ParseError {
 // mergeShards is the single-goroutine deterministic reduction: rebase
 // per-shard ordinals with prefix sums, reproduce the sequential reader's
 // error/quarantine behavior exactly, re-intern shard dictionaries in
-// shard order (= first-appearance order), materialize Posts, and finish
-// the columnar store.
+// shard order (= first-appearance order) and build the columnar store. No
+// rows are built.
 func mergeShards(name string, shards []*shardResult, headerLines int, opts IngestOptions) (*IngestResult, error) {
 	recOff := make([]int, len(shards)+1)
 	lineOff := make([]int, len(shards)+1)
@@ -498,16 +503,14 @@ func mergeShards(name string, shards []*shardResult, headerLines int, opts Inges
 		}
 	}
 
-	// Re-intern shard dictionaries in shard order. Within a shard the dict
-	// is in first-appearance order, and shards cover the file in order, so
-	// the provisional global order equals the sequential reader's
-	// first-appearance order.
+	// Re-intern the shard dictionaries into one provisional dictionary
+	// (newStore sorts it) and fill the columns directly.
 	totalPosts := postOff[len(shards)]
-	lookup := make(map[string]int32)
-	var firstIDs []string
-	var counts []int32
+	index := make(map[string]int32)
+	var ids []string
 	userOf := make([]int32, totalPosts)
 	when := make([]int64, totalPosts)
+	var nanoAt, nanoNS []int32
 	var cells []int64
 	if opts.CollectCells {
 		cells = make([]int64, totalPosts)
@@ -516,52 +519,29 @@ func mergeShards(name string, shards []*shardResult, headerLines int, opts Inges
 		base := postOff[k]
 		remap := make([]int32, len(sh.dict))
 		for i, id := range sh.dict {
-			g, ok := lookup[id]
+			g, ok := index[id]
 			if !ok {
-				g = int32(len(firstIDs))
-				lookup[id] = g
-				firstIDs = append(firstIDs, id)
-				counts = append(counts, 0)
+				g = int32(len(ids))
+				index[id] = g
+				ids = append(ids, id)
 			}
 			remap[i] = g
 		}
 		for i, u := range sh.userOf {
-			g := remap[u]
-			userOf[base+i] = g
-			counts[g]++
+			userOf[base+i] = remap[u]
 		}
 		copy(when[base:], sh.when)
+		for j, at := range sh.nanoAt {
+			nanoAt = append(nanoAt, int32(base)+at)
+			nanoNS = append(nanoNS, sh.nanoNS[j])
+		}
 		if opts.CollectCells {
 			copy(cells[base:], sh.cells)
 		}
 	}
 
-	ds := &Dataset{Name: name}
-	if totalPosts > 0 {
-		ds.Posts = make([]Post, totalPosts)
-	}
-	for i := range ds.Posts {
-		ds.Posts[i] = Post{UserID: firstIDs[userOf[i]], Time: time.Unix(when[i], 0).UTC()}
-	}
-	for k, sh := range shards {
-		base := postOff[k]
-		for j, at := range sh.nanoAt {
-			ds.Posts[base+int(at)].Time = sh.nanoT[j]
-		}
-	}
-	sorted := true
-	for i := 1; i < len(ds.Posts); i++ {
-		if ds.Posts[i].Time.Before(ds.Posts[i-1].Time) {
-			sorted = false
-			break
-		}
-	}
-
-	s := &Store{lookup: lookup, userOf: userOf, when: when, sortedByTime: sorted}
-	s.finish(firstIDs, counts)
-	ds.idx = s
-
-	res := &IngestResult{Dataset: ds, Report: report}
+	s := newStore(ids, userOf, when, nanoAt, nanoNS)
+	res := &IngestResult{Dataset: &Dataset{Name: name, s: s}, Report: report}
 	if opts.CollectCells {
 		res.Cells = &UserCells{store: s, keys: cells}
 	}

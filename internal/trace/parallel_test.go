@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -105,26 +106,29 @@ func sameIngestError(t *testing.T, seqErr, parErr error) {
 	}
 }
 
-// sameStore asserts two columnar stores are bit-identical, field by field.
+// sameStore asserts two columnar stores hold identical columns, field by
+// field (a nil and an empty column are the same column).
 func sameStore(t *testing.T, want, got *Store) {
 	t.Helper()
-	if !reflect.DeepEqual(want.ids, got.ids) {
+	if !slices.Equal(want.ids, got.ids) {
 		t.Fatalf("store ids mismatch: want %v, got %v", want.ids, got.ids)
 	}
-	if !reflect.DeepEqual(want.lookup, got.lookup) {
-		t.Fatalf("store lookup mismatch: want %v, got %v", want.lookup, got.lookup)
+	for _, c := range []struct {
+		name      string
+		want, got []int32
+	}{
+		{"userOf", want.userOf, got.userOf},
+		{"nanoAt", want.nanoAt, got.nanoAt},
+		{"nanoNS", want.nanoNS, got.nanoNS},
+		{"posts", want.posts, got.posts},
+		{"offsets", want.offsets, got.offsets},
+	} {
+		if !slices.Equal(c.want, c.got) {
+			t.Fatalf("store %s mismatch: want %v, got %v", c.name, c.want, c.got)
+		}
 	}
-	if !reflect.DeepEqual(want.userOf, got.userOf) {
-		t.Fatalf("store userOf mismatch: want %v, got %v", want.userOf, got.userOf)
-	}
-	if !reflect.DeepEqual(want.when, got.when) {
+	if !slices.Equal(want.when, got.when) {
 		t.Fatalf("store when mismatch: want %v, got %v", want.when, got.when)
-	}
-	if !reflect.DeepEqual(want.posts, got.posts) {
-		t.Fatalf("store posts mismatch: want %v, got %v", want.posts, got.posts)
-	}
-	if !reflect.DeepEqual(want.offsets, got.offsets) {
-		t.Fatalf("store offsets mismatch: want %v, got %v", want.offsets, got.offsets)
 	}
 	if want.sortedByTime != got.sortedByTime {
 		t.Fatalf("store sortedByTime mismatch: want %v, got %v", want.sortedByTime, got.sortedByTime)
@@ -156,11 +160,8 @@ func checkParallelEquivalence(t *testing.T, data []byte, opts IngestOptions, wor
 	if seqDS.Name != parDS.Name {
 		t.Fatalf("name mismatch: %q vs %q", seqDS.Name, parDS.Name)
 	}
-	if (seqDS.Posts == nil) != (parDS.Posts == nil) {
-		t.Fatalf("posts nil-ness mismatch (workers=%d): seq %v, par %v", workers, seqDS.Posts == nil, parDS.Posts == nil)
-	}
-	if !reflect.DeepEqual(seqDS.Posts, parDS.Posts) {
-		t.Fatalf("posts mismatch (workers=%d):\n seq: %v\n par: %v", workers, seqDS.Posts, parDS.Posts)
+	if !reflect.DeepEqual(rows(seqDS), rows(parDS)) {
+		t.Fatalf("posts mismatch (workers=%d):\n seq: %v\n par: %v", workers, rows(seqDS), rows(parDS))
 	}
 	if !reflect.DeepEqual(seqDS.GroundTruth, parDS.GroundTruth) {
 		t.Fatalf("ground truth mismatch: %v vs %v", seqDS.GroundTruth, parDS.GroundTruth)
@@ -294,7 +295,7 @@ func TestIngestQuotedFallback(t *testing.T) {
 	if res.Cells == nil || len(res.Cells.keys) != 2 {
 		t.Fatalf("quoted fallback cells missing: %+v", res.Cells)
 	}
-	if got := res.Dataset.Posts[0].UserID; got != "u,1" {
+	if got := res.Dataset.Post(0).UserID; got != "u,1" {
 		t.Fatalf("quoted field mangled: %q", got)
 	}
 

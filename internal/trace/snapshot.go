@@ -45,7 +45,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"time"
 )
 
 const (
@@ -76,8 +75,8 @@ func snapErr(section, format string, args ...any) error {
 }
 
 // WriteSnapshot encodes the dataset in the .dcs columnar snapshot format.
-// Times are persisted as UTC instants (Unix seconds plus an exception
-// list for sub-second precision) — exactly the package's data model.
+// Every section is a direct encoding of a store column: times are UTC
+// instants (the Unix-seconds column plus the sparse sub-second column).
 func (d *Dataset) WriteSnapshot(w io.Writer) error {
 	s := d.Index()
 	if len(s.ids) > math.MaxInt32 || len(s.userOf) > math.MaxInt32 {
@@ -116,19 +115,12 @@ func (d *Dataset) WriteSnapshot(w io.Writer) error {
 	}
 
 	var nano []byte
-	nanoCount := 0
-	for i := range d.Posts {
-		if d.Posts[i].Time.Nanosecond() != 0 {
-			nanoCount++
-		}
-	}
-	if nanoCount > 0 {
-		nano = binary.AppendUvarint(nano, uint64(nanoCount))
-		for i := range d.Posts {
-			if ns := d.Posts[i].Time.Nanosecond(); ns != 0 {
-				nano = binary.LittleEndian.AppendUint64(nano, uint64(i))
-				nano = binary.LittleEndian.AppendUint32(nano, uint32(ns))
-			}
+	if len(s.nanoAt) > 0 {
+		nano = make([]byte, 0, binary.MaxVarintLen64+12*len(s.nanoAt))
+		nano = binary.AppendUvarint(nano, uint64(len(s.nanoAt)))
+		for j, at := range s.nanoAt {
+			nano = binary.LittleEndian.AppendUint64(nano, uint64(at))
+			nano = binary.LittleEndian.AppendUint32(nano, uint32(s.nanoNS[j]))
 		}
 	}
 
@@ -201,8 +193,8 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// ReadSnapshotBytes decodes a .dcs snapshot into a Dataset with its
-// columnar index pre-built (Dataset.Index is free on the result). Every
+// ReadSnapshotBytes decodes a .dcs snapshot straight into a Dataset's
+// columnar store; no rows are built. Every
 // defect — truncation, bit flips, version drift, cross-section
 // inconsistency — returns a *SnapshotError; a non-nil Dataset is always
 // fully valid. The decode copies what it keeps: data is not retained and
@@ -338,8 +330,8 @@ func ReadSnapshotBytes(data []byte) (*Dataset, error) {
 	}
 
 	// USER and WHEN: per-post columns, decoded in a single fused pass that
-	// also scatters the CSR grouping and materializes the posts — the
-	// columns are touched exactly once. The cursor staying inside each
+	// also scatters the CSR grouping — the columns are touched exactly
+	// once. The cursor staying inside each
 	// user's offset window proves OFFS and USER agree on every count.
 	user := sections["USER"]
 	if len(user) != 4*nPosts {
@@ -352,18 +344,8 @@ func ReadSnapshotBytes(data []byte) (*Dataset, error) {
 	userOf := make([]int32, nPosts)
 	when := make([]int64, nPosts)
 	csr := make([]int32, nPosts)
-	var posts []Post
-	if nPosts > 0 {
-		posts = make([]Post, nPosts)
-	}
 	cursor := make([]int32, nUsers)
 	copy(cursor, offsets[:nUsers])
-	// epochBase.Add(sec seconds) builds the identical Time representation
-	// to time.Unix(sec, 0).UTC() — {wall 0, ext sec+unixToInternal, loc
-	// nil} — without the two calls per post; the Duration multiply only
-	// covers ±292 years, so out-of-range instants take the general path.
-	epochBase := time.Unix(0, 0).UTC()
-	const maxDurSec = int64(math.MaxInt64) / int64(time.Second)
 	for i := 0; i < nPosts; i++ {
 		u := binary.LittleEndian.Uint32(user[4*i:])
 		if u >= uint32(nUsers) {
@@ -376,15 +358,7 @@ func ReadSnapshotBytes(data []byte) (*Dataset, error) {
 		}
 		csr[c] = int32(i)
 		cursor[u] = c + 1
-		sec := int64(binary.LittleEndian.Uint64(whenSec[8*i:]))
-		when[i] = sec
-		var ts time.Time
-		if sec > -maxDurSec && sec < maxDurSec {
-			ts = epochBase.Add(time.Duration(sec) * time.Second)
-		} else {
-			ts = time.Unix(sec, 0).UTC()
-		}
-		posts[i] = Post{UserID: ids[u], Time: ts}
+		when[i] = int64(binary.LittleEndian.Uint64(whenSec[8*i:]))
 	}
 	for u := 0; u < nUsers; u++ {
 		if cursor[u] != offsets[u+1] {
@@ -393,8 +367,7 @@ func ReadSnapshotBytes(data []byte) (*Dataset, error) {
 	}
 
 	// NANO: sub-second exceptions (optional, non-empty, ascending).
-	var nanoAt []int
-	var nanoNS []int32
+	var nanoAt, nanoNS []int32
 	if nano, ok := sections["NANO"]; ok {
 		n, rest, ok := uvarint(nano)
 		if !ok || n == 0 {
@@ -406,7 +379,7 @@ func ReadSnapshotBytes(data []byte) (*Dataset, error) {
 		if uint64(len(rest)) != n*12 {
 			return nil, snapErr("NANO", "size %d, want %d", len(rest), n*12)
 		}
-		nanoAt = make([]int, n)
+		nanoAt = make([]int32, n)
 		nanoNS = make([]int32, n)
 		for i := range nanoAt {
 			idx := binary.LittleEndian.Uint64(rest[12*i:])
@@ -420,7 +393,7 @@ func ReadSnapshotBytes(data []byte) (*Dataset, error) {
 			if ns == 0 || ns >= 1e9 {
 				return nil, snapErr("NANO", "nanoseconds %d out of range", ns)
 			}
-			nanoAt[i] = int(idx)
+			nanoAt[i] = int32(idx)
 			nanoNS[i] = int32(ns)
 		}
 	}
@@ -490,46 +463,19 @@ func ReadSnapshotBytes(data []byte) (*Dataset, error) {
 		}
 	}
 
-	// Verify the order flag on the integer columns (seconds plus the
-	// sparse nano exceptions) before paying for the Post materialization.
-	sorted := true
-	{
-		j := 0
-		prevSec, prevNS := int64(math.MinInt64), int32(0)
-		for i := 0; i < nPosts; i++ {
-			ns := int32(0)
-			if j < len(nanoAt) && nanoAt[j] == i {
-				ns = nanoNS[j]
-				j++
-			}
-			if when[i] < prevSec || (when[i] == prevSec && ns < prevNS) {
-				sorted = false
-				break
-			}
-			prevSec, prevNS = when[i], ns
-		}
-	}
+	// Verify the order flag against the time columns.
+	sorted := chronological(when, nanoAt, nanoNS)
 	if sorted != (flag == 1) {
 		return nil, snapErr("META", "sortedByTime flag inconsistent with WHEN column")
 	}
-
-	// Patch in the sub-second exceptions and assemble the dataset.
-	ds := &Dataset{Name: name, GroundTruth: groundTruth, Posts: posts}
-	for i, at := range nanoAt {
-		posts[at].Time = time.Unix(when[at], int64(nanoNS[i])).UTC()
-	}
-
-	ds.idx = &Store{
+	return &Dataset{Name: name, GroundTruth: groundTruth, s: &Store{
 		ids:          ids,
-		lookup:       make(map[string]int32, nUsers),
 		userOf:       userOf,
 		when:         when,
+		nanoAt:       nanoAt,
+		nanoNS:       nanoNS,
 		offsets:      offsets,
 		posts:        csr,
 		sortedByTime: sorted,
-	}
-	for u, id := range ids {
-		ds.idx.lookup[id] = int32(u)
-	}
-	return ds, nil
+	}}, nil
 }

@@ -62,8 +62,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if got.Name != d.Name {
 				t.Fatalf("name %q, want %q", got.Name, d.Name)
 			}
-			if (got.Posts == nil) != (d.Posts == nil) || !reflect.DeepEqual(got.Posts, d.Posts) {
-				t.Fatalf("posts mismatch:\n got %v\nwant %v", got.Posts, d.Posts)
+			if !reflect.DeepEqual(rows(got), rows(d)) {
+				t.Fatalf("posts mismatch:\n got %v\nwant %v", rows(got), rows(d))
 			}
 			if !reflect.DeepEqual(got.GroundTruth, d.GroundTruth) {
 				t.Fatalf("ground truth mismatch: %v vs %v", got.GroundTruth, d.GroundTruth)
@@ -86,13 +86,13 @@ func TestSnapshotTimesSurvive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range d.Posts {
-		if !reflect.DeepEqual(d.Posts[i].Time, got.Posts[i].Time) {
-			t.Fatalf("post %d time representation drifted: %#v vs %#v", i, d.Posts[i].Time, got.Posts[i].Time)
+	for i := 0; i < d.NumPosts(); i++ {
+		if !reflect.DeepEqual(d.Post(i).Time, got.Post(i).Time) {
+			t.Fatalf("post %d time representation drifted: %#v vs %#v", i, d.Post(i).Time, got.Post(i).Time)
 		}
 	}
-	if got.Posts[1].Time.Nanosecond() != 250000000 {
-		t.Fatalf("fractional second lost: %v", got.Posts[1].Time)
+	if got.Post(1).Time.Nanosecond() != 250000000 {
+		t.Fatalf("fractional second lost: %v", got.Post(1).Time)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestSnapshotVersionDrift(t *testing.T) {
 }
 
 // TestSnapshotDecodedStoreUsable sanity-checks that a decoded dataset's
-// pre-built index answers queries without rebuilding.
+// store answers queries.
 func TestSnapshotDecodedStoreUsable(t *testing.T) {
 	t.Parallel()
 	d := snapshotTestDataset(t)
@@ -153,8 +153,8 @@ func TestSnapshotDecodedStoreUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.idx == nil {
-		t.Fatal("decoded dataset has no pre-built index")
+	if got.s == nil {
+		t.Fatal("decoded dataset has no store")
 	}
 	if !reflect.DeepEqual(got.PostCounts(), d.PostCounts()) {
 		t.Fatalf("post counts mismatch: %v vs %v", got.PostCounts(), d.PostCounts())
@@ -162,7 +162,7 @@ func TestSnapshotDecodedStoreUsable(t *testing.T) {
 	if !reflect.DeepEqual(got.ByUser(), d.ByUser()) {
 		t.Fatal("ByUser mismatch on decoded store")
 	}
-	if _, last, ok := got.TimeRange(); !ok || last.Unix() != d.Posts[4].Time.Unix() {
+	if _, last, ok := got.TimeRange(); !ok || last.Unix() != d.Post(4).Time.Unix() {
 		t.Fatalf("time range wrong: %v %v", last, ok)
 	}
 }

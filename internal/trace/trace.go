@@ -31,16 +31,23 @@ type Post struct {
 	Time   time.Time `json:"time"`
 }
 
-// Dataset is a named activity trace. GroundTruth optionally maps user IDs
-// to region codes for datasets with verified origin (the Twitter dataset of
-// Table I, or validation forums).
+// Dataset is a named activity trace: a name, optional ground truth mapping
+// user IDs to region codes for datasets with verified origin (the Twitter
+// dataset of Table I, or validation forums), and the posts, held in one
+// immutable columnar Store built when the dataset is constructed. The
+// zero value is an empty dataset. Methods never modify the posts; the
+// derived-dataset methods return new datasets.
 type Dataset struct {
 	Name        string
-	Posts       []Post
 	GroundTruth map[string]string
 
-	// idx is the lazily built columnar index (see Index in columnar.go).
-	idx *Store
+	s *Store // nil for an empty dataset
+}
+
+// NewDataset builds a dataset from rows, keeping their order. The rows are
+// copied into the columnar store; posts is not retained.
+func NewDataset(name string, posts []Post) *Dataset {
+	return &Dataset{Name: name, s: buildStore(posts)}
 }
 
 // copyGroundTruth returns a deep copy of a ground-truth map (nil for nil).
@@ -57,19 +64,21 @@ func copyGroundTruth(gt map[string]string) map[string]string {
 	return out
 }
 
-// Clone returns a deep copy of the dataset.
-func (d *Dataset) Clone() *Dataset {
-	out := &Dataset{Name: d.Name, Posts: make([]Post, len(d.Posts))}
-	copy(out.Posts, d.Posts)
-	out.GroundTruth = copyGroundTruth(d.GroundTruth)
-	return out
+// derive wraps a store built from d's posts as a new dataset with d's name
+// and a copy of its ground truth.
+func (d *Dataset) derive(s *Store) *Dataset {
+	return &Dataset{Name: d.Name, GroundTruth: copyGroundTruth(d.GroundTruth), s: s}
 }
 
 // NumPosts returns the number of posts.
-func (d *Dataset) NumPosts() int { return len(d.Posts) }
+func (d *Dataset) NumPosts() int { return len(d.Index().userOf) }
 
-// Users returns the distinct user IDs, sorted — a copy of the columnar
-// index's interned dictionary.
+// Post returns post i (0 <= i < NumPosts) in dataset order, with its exact
+// instant in UTC.
+func (d *Dataset) Post(i int) Post { return d.Index().post(i) }
+
+// Users returns the distinct user IDs, sorted — a copy of the store's
+// dictionary.
 func (d *Dataset) Users() []string {
 	s := d.Index()
 	out := make([]string, len(s.ids))
@@ -82,9 +91,9 @@ func (d *Dataset) Users() []string {
 // array (capped, so appending to one group cannot clobber a neighbour).
 func (d *Dataset) ByUser() map[string][]Post {
 	s := d.Index()
-	backing := make([]Post, len(d.Posts))
+	backing := make([]Post, len(s.posts))
 	for k, pos := range s.posts {
-		backing[k] = d.Posts[pos]
+		backing[k] = s.post(int(pos))
 	}
 	out := make(map[string][]Post, len(s.ids))
 	for u, id := range s.ids {
@@ -94,8 +103,8 @@ func (d *Dataset) ByUser() map[string][]Post {
 	return out
 }
 
-// PostCounts returns the number of posts per user, read off the columnar
-// index's offsets.
+// PostCounts returns the number of posts per user, read off the store's
+// offsets.
 func (d *Dataset) PostCounts() map[string]int {
 	s := d.Index()
 	out := make(map[string]int, len(s.ids))
@@ -108,44 +117,36 @@ func (d *Dataset) PostCounts() map[string]int {
 // TimeRange returns the earliest and latest post times. ok is false for an
 // empty dataset.
 func (d *Dataset) TimeRange() (first, last time.Time, ok bool) {
-	if len(d.Posts) == 0 {
+	s := d.Index()
+	n := len(s.when)
+	if n == 0 {
 		return time.Time{}, time.Time{}, false
 	}
-	first, last = d.Posts[0].Time, d.Posts[0].Time
-	for _, p := range d.Posts[1:] {
-		if p.Time.Before(first) {
-			first = p.Time
+	if s.sortedByTime {
+		return s.time(0), s.time(n - 1), true
+	}
+	lo, hi := 0, 0
+	for i := 1; i < n; i++ {
+		if s.before(i, s.when[lo], s.nano(lo)) {
+			lo = i
 		}
-		if p.Time.After(last) {
-			last = p.Time
+		if s.before(hi, s.when[i], s.nano(i)) {
+			hi = i
 		}
 	}
-	return first, last, true
+	return s.time(lo), s.time(hi), true
 }
 
 // FilterUsers returns a new dataset keeping only posts whose user the
 // predicate accepts. Ground truth entries for dropped users are removed.
-// The predicate is evaluated once per distinct user (via the columnar
-// index), not once per post.
+// The predicate is evaluated once per distinct user, not once per post.
 func (d *Dataset) FilterUsers(keep func(userID string) bool) *Dataset {
 	s := d.Index()
 	keepUser := make([]bool, s.NumUsers())
-	kept := 0
 	for u, id := range s.ids {
-		if keep(id) {
-			keepUser[u] = true
-			kept += s.Count(u)
-		}
+		keepUser[u] = keep(id)
 	}
-	out := &Dataset{Name: d.Name}
-	if kept > 0 {
-		out.Posts = make([]Post, 0, kept)
-		for i, p := range d.Posts {
-			if keepUser[s.userOf[i]] {
-				out.Posts = append(out.Posts, p)
-			}
-		}
-	}
+	out := &Dataset{Name: d.Name, s: s.subset(func(i int) bool { return keepUser[s.userOf[i]] })}
 	if d.GroundTruth != nil {
 		out.GroundTruth = make(map[string]string)
 		for u, r := range d.GroundTruth {
@@ -161,13 +162,8 @@ func (d *Dataset) FilterUsers(keep func(userID string) bool) *Dataset {
 // accepts. Ground truth is carried over (as a copy, so the datasets stay
 // independent).
 func (d *Dataset) FilterPosts(keep func(Post) bool) *Dataset {
-	out := &Dataset{Name: d.Name, GroundTruth: copyGroundTruth(d.GroundTruth)}
-	for _, p := range d.Posts {
-		if keep(p) {
-			out.Posts = append(out.Posts, p)
-		}
-	}
-	return out
+	s := d.Index()
+	return d.derive(s.subset(func(i int) bool { return keep(s.post(i)) }))
 }
 
 // FilterMinPosts drops users with fewer than min posts — the paper's
@@ -180,39 +176,54 @@ func (d *Dataset) FilterMinPosts(min int) *Dataset {
 	})
 }
 
-// Window returns the posts falling in [from, to). When the dataset is
-// chronologically sorted (the common case — generators and loaders sort),
-// the boundaries are binary-searched instead of scanning every post.
+// Window returns the posts falling in [from, to).
 func (d *Dataset) Window(from, to time.Time) *Dataset {
 	s := d.Index()
-	if !s.SortedByTime() {
-		return d.FilterPosts(func(p Post) bool {
-			return !p.Time.Before(from) && p.Time.Before(to)
-		})
-	}
-	lo := sort.Search(len(d.Posts), func(i int) bool { return !d.Posts[i].Time.Before(from) })
-	hi := sort.Search(len(d.Posts), func(i int) bool { return !d.Posts[i].Time.Before(to) })
-	out := &Dataset{Name: d.Name, GroundTruth: copyGroundTruth(d.GroundTruth)}
-	if lo < hi {
-		out.Posts = make([]Post, hi-lo)
-		copy(out.Posts, d.Posts[lo:hi])
-	}
-	return out
+	fromSec, fromNS := from.Unix(), int32(from.Nanosecond())
+	toSec, toNS := to.Unix(), int32(to.Nanosecond())
+	return d.derive(s.subset(func(i int) bool {
+		return !s.before(i, fromSec, fromNS) && s.before(i, toSec, toNS)
+	}))
 }
 
-// Merge combines several datasets into one. Ground-truth maps are merged;
-// conflicting labels for the same user are an error, never a silent
-// last-dataset-wins overwrite. Every conflicting user is collected before
-// failing, and the error names them in sorted order with both datasets
-// involved — so one merge attempt diagnoses all the label damage, and the
-// message is deterministic regardless of map iteration order.
+// Merge combines several datasets into one, their posts concatenated in
+// argument order. Ground-truth maps are merged; conflicting labels for the
+// same user are an error, never a silent last-dataset-wins overwrite. Every
+// conflicting user is collected before failing, and the error names them
+// in sorted order with both datasets involved — so one merge attempt
+// diagnoses all the label damage, and the message is deterministic
+// regardless of map iteration order.
 func Merge(name string, datasets ...*Dataset) (*Dataset, error) {
 	out := &Dataset{Name: name, GroundTruth: make(map[string]string)}
 	labelledBy := make(map[string]string) // user -> name of the dataset that labelled them
 	var conflicts []string
 	conflictSeen := make(map[string]bool)
+	index := make(map[string]int32)
+	var ids []string
+	var userOf []int32
+	var when []int64
+	var nanoAt, nanoNS []int32
 	for _, d := range datasets {
-		out.Posts = append(out.Posts, d.Posts...)
+		s := d.Index()
+		remap := make([]int32, len(s.ids))
+		for u, id := range s.ids {
+			g, ok := index[id]
+			if !ok {
+				g = int32(len(ids))
+				index[id] = g
+				ids = append(ids, id)
+			}
+			remap[u] = g
+		}
+		base := int32(len(userOf))
+		for _, u := range s.userOf {
+			userOf = append(userOf, remap[u])
+		}
+		when = append(when, s.when...)
+		for j, at := range s.nanoAt {
+			nanoAt = append(nanoAt, base+at)
+			nanoNS = append(nanoNS, s.nanoNS[j])
+		}
 		for u, r := range d.GroundTruth {
 			if prev, ok := out.GroundTruth[u]; ok && prev != r {
 				if !conflictSeen[u] {
@@ -241,17 +252,27 @@ func Merge(name string, datasets ...*Dataset) (*Dataset, error) {
 	if len(out.GroundTruth) == 0 {
 		out.GroundTruth = nil
 	}
+	out.s = newStore(ids, userOf, when, nanoAt, nanoNS)
 	return out, nil
 }
 
-// SortByTime orders posts chronologically in place (stable, so same-instant
-// posts keep their relative order). The cached columnar index is dropped:
-// its post-parallel columns no longer match the new order.
-func (d *Dataset) SortByTime() {
-	sort.SliceStable(d.Posts, func(i, j int) bool {
-		return d.Posts[i].Time.Before(d.Posts[j].Time)
+// SortedByTime returns the dataset with its posts in chronological order
+// (stable, so same-instant posts keep their relative order) and a copy of
+// its ground truth. An already sorted dataset shares its store.
+func (d *Dataset) SortedByTime() *Dataset {
+	s := d.Index()
+	if s.sortedByTime {
+		return d.derive(s)
+	}
+	order := make([]int32, len(s.when))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(x, y int) bool {
+		i, j := int(order[x]), int(order[y])
+		return s.before(i, s.when[j], s.nano(j))
 	})
-	d.idx = nil
+	return d.derive(s.permute(order))
 }
 
 // csvHeader is the column layout used by WriteCSV and IngestCSV.
@@ -272,10 +293,12 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	if _, err := bw.Write(buf); err != nil {
 		return fmt.Errorf("trace: write CSV header: %w", err)
 	}
-	for _, p := range d.Posts {
-		buf = appendCSVField(buf[:0], p.UserID)
+	s := d.Index()
+	c := nanoCursor{at: s.nanoAt, ns: s.nanoNS}
+	for i, u := range s.userOf {
+		buf = appendCSVField(buf[:0], s.ids[u])
 		buf = append(buf, ',')
-		buf = appendRFC3339(buf, p.Time)
+		buf = appendRFC3339(buf, s.when[i], c.next(i))
 		buf = append(buf, '\n')
 		if _, err := bw.Write(buf); err != nil {
 			return fmt.Errorf("trace: write CSV row: %w", err)
@@ -423,12 +446,15 @@ func readCSV(name string, data []byte, opts IngestOptions) (*Dataset, *Quarantin
 	if len(header) != len(csvHeader) || header[0] != csvHeader[0] || header[1] != csvHeader[1] {
 		return nil, nil, fmt.Errorf("trace: unexpected CSV header %v", header)
 	}
-	out := &Dataset{Name: name}
 	var report *QuarantineReport
 	if opts.Lenient {
 		report = &QuarantineReport{}
 	}
-	intern := make(map[string]string)
+	index := make(map[string]int32)
+	var ids []string
+	var userOf []int32
+	var when []int64
+	var nanoAt, nanoNS []int32
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if errors.Is(err, io.EOF) {
@@ -443,7 +469,7 @@ func readCSV(name string, data []byte, opts IngestOptions) (*Dataset, *Quarantin
 			}
 			continue
 		}
-		ts, err := parseRFC3339(rec[1])
+		sec, ts, fast, err := parseStamp(rec[1])
 		if err != nil {
 			if !opts.Lenient {
 				return nil, nil, fmt.Errorf("trace: parse time on line %d: %w", line, err)
@@ -455,33 +481,26 @@ func readCSV(name string, data []byte, opts IngestOptions) (*Dataset, *Quarantin
 			}
 			continue
 		}
-		// Intern the user ID: csv fields are substrings of a fresh per-row
-		// string (safe to retain even with ReuseRecord), and the map keeps
-		// one string per distinct user rather than one per row.
-		id, ok := intern[rec[0]]
-		if !ok {
-			id = rec[0]
-			intern[id] = id
+		if !fast {
+			sec = ts.Unix()
+			if ns := ts.Nanosecond(); ns != 0 {
+				nanoAt = append(nanoAt, int32(len(when)))
+				nanoNS = append(nanoNS, int32(ns))
+			}
 		}
-		out.Posts = append(out.Posts, Post{UserID: id, Time: ts})
+		// Intern the user ID: csv fields are substrings of a fresh per-row
+		// string (safe to retain even with ReuseRecord), and the dictionary
+		// keeps one string per distinct user rather than one per row.
+		u, ok := index[rec[0]]
+		if !ok {
+			u = int32(len(ids))
+			index[rec[0]] = u
+			ids = append(ids, rec[0])
+		}
+		userOf = append(userOf, u)
+		when = append(when, sec)
 	}
-	return out, report, nil
-}
-
-// parseRFC3339 parses an RFC3339 timestamp and normalizes it to UTC. The
-// overwhelmingly common shape in our files — "2006-01-02T15:04:05Z",
-// exactly what WriteCSV emits — is decoded with integer arithmetic; any
-// other shape falls back to time.Parse so accepted inputs and error
-// behavior match the stdlib exactly.
-func parseRFC3339(s string) (time.Time, error) {
-	sec, ts, fast, err := parseStamp(s)
-	if err != nil {
-		return time.Time{}, err
-	}
-	if fast {
-		return time.Unix(sec, 0).UTC(), nil
-	}
-	return ts, nil
+	return &Dataset{Name: name, s: newStore(ids, userOf, when, nanoAt, nanoNS)}, report, nil
 }
 
 // ParseStamp parses an RFC3339 timestamp from a byte slice without
@@ -548,13 +567,13 @@ func daysIn(year, month int) int {
 	return 28
 }
 
-// appendRFC3339 appends t in UTC as RFC3339, producing the same bytes as
-// t.UTC().Format(time.RFC3339). Whole-second instants in years 0000-9999 —
-// every timestamp this package produces — take an integer fast path; the
-// rest fall back to AppendFormat.
-func appendRFC3339(buf []byte, t time.Time) []byte {
-	sec := t.Unix()
-	if t.Nanosecond() == 0 {
+// appendRFC3339 appends the instant (sec, nsec) — Unix seconds and the
+// sub-second nanoseconds — as RFC3339 in UTC, producing the same bytes as
+// time.Unix(sec, nsec).UTC().Format(time.RFC3339). Whole-second instants in
+// years 0000-9999 — every timestamp this package produces — take an integer
+// fast path; the rest fall back to AppendFormat.
+func appendRFC3339(buf []byte, sec int64, nsec int32) []byte {
+	if nsec == 0 {
 		days := sec / 86400
 		rem := sec % 86400
 		if rem < 0 {
@@ -577,7 +596,7 @@ func appendRFC3339(buf []byte, t time.Time) []byte {
 			return append(buf, 'Z')
 		}
 	}
-	return t.UTC().AppendFormat(buf, time.RFC3339)
+	return time.Unix(sec, int64(nsec)).UTC().AppendFormat(buf, time.RFC3339)
 }
 
 func appendDigits2(buf []byte, v int) []byte {
@@ -650,9 +669,7 @@ type Summary struct {
 
 // Summarize computes a dataset's Summary.
 func (d *Dataset) Summarize() Summary {
-	s := Summary{Name: d.Name, Posts: len(d.Posts)}
-	users := d.Users()
-	s.Users = len(users)
+	s := Summary{Name: d.Name, Posts: d.NumPosts(), Users: d.Index().NumUsers()}
 	if s.Users > 0 {
 		s.MeanPosts = float64(s.Posts) / float64(s.Users)
 	}

@@ -12,18 +12,20 @@ func at(h int) time.Time {
 	return time.Date(2017, time.June, 1, h, 0, 0, 0, time.UTC)
 }
 
-func sample() *Dataset {
-	return &Dataset{
-		Name: "sample",
-		Posts: []Post{
-			{UserID: "alice", Time: at(9)},
-			{UserID: "bob", Time: at(10)},
-			{UserID: "alice", Time: at(11)},
-			{UserID: "carol", Time: at(12)},
-			{UserID: "alice", Time: at(13)},
-		},
-		GroundTruth: map[string]string{"alice": "de", "bob": "fr", "carol": "de"},
+func samplePosts() []Post {
+	return []Post{
+		{UserID: "alice", Time: at(9)},
+		{UserID: "bob", Time: at(10)},
+		{UserID: "alice", Time: at(11)},
+		{UserID: "carol", Time: at(12)},
+		{UserID: "alice", Time: at(13)},
 	}
+}
+
+func sample() *Dataset {
+	d := NewDataset("sample", samplePosts())
+	d.GroundTruth = map[string]string{"alice": "de", "bob": "fr", "carol": "de"}
+	return d
 }
 
 func TestUsersAndCounts(t *testing.T) {
@@ -99,7 +101,7 @@ func TestWindow(t *testing.T) {
 	if w.NumPosts() != 3 {
 		t.Errorf("Window has %d posts, want 3 (half-open)", w.NumPosts())
 	}
-	for _, p := range w.Posts {
+	for _, p := range rows(w) {
 		if p.Time.Before(at(10)) || !p.Time.Before(at(13)) {
 			t.Errorf("post at %v outside window", p.Time)
 		}
@@ -108,10 +110,10 @@ func TestWindow(t *testing.T) {
 
 func TestMerge(t *testing.T) {
 	t.Parallel()
-	a := &Dataset{Name: "a", Posts: []Post{{UserID: "u1", Time: at(1)}},
-		GroundTruth: map[string]string{"u1": "de"}}
-	b := &Dataset{Name: "b", Posts: []Post{{UserID: "u2", Time: at(2)}},
-		GroundTruth: map[string]string{"u2": "fr"}}
+	a := NewDataset("a", []Post{{UserID: "u1", Time: at(1)}})
+	a.GroundTruth = map[string]string{"u1": "de"}
+	b := NewDataset("b", []Post{{UserID: "u2", Time: at(2)}})
+	b.GroundTruth = map[string]string{"u2": "fr"}
 	m, err := Merge("ab", a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +122,7 @@ func TestMerge(t *testing.T) {
 		t.Errorf("merge result: %d posts, %v", m.NumPosts(), m.GroundTruth)
 	}
 
-	conflict := &Dataset{Name: "c", Posts: nil, GroundTruth: map[string]string{"u1": "it"}}
+	conflict := &Dataset{Name: "c", GroundTruth: map[string]string{"u1": "it"}}
 	if _, err := Merge("bad", a, conflict); err == nil {
 		t.Error("conflicting ground truth should fail")
 	}
@@ -128,17 +130,20 @@ func TestMerge(t *testing.T) {
 
 func TestSortByTime(t *testing.T) {
 	t.Parallel()
-	d := &Dataset{Posts: []Post{
+	d := NewDataset("", []Post{
 		{UserID: "b", Time: at(12)},
 		{UserID: "a", Time: at(9)},
 		{UserID: "c", Time: at(12)},
-	}}
-	d.SortByTime()
-	if d.Posts[0].UserID != "a" {
+	})
+	sorted := d.SortedByTime()
+	if sorted.Post(0).UserID != "a" {
 		t.Error("not sorted")
 	}
-	if d.Posts[1].UserID != "b" || d.Posts[2].UserID != "c" {
+	if sorted.Post(1).UserID != "b" || sorted.Post(2).UserID != "c" {
 		t.Error("sort not stable for equal timestamps")
+	}
+	if d.Post(0).UserID != "b" {
+		t.Error("SortedByTime reordered the source dataset")
 	}
 }
 
@@ -146,7 +151,7 @@ func TestSortByTime(t *testing.T) {
 // checkpoint persists as a []Post.
 func TestJSONRoundTrip(t *testing.T) {
 	t.Parallel()
-	posts := sample().Posts
+	posts := samplePosts()
 	data, err := json.Marshal(posts)
 	if err != nil {
 		t.Fatal(err)
@@ -185,9 +190,9 @@ func TestCSVRoundTrip(t *testing.T) {
 	if got.NumPosts() != d.NumPosts() {
 		t.Errorf("CSV round trip: %d posts, want %d", got.NumPosts(), d.NumPosts())
 	}
-	for i := range d.Posts {
-		if !got.Posts[i].Time.Equal(d.Posts[i].Time) || got.Posts[i].UserID != d.Posts[i].UserID {
-			t.Errorf("post %d differs: %+v vs %+v", i, got.Posts[i], d.Posts[i])
+	for i := 0; i < d.NumPosts(); i++ {
+		if !got.Post(i).Time.Equal(d.Post(i).Time) || got.Post(i).UserID != d.Post(i).UserID {
+			t.Errorf("post %d differs: %+v vs %+v", i, got.Post(i), d.Post(i))
 		}
 	}
 }
@@ -205,14 +210,18 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
+// TestDerivedIndependent: a derived dataset (here SortedByTime of an
+// already sorted one, which shares the immutable store) owns its ground
+// truth, and the rows handed out by Post are copies.
+func TestDerivedIndependent(t *testing.T) {
 	t.Parallel()
 	d := sample()
-	c := d.Clone()
-	c.Posts[0].UserID = "mallory"
+	c := d.SortedByTime()
+	p := c.Post(0)
+	p.UserID = "mallory"
 	c.GroundTruth["alice"] = "xx"
-	if d.Posts[0].UserID != "alice" || d.GroundTruth["alice"] != "de" {
-		t.Error("Clone shares state with original")
+	if d.Post(0).UserID != "alice" || c.Post(0).UserID != "alice" || d.GroundTruth["alice"] != "de" {
+		t.Error("derived dataset shares state with original")
 	}
 }
 

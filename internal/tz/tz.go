@@ -259,11 +259,6 @@ func (r Region) LocalTime(t time.Time) time.Time {
 	return t.Add(time.Duration(r.OffsetAt(t)) * time.Hour)
 }
 
-// LocalHour returns the region's local hour of day (0-23) at UTC instant t.
-func (r Region) LocalHour(t time.Time) int {
-	return r.LocalTime(t).Hour()
-}
-
 // IsHoliday reports whether UTC instant t falls inside one of the region's
 // holiday windows on the local calendar.
 func (r Region) IsHoliday(t time.Time) bool {

@@ -249,7 +249,7 @@ func TestLocalHour(t *testing.T) {
 		t.Fatal(err)
 	}
 	instant := time.Date(2017, time.June, 1, 20, 0, 0, 0, time.UTC)
-	if got := jp.LocalHour(instant); got != 5 {
+	if got := jp.LocalTime(instant).Hour(); got != 5 {
 		t.Errorf("Japan local hour at 20:00 UTC = %d, want 5", got)
 	}
 	de, err := ByCode("de")
@@ -257,7 +257,7 @@ func TestLocalHour(t *testing.T) {
 		t.Fatal(err)
 	}
 	// June: Germany in DST, UTC+2.
-	if got := de.LocalHour(instant); got != 22 {
+	if got := de.LocalTime(instant).Hour(); got != 22 {
 		t.Errorf("Germany local hour at 20:00 UTC in June = %d, want 22", got)
 	}
 }
