@@ -191,11 +191,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	polished, err := profile.Polish(profiles, gen.Generic, true)
-	if err != nil {
-		return err
-	}
-	geo, err := geoloc.Geolocate(polished.Kept, gen.Generic, geoloc.GeolocateOptions{})
+	polished, geo, err := geoloc.LocateCrowd(profiles, gen.Generic, geoloc.LocateOptions{})
 	if err != nil {
 		return err
 	}

@@ -36,6 +36,7 @@ package darkcrowd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -44,7 +45,6 @@ import (
 	"darkcrowd/internal/core/geoloc"
 	"darkcrowd/internal/core/profile"
 	"darkcrowd/internal/obs"
-	"darkcrowd/internal/stats"
 	"darkcrowd/internal/synth"
 	"darkcrowd/internal/trace"
 	"darkcrowd/internal/tz"
@@ -163,39 +163,23 @@ func GeolocateCrowd(posts []Post, ref *Reference, opts Options) (*Report, error)
 	if err != nil {
 		return nil, fmt.Errorf("darkcrowd: build crowd profiles: %w", err)
 	}
-	report := &Report{}
-	if !opts.SkipPolish {
-		po := opts.Obs.Stage("polish")
-		polished, err := profile.Polish(profiles, ref.Generic, true)
-		if err != nil {
-			po.End()
-			return nil, fmt.Errorf("darkcrowd: polish crowd: %w", err)
-		}
-		profiles = polished.Kept
-		report.RemovedUsers = polished.Removed
-		po.AddItems(int64(len(polished.Kept)))
-		po.Counter("polish.users_kept").Add(int64(len(polished.Kept)))
-		po.Counter("polish.users_removed").Add(int64(len(polished.Removed)))
-		po.End()
-	}
-	if len(profiles) == 0 {
+	polished, geo, err := geoloc.LocateCrowd(profiles, ref.Generic, geoloc.LocateOptions{
+		SkipPolish:    opts.SkipPolish,
+		MaxComponents: opts.MaxComponents,
+		Parallelism:   opts.Parallelism,
+		Context:       opts.Context,
+		Obs:           opts.Obs,
+	})
+	if errors.Is(err, geoloc.ErrNoProfiles) {
 		return nil, fmt.Errorf("darkcrowd: no users survive polishing")
 	}
-	geo, err := geoloc.Geolocate(profiles, ref.Generic, geoloc.GeolocateOptions{
-		MaxComponents: opts.MaxComponents,
-		Place: geoloc.PlaceOptions{
-			Parallelism: opts.Parallelism,
-			Context:     opts.Context,
-		},
-		EM:  stats.EMConfig{Parallelism: opts.Parallelism},
-		Obs: opts.Obs,
-	})
 	if err != nil {
 		return nil, fmt.Errorf("darkcrowd: geolocate: %w", err)
 	}
+	report := &Report{RemovedUsers: polished.Removed}
 	report.Components = geo.Components
 	report.PlacementHistogram = geo.Placement.Histogram
-	report.ActiveUsers = len(profiles)
+	report.ActiveUsers = len(polished.Kept)
 	report.AvgFitDistance = geo.AvgDistance
 	report.StdFitDistance = geo.StdDistance
 	return report, nil

@@ -114,12 +114,12 @@ func TestGeolocateDeterministic(t *testing.T) {
 	t.Parallel()
 	generic := testGeneric(t)
 	crowd := randomCrowd(5, 200)
-	seq, err := Geolocate(crowd, generic, GeolocateOptions{Place: PlaceOptions{Parallelism: 1}})
+	seq, err := locate(crowd, generic, LocateOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("sequential geolocate: %v", err)
 	}
 	for _, workers := range workerCounts[1:] {
-		par, err := Geolocate(crowd, generic, GeolocateOptions{Place: PlaceOptions{Parallelism: workers}})
+		par, err := locate(crowd, generic, LocateOptions{Parallelism: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -148,6 +148,26 @@ func TestPlaceUsersCancelledContext(t *testing.T) {
 		_, err := PlaceUsers(crowd, generic, PlaceOptions{Parallelism: workers, Context: ctx})
 		if err == nil {
 			t.Errorf("workers=%d: expected context error", workers)
+		}
+	}
+}
+
+// BenchmarkPlaceUsers measures the placement sweep over random crowds of
+// 1k, 10k and 100k users at 1, 2, 4 and 8 workers.
+func BenchmarkPlaceUsers(b *testing.B) {
+	generic := testGeneric(b)
+	for _, size := range []int{1_000, 10_000, 100_000} {
+		crowd := randomCrowd(int64(size), size)
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("users=%d/workers=%d", size, workers), func(b *testing.B) {
+				opts := PlaceOptions{Parallelism: workers}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := PlaceUsers(crowd, generic, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

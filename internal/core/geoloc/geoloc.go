@@ -106,142 +106,88 @@ type PlaceOptions struct {
 	Margins bool
 }
 
+// ErrNoProfiles is returned when there is no profile to place: an empty
+// crowd, or one that polishing removes entirely.
+var ErrNoProfiles = errors.New("geoloc: no profiles to place")
+
 // PlaceUsers assigns every profile to its nearest time zone, comparing the
 // user's UTC-frame profile against the 24 zone reference profiles derived
 // from the generic profile: "we geolocate that member on the timezone whose
 // activity profile is less distant" (§IV-A).
 //
-// Per-user placements are independent, so the sorted user list is split
-// into contiguous shards, one per worker. Every worker writes only its own
-// index range of a position-addressed result slice (plus a private EMD
-// scratch buffer), and the histogram/count/assignment merge runs after the
-// join, on one goroutine, in user order — which makes the result identical
-// to the sequential path regardless of worker count or scheduling.
+// The circular metric is one profile.ScanUsers sweep: workers fill
+// disjoint ranges of a position-addressed scan slice, and the histogram,
+// count and assignment merge runs after the join, in sorted user order, so
+// the result is identical for every worker count. LocateCrowd places
+// polished crowds without this sweep, from polish pass 1's scans.
 func PlaceUsers(profiles map[string]profile.Profile, generic profile.Profile, opts PlaceOptions) (*Placement, error) {
 	if len(profiles) == 0 {
-		return nil, errors.New("geoloc: no profiles to place")
-	}
-	if opts.Distance == 0 {
-		opts.Distance = DistanceCircularEMD
-	}
-	users := profile.SortedUserIDs(profiles)
-	best := make([]int, len(users))
-	var margins []float64
-	if opts.Margins {
-		margins = make([]float64, len(users))
-	}
-	// The circular path never materializes the 24 zone profiles: one
-	// all-rotations kernel call against the generic profile yields every
-	// zone distance. The linear ablation keeps the explicit zone loop.
-	var zones []profile.Profile
-	if opts.Distance == DistanceLinearEMD {
-		zones = profile.ZoneProfiles(generic)
+		return nil, ErrNoProfiles
 	}
 	o := opts.Obs.Stage("placement")
 	defer o.End()
-	o.SetWorkers(par.Workers(opts.Parallelism, len(users)))
-	usersPlaced := o.Counter("placement.users_placed")
-	// A typed-nil *Span must not become a non-nil ShardObserver.
-	var so par.ShardObserver
-	if sp := o.SpanRef(); sp != nil {
-		so = sp
-	}
-	err := par.RangesObserved(opts.Context, opts.Parallelism, len(users), func(start, end int) error {
-		dists := make([]float64, tz.HoursPerDay)
-		scratch := make([]float64, 2*tz.HoursPerDay)
-		for i := start; i < end; i++ {
-			if opts.Context != nil && i&0xff == 0 {
-				if err := opts.Context.Err(); err != nil {
-					return err
-				}
-			}
-			zi, margin, err := nearestZoneIndex(profiles[users[i]], generic, zones, opts.Distance, dists, scratch)
-			if err != nil {
-				return fmt.Errorf("geoloc: distance for user %q: %w", users[i], err)
-			}
-			best[i] = zi
-			if margins != nil {
-				margins[i] = margin
-			}
-		}
-		usersPlaced.Add(int64(end - start))
-		return nil
-	}, so)
+	users := profile.SortedUserIDs(profiles)
+	scans, err := scanZones(profiles, users, generic, opts.Distance, profile.ScanOptions{
+		Parallelism: opts.Parallelism,
+		Context:     opts.Context,
+		Obs:         o,
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Placement{
-		Assignments: make(map[string]tz.Offset, len(profiles)),
-		Histogram:   make([]float64, tz.HoursPerDay),
-		Counts:      make([]int, tz.HoursPerDay),
+	return placementOf(profiles, users, scans, opts.Margins, o), nil
+}
+
+// PlaceOneMargin places a single profile — the per-user form of
+// PlaceUsers — and returns its zone index and placement margin.
+func PlaceOneMargin(p, generic profile.Profile, opts PlaceOptions) (int, float64, error) {
+	if opts.Distance == DistanceLinearEMD {
+		return nearestLinear(p, profile.ZoneProfiles(generic))
 	}
-	if margins != nil {
-		out.Margins = make(map[string]float64, len(users))
+	var s profile.Scanner
+	sc, err := s.Scan(p, generic)
+	return sc.Zone, sc.Margin, err
+}
+
+// scanZones scans users[i]'s nearest zone into the i-th slot: the circular
+// metric through profile.ScanUsers, the linear ablation metric through its
+// own per-zone loop.
+func scanZones(profiles map[string]profile.Profile, users []string, generic profile.Profile, dist DistanceKind, opts profile.ScanOptions) ([]profile.ZoneScan, error) {
+	if dist != DistanceLinearEMD {
+		return profile.ScanUsers(profiles, users, generic, opts)
 	}
-	for i, userID := range users {
-		out.Assignments[userID] = profile.OffsetOf(best[i])
-		out.Counts[best[i]]++
-		if margins != nil {
-			out.Margins[userID] = margins[i]
+	zones := profile.ZoneProfiles(generic)
+	out := make([]profile.ZoneScan, len(users))
+	err := par.Ranges(opts.Context, opts.Parallelism, len(users), func(start, end int) error {
+		for i := start; i < end; i++ {
+			zi, margin, err := nearestLinear(profiles[users[i]], zones)
+			if err != nil {
+				return fmt.Errorf("geoloc: distance for user %q: %w", users[i], err)
+			}
+			out[i] = profile.ZoneScan{Zone: zi, Margin: margin}
 		}
-	}
-	total := float64(len(profiles))
-	for zi, c := range out.Counts {
-		out.Histogram[zi] = float64(c) / total
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// nearestZoneIndex returns the index of the zone profile with minimal
-// distance from p, breaking ties toward the lower index, together with the
-// placement margin — the distance gap between the runner-up zone and the
-// winner (0 on an exact tie). dists and scratch are worker-owned
-// workspaces (HoursPerDay and 2*HoursPerDay floats).
-//
-// The circular metric computes all 24 distances with one
-// EMDCircularAllRotations call on the generic profile. The zone-zi
-// reference is generic.Shift(-(zi+MinOffset)) — the rotation of generic by
-// r = (zi + MinOffset) mod 24 — so the kernel's out[r] is bit-identical to
-// EMDCircularScratch(p, zones[zi]), and the strict less-than argmin over
-// ascending zi reproduces the historical per-zone loop exactly, ties
-// included. The margin falls out of the same scan (a second running
-// minimum over the distances already in hand — no extra kernel work), so
-// the winning zone is identical whether or not the caller consumes it.
-// zones is only consulted by the linear ablation metric.
-func nearestZoneIndex(p profile.Profile, generic profile.Profile, zones []profile.Profile, dist DistanceKind, dists, scratch []float64) (int, float64, error) {
-	if dist == DistanceLinearEMD {
-		best := -1
-		bestDist := 0.0
-		second := math.Inf(1)
-		for zi := range zones {
-			d, err := stats.EMDLinear(p[:], zones[zi][:])
-			if err != nil {
-				return 0, 0, fmt.Errorf("zone %d: %w", zi, err)
-			}
-			switch {
-			case best == -1:
-				best, bestDist = zi, d
-			case d < bestDist:
-				best, bestDist, second = zi, d, bestDist
-			case d < second:
-				second = d
-			}
-		}
-		if math.IsInf(second, 1) {
-			second = bestDist // single-zone ablation: no runner-up
-		}
-		return best, second - bestDist, nil
-	}
-	rot, err := stats.EMDCircularAllRotations(p[:], generic[:], dists, scratch)
-	if err != nil {
-		return 0, 0, err
-	}
-	best := 0
-	bestDist := rot[(int(tz.MinOffset)+tz.HoursPerDay)%tz.HoursPerDay]
+// nearestLinear is the linear-EMD ablation's zone loop: the strict
+// less-than argmin over the zone profiles and the runner-up gap.
+func nearestLinear(p profile.Profile, zones []profile.Profile) (int, float64, error) {
+	best := -1
+	bestDist := 0.0
 	second := math.Inf(1)
-	for zi := 1; zi < tz.HoursPerDay; zi++ {
-		d := rot[(zi+int(tz.MinOffset)+tz.HoursPerDay)%tz.HoursPerDay]
+	for zi := range zones {
+		d, err := stats.EMDLinear(p[:], zones[zi][:])
+		if err != nil {
+			return 0, 0, fmt.Errorf("zone %d: %w", zi, err)
+		}
 		switch {
+		case best == -1:
+			best, bestDist = zi, d
 		case d < bestDist:
 			best, bestDist, second = zi, d, bestDist
 		case d < second:
@@ -249,6 +195,36 @@ func nearestZoneIndex(p profile.Profile, generic profile.Profile, zones []profil
 		}
 	}
 	return best, second - bestDist, nil
+}
+
+// placementOf merges the scans of the users in kept into a Placement, in
+// users order; users holds every key of kept.
+func placementOf(kept map[string]profile.Profile, users []string, scans []profile.ZoneScan, margins bool, o *obs.Observer) *Placement {
+	out := &Placement{
+		Assignments: make(map[string]tz.Offset, len(kept)),
+		Histogram:   make([]float64, tz.HoursPerDay),
+		Counts:      make([]int, tz.HoursPerDay),
+	}
+	if margins {
+		out.Margins = make(map[string]float64, len(kept))
+	}
+	for i, userID := range users {
+		if _, ok := kept[userID]; !ok {
+			continue
+		}
+		zi := scans[i].Zone
+		out.Assignments[userID] = profile.OffsetOf(zi)
+		out.Counts[zi]++
+		if margins {
+			out.Margins[userID] = scans[i].Margin
+		}
+	}
+	total := float64(len(kept))
+	for zi, c := range out.Counts {
+		out.Histogram[zi] = float64(c) / total
+	}
+	o.Counter("placement.users_placed").Add(int64(len(kept)))
+	return out
 }
 
 // SingleFit is the single-Gaussian placement fit used for single-country
@@ -372,54 +348,30 @@ func SummarizeMargins(p *Placement) *MarginStats {
 	return s
 }
 
-// GeolocateOptions configures Geolocate.
+// GeolocateOptions configures FitPlacement.
 type GeolocateOptions struct {
-	// Place configures the placement stage.
-	Place PlaceOptions
 	// MaxComponents bounds the GMM model search. Defaults to 4.
 	MaxComponents int
-	// EM tunes the EM runs; Period is forced to 24.
-	EM stats.EMConfig
-	// Obs, when non-nil, is propagated to the placement and EM stages
-	// (unless those carry their own observer already). Observation only.
+	// Parallelism is the number of per-k EM fits run at once (see
+	// stats.EMConfig.Parallelism).
+	Parallelism int
+	// Obs, when non-nil, receives the em-select stage. Observation only.
 	Obs *obs.Observer
 }
 
-// Geolocate runs the full §IV-B pipeline on a polished set of user
-// profiles: EMD placement, then EM-fitted Gaussian mixture with BIC model
-// selection, then the Table II fit-quality metrics. It is exactly
-// PlaceUsers followed by FitPlacement; the split exists so a checkpointing
-// pipeline can resume between the two expensive stages.
-func Geolocate(profiles map[string]profile.Profile, generic profile.Profile, opts GeolocateOptions) (*Geolocation, error) {
-	if opts.Place.Obs == nil {
-		opts.Place.Obs = opts.Obs
-	}
-	placement, err := PlaceUsers(profiles, generic, opts.Place)
-	if err != nil {
-		return nil, err
-	}
-	return FitPlacement(placement, opts)
-}
-
-// FitPlacement runs the model-fitting half of Geolocate on an existing
-// placement: EM mixture selection with BIC, then the Table II fit-quality
-// metrics. The placement may come from a fresh PlaceUsers run or from a
-// stage checkpoint — the result is identical either way.
+// FitPlacement runs the model-fitting half of §IV-B on a placement: EM
+// mixture selection with BIC, then the Table II fit-quality metrics. The
+// placement may come from a fresh run or from a stage checkpoint — the
+// result is identical either way.
 func FitPlacement(placement *Placement, opts GeolocateOptions) (*Geolocation, error) {
 	if opts.MaxComponents == 0 {
 		opts.MaxComponents = 4
 	}
-	emCfg := opts.EM
-	emCfg.Period = tz.HoursPerDay
-	if emCfg.Obs == nil {
-		emCfg.Obs = opts.Obs
-	}
-	if emCfg.Parallelism == 0 {
-		// One knob steers the whole pipeline: a pinned placement pool size
-		// carries over to the per-k EM fits unless EM overrides it.
-		emCfg.Parallelism = opts.Place.Parallelism
-	}
-	res, err := stats.SelectMixture(placement.Samples(), opts.MaxComponents, emCfg)
+	res, err := stats.SelectMixture(placement.Samples(), opts.MaxComponents, stats.EMConfig{
+		Period:      tz.HoursPerDay,
+		Parallelism: opts.Parallelism,
+		Obs:         opts.Obs,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("geoloc: mixture selection: %w", err)
 	}

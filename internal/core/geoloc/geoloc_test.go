@@ -20,7 +20,7 @@ var (
 
 // testGeneric builds (once) a generic profile from a scaled-down synthetic
 // Twitter dataset, exactly as the real pipeline does.
-func testGeneric(t *testing.T) profile.Profile {
+func testGeneric(t testing.TB) profile.Profile {
 	t.Helper()
 	genericOnce.Do(func() {
 		ds, err := synth.TwitterDataset(1001, synth.TwitterOptions{Scale: 40})
@@ -143,7 +143,7 @@ func TestGeolocateMultiCountry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	geo, err := Geolocate(crowdProfiles(t, ds), generic, GeolocateOptions{})
+	geo, err := locate(crowdProfiles(t, ds), generic, LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestGeolocateSingleCountryOneComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	geo, err := Geolocate(crowdProfiles(t, ds), generic, GeolocateOptions{})
+	geo, err := locate(crowdProfiles(t, ds), generic, LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,14 +84,14 @@ func TestSummarizeMargins(t *testing.T) {
 // Geolocation exactly when placement recorded margins.
 func TestGeolocateMarginSummary(t *testing.T) {
 	profiles, generic := randomProfiles(7, 50)
-	off, err := Geolocate(profiles, generic, GeolocateOptions{})
+	off, err := locate(profiles, generic, LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.MarginSummary != nil {
 		t.Fatal("margin summary present with margins off")
 	}
-	on, err := Geolocate(profiles, generic, GeolocateOptions{Place: PlaceOptions{Margins: true}})
+	on, err := locate(profiles, generic, LocateOptions{Margins: true})
 	if err != nil {
 		t.Fatal(err)
 	}

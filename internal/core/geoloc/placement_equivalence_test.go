@@ -53,7 +53,6 @@ func legacyNearestZoneIndex(p profile.Profile, zones []profile.Profile, scratch 
 func TestNearestZoneIndexMatchesLegacy(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
-	dists := make([]float64, tz.HoursPerDay)
 	scratch := make([]float64, 2*tz.HoursPerDay)
 	for trial := 0; trial < 200; trial++ {
 		p := randomProfile(rng)
@@ -66,12 +65,12 @@ func TestNearestZoneIndexMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, margin, err := nearestZoneIndex(p, generic, nil, DistanceCircularEMD, dists, scratch)
+		got, margin, err := PlaceOneMargin(p, generic, PlaceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("trial %d: nearestZoneIndex = %d, legacy %d", trial, got, want)
+			t.Fatalf("trial %d: PlaceOneMargin = %d, legacy %d", trial, got, want)
 		}
 		// The margin must be exactly the per-zone loop's runner-up gap.
 		var all []float64
@@ -96,9 +95,8 @@ func TestNearestZoneIndexUniformTies(t *testing.T) {
 	uniform := profile.Uniform()
 	rng := rand.New(rand.NewSource(8))
 	generic := randomProfile(rng)
-	dists := make([]float64, tz.HoursPerDay)
 	scratch := make([]float64, 2*tz.HoursPerDay)
-	got, _, err := nearestZoneIndex(uniform, generic, nil, DistanceCircularEMD, dists, scratch)
+	got, _, err := PlaceOneMargin(uniform, generic, PlaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +110,14 @@ func TestNearestZoneIndexUniformTies(t *testing.T) {
 }
 
 // TestPlaceUsersSteadyStateAllocs confirms placement's per-user work is
-// allocation-free once the worker scratch exists.
+// allocation-free once the worker's scanner exists.
 func TestPlaceUsersSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := randomProfile(rng)
 	generic := randomProfile(rng)
-	dists := make([]float64, tz.HoursPerDay)
-	scratch := make([]float64, 2*tz.HoursPerDay)
+	var s profile.Scanner
 	avg := testing.AllocsPerRun(100, func() {
-		if _, _, err := nearestZoneIndex(p, generic, nil, DistanceCircularEMD, dists, scratch); err != nil {
+		if _, err := s.Scan(p, generic); err != nil {
 			t.Fatal(err)
 		}
 	})

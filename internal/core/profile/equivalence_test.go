@@ -8,6 +8,7 @@ package profile
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -270,7 +271,9 @@ func TestBuildUserProfilesColumnarMatchesRows(t *testing.T) {
 }
 
 // TestZoneDistancesMatchPerZoneEMD pins the all-rotations kernel wiring
-// (zoneDistances, nearestZone) to the legacy 24-call p.EMD(zone) loop.
+// (zoneDistances, nearestZone) to the legacy 24-call p.EMD(zone) loop, and
+// Scanner.Scan to all three steps: the argmin, the runner-up gap and the
+// flat test.
 func TestZoneDistancesMatchPerZoneEMD(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(44))
@@ -308,6 +311,27 @@ func TestZoneDistancesMatchPerZoneEMD(t *testing.T) {
 		}
 		if got := nearestZone(dists); got != legacyBest {
 			t.Fatalf("trial %d: nearestZone = %d, legacy argmin %d", trial, got, legacyBest)
+		}
+		if trial%5 == 0 {
+			p = Uniform() // flat: at EMD 0 from uniform
+		}
+		var s Scanner
+		got, err := s.Scan(p, generic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := zoneDistances(p, generic, dists, rot, scratch); err != nil {
+			t.Fatal(err)
+		}
+		sorted := append([]float64(nil), dists...)
+		slices.Sort(sorted)
+		flat, err := isFlat(p, Uniform(), generic, dists, rot, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ZoneScan{Zone: nearestZone(dists), Margin: sorted[1] - sorted[0], Flat: flat}
+		if got != want {
+			t.Fatalf("trial %d: Scan = %+v, definition %+v", trial, got, want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"darkcrowd/internal/par"
-	"darkcrowd/internal/stats"
 	"darkcrowd/internal/trace"
 	"darkcrowd/internal/tz"
 )
@@ -168,137 +167,4 @@ func BuildGeneric(ds *trace.Dataset, opts GenericOptions) (*GenericResult, error
 	}
 	res.Generic = generic
 	return res, nil
-}
-
-// PolishResult reports the outcome of flat-profile polishing.
-type PolishResult struct {
-	// Kept maps surviving users to their profiles.
-	Kept map[string]Profile
-	// Removed lists the users discarded as flat, in removal order.
-	Removed []string
-	// Iterations is the number of polish passes run.
-	Iterations int
-}
-
-// Polish implements the iterative flat-profile removal of §IV-C: a user is
-// discarded when their profile is closer (under the circular EMD) to the
-// artificial uniform 1/24 profile than to every one of the 24 time-zone
-// reference profiles derived from the generic profile. Because removing
-// users does not change the reference profiles but the paper applies the
-// procedure "in an iterative way to polish all the generic timezone
-// profiles", Polish optionally rebuilds the generic profile from the kept
-// users after each pass when rebuild is true.
-func Polish(profiles map[string]Profile, generic Profile, rebuild bool) (*PolishResult, error) {
-	kept := make(map[string]Profile, len(profiles))
-	for id, p := range profiles {
-		kept[id] = p
-	}
-	res := &PolishResult{}
-	uniform := Uniform()
-
-	// One all-rotations kernel call per user per pass: the scan records
-	// each user's nearest zone against generic, and the rebuild (which
-	// replaces generic only after the pass) aligns kept users by that
-	// recorded zone. The distance, rotation, and workspace buffers are
-	// reused across every user and pass.
-	dists := make([]float64, tz.HoursPerDay)
-	rot := make([]float64, tz.HoursPerDay)
-	scratch := make([]float64, 2*tz.HoursPerDay)
-
-	const maxIterations = 10
-	for iter := 0; iter < maxIterations; iter++ {
-		res.Iterations = iter + 1
-		ids := SortedUserIDs(kept)
-		zones := make([]int, len(ids)) // nearest zone; -1 marks a flat user
-		removed := 0
-		for i, id := range ids {
-			flat, err := isFlat(kept[id], uniform, generic, dists, rot, scratch)
-			if err != nil {
-				return nil, fmt.Errorf("profile: polish user %q: %w", id, err)
-			}
-			if flat {
-				zones[i] = -1
-				removed++
-			} else {
-				zones[i] = nearestZone(dists)
-			}
-		}
-		if removed == 0 {
-			break
-		}
-		var aligned []Profile
-		for i, id := range ids {
-			if zones[i] < 0 {
-				delete(kept, id)
-				res.Removed = append(res.Removed, id)
-			} else if rebuild {
-				// Align each kept user to its best zone so profiles from
-				// different zones stack.
-				aligned = append(aligned, kept[id].ToLocal(OffsetOf(zones[i])))
-			}
-		}
-		if !rebuild || len(kept) == 0 {
-			break
-		}
-		g, err := Aggregate(aligned)
-		if err != nil {
-			return nil, fmt.Errorf("profile: rebuild generic during polish: %w", err)
-		}
-		generic = g
-	}
-	res.Kept = kept
-	return res, nil
-}
-
-// zoneDistances fills dists[zi] with the circular EMD between p and the
-// zone-zi reference profile derived from generic, for all 24 zones, using
-// one EMDCircularAllRotations call. ZoneProfile(generic, off) is
-// generic.Shift(-off), i.e. the rotation q_r of generic with r = off mod
-// 24; with off = zi + tz.MinOffset the kernel's out[r] lands at
-// dists[zi] = out[(zi + MinOffset) mod 24]. Each value is bit-identical to
-// p.EMD(ZoneProfiles(generic)[zi]) — the kernel keeps EMDCircular's exact
-// accumulation order and Shift copies values without arithmetic.
-//
-// dists and rot must hold 24 floats, scratch 48; all three are reused
-// across calls.
-func zoneDistances(p, generic Profile, dists, rot, scratch []float64) error {
-	rot, err := stats.EMDCircularAllRotations(p[:], generic[:], rot, scratch)
-	if err != nil {
-		return err
-	}
-	for zi := 0; zi < tz.HoursPerDay; zi++ {
-		dists[zi] = rot[(zi+int(tz.MinOffset)+tz.HoursPerDay)%tz.HoursPerDay]
-	}
-	return nil
-}
-
-// isFlat reports whether p is EMD-closer to the uniform profile than to
-// every zone profile derived from generic.
-func isFlat(p, uniform, generic Profile, dists, rot, scratch []float64) (bool, error) {
-	dUniform, err := stats.EMDCircularScratch(p[:], uniform[:], scratch)
-	if err != nil {
-		return false, err
-	}
-	if err := zoneDistances(p, generic, dists, rot, scratch); err != nil {
-		return false, err
-	}
-	for _, dz := range dists {
-		if dz <= dUniform {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// nearestZone returns the zone index with minimal distance, breaking ties
-// toward the lower index (strict less-than scan, matching the historical
-// per-zone loop).
-func nearestZone(dists []float64) int {
-	best := 0
-	for zi := 1; zi < len(dists); zi++ {
-		if dists[zi] < dists[best] {
-			best = zi
-		}
-	}
-	return best
 }

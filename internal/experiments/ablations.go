@@ -15,7 +15,7 @@ import (
 
 // placementAccuracy measures the fraction of users of a labelled dataset
 // placed within one zone of their region's standard offset.
-func (l *Lab) placementAccuracy(dist geoloc.DistanceKind, minPosts int, polish bool) (float64, int, error) {
+func (l *Lab) placementAccuracy(dist geoloc.DistanceKind) (float64, int, error) {
 	gen, err := l.Generic()
 	if err != nil {
 		return 0, 0, err
@@ -24,18 +24,9 @@ func (l *Lab) placementAccuracy(dist geoloc.DistanceKind, minPosts int, polish b
 	if err != nil {
 		return 0, 0, err
 	}
-	buildOpts := l.buildOptions()
-	buildOpts.MinPosts = minPosts
-	profiles, err := profile.BuildUserProfiles(ds, buildOpts)
+	profiles, err := profile.BuildUserProfiles(ds, l.buildOptions())
 	if err != nil {
 		return 0, 0, err
-	}
-	if polish {
-		polished, err := profile.Polish(profiles, gen.Generic, true)
-		if err != nil {
-			return 0, 0, err
-		}
-		profiles = polished.Kept
 	}
 	placeOpts := l.placeOptions()
 	placeOpts.Distance = dist
@@ -74,11 +65,11 @@ func (l *Lab) AblateDistance() (*Result, error) {
 		Title: "Ablation — circular vs linear EMD as the placement distance",
 		Paper: "(design choice: profiles live on the 24-hour circle, so the transport metric should wrap)",
 	}
-	circ, total, err := l.placementAccuracy(geoloc.DistanceCircularEMD, profile.DefaultMinPosts, false)
+	circ, total, err := l.placementAccuracy(geoloc.DistanceCircularEMD)
 	if err != nil {
 		return nil, err
 	}
-	lin, _, err := l.placementAccuracy(geoloc.DistanceLinearEMD, profile.DefaultMinPosts, false)
+	lin, _, err := l.placementAccuracy(geoloc.DistanceLinearEMD)
 	if err != nil {
 		return nil, err
 	}
@@ -123,11 +114,7 @@ func (l *Lab) AblatePolish() (*Result, error) {
 		return nil, err
 	}
 
-	score := func(profs map[string]profile.Profile) (float64, error) {
-		placement, err := geoloc.PlaceUsers(profs, gen.Generic, l.placeOptions())
-		if err != nil {
-			return 0, err
-		}
+	score := func(placement *geoloc.Placement) (float64, error) {
 		fit, err := geoloc.FitSingle(placement)
 		if err != nil {
 			return 0, err
@@ -135,15 +122,19 @@ func (l *Lab) AblatePolish() (*Result, error) {
 		return fit.AvgDistance, nil
 	}
 
-	rawDist, err := score(profiles)
+	raw, err := geoloc.PlaceUsers(profiles, gen.Generic, l.placeOptions())
 	if err != nil {
 		return nil, err
 	}
-	polished, err := profile.Polish(profiles, gen.Generic, true)
+	rawDist, err := score(raw)
 	if err != nil {
 		return nil, err
 	}
-	cleanDist, err := score(polished.Kept)
+	polished, geo, err := l.locate(profiles, gen.Generic, false)
+	if err != nil {
+		return nil, err
+	}
+	cleanDist, err := score(geo.Placement)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +238,7 @@ func (l *Lab) AblateReference() (*Result, error) {
 
 	// (a) Generic-based placement accuracy (within one zone of the truth,
 	// allowing the DST drift).
-	genericAcc, total, err := l.placementAccuracy(geoloc.DistanceCircularEMD, profile.DefaultMinPosts, false)
+	genericAcc, total, err := l.placementAccuracy(geoloc.DistanceCircularEMD)
 	if err != nil {
 		return nil, err
 	}

@@ -193,7 +193,7 @@ func (l *Lab) mixtureExperiment(title, paper string, ds *trace.Dataset, wantOffs
 	if err != nil {
 		return nil, err
 	}
-	geo, err := geoloc.Geolocate(profiles, gen.Generic, l.geoOptions())
+	_, geo, err := l.locate(profiles, gen.Generic, true)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +372,7 @@ func (l *Lab) TableII() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		geo, err := geoloc.Geolocate(profiles, gen.Generic, l.geoOptions())
+		_, geo, err := l.locate(profiles, gen.Generic, true)
 		if err != nil {
 			return nil, err
 		}

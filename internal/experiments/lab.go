@@ -19,7 +19,6 @@ import (
 	"darkcrowd/internal/crawler"
 	"darkcrowd/internal/forum"
 	"darkcrowd/internal/onion"
-	"darkcrowd/internal/stats"
 	"darkcrowd/internal/synth"
 	"darkcrowd/internal/trace"
 	"darkcrowd/internal/tz"
@@ -135,12 +134,12 @@ func (l *Lab) placeOptions() geoloc.PlaceOptions {
 	return geoloc.PlaceOptions{Parallelism: l.cfg.Parallelism}
 }
 
-// geoOptions is the lab's default full-pipeline configuration.
-func (l *Lab) geoOptions() geoloc.GeolocateOptions {
-	return geoloc.GeolocateOptions{
-		Place: l.placeOptions(),
-		EM:    stats.EMConfig{Parallelism: l.cfg.Parallelism},
-	}
+// locate runs the crowd-geolocation step with the lab's parallelism.
+func (l *Lab) locate(profiles map[string]profile.Profile, generic profile.Profile, skipPolish bool) (*profile.PolishResult, *geoloc.Geolocation, error) {
+	return geoloc.LocateCrowd(profiles, generic, geoloc.LocateOptions{
+		SkipPolish:  skipPolish,
+		Parallelism: l.cfg.Parallelism,
+	})
 }
 
 // Twitter returns (building once) the synthetic Twitter dataset.
@@ -274,7 +273,7 @@ func (l *Lab) runForum(name string) (*forumRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	polished, err := profile.Polish(profiles, gen.Generic, true)
+	polished, geo, err := l.locate(profiles, gen.Generic, false)
 	if err != nil {
 		return nil, err
 	}
@@ -285,11 +284,6 @@ func (l *Lab) runForum(name string) (*forumRun, error) {
 		list = append(list, polished.Kept[id])
 	}
 	population, err := profile.Aggregate(list)
-	if err != nil {
-		return nil, err
-	}
-
-	geo, err := geoloc.Geolocate(polished.Kept, gen.Generic, l.geoOptions())
 	if err != nil {
 		return nil, err
 	}

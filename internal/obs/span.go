@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -170,23 +169,12 @@ func (s *Span) Find(name string) *Span {
 	return nil
 }
 
-// WriteTree renders the span tree with durations, item counts, worker
-// counts, throughput and a shard summary:
+// Tree renders the span tree with durations, item counts, worker counts,
+// throughput and a shard summary:
 //
 //	geolocate                      41.8ms
 //	  profile-build                 3.1ms     90 items   8 workers   29032 items/s
 //	    shards: 8, items 11-12, elapsed 0.4ms-0.7ms
-func (s *Span) WriteTree(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	var b strings.Builder
-	s.writeTree(&b, 0)
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// Tree renders WriteTree to a string.
 func (s *Span) Tree() string {
 	if s == nil {
 		return ""

@@ -411,66 +411,37 @@ func Geolocate(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Polishing is cheap and deterministic, so it reruns on resume
-	// instead of being checkpointed.
-	if !cfg.SkipPolish {
-		po := o.Stage("polish")
-		polished, err := profile.Polish(profiles, gen.Generic, true)
-		if err != nil {
-			po.End()
-			return nil, err
-		}
-		res.PolishRemoved = len(polished.Removed)
-		profiles = polished.Kept
-		po.AddItems(int64(len(polished.Kept)))
-		po.Counter("polish.users_kept").Add(int64(len(polished.Kept)))
-		po.Counter("polish.users_removed").Add(int64(len(polished.Removed)))
-		po.End()
+	if err := canceled(); err != nil {
+		return nil, err
 	}
+	// Polishing reruns on resume instead of being checkpointed: it is
+	// deterministic, and its pass 1 is the placement scan.
+	placementRestored, geoRestored := ck.Placement != nil, ck.Geo != nil
+	polished, geo, err := geoloc.LocateCrowd(profiles, gen.Generic, geoloc.LocateOptions{
+		SkipPolish:  cfg.SkipPolish,
+		Margins:     cfg.Margins,
+		Parallelism: cfg.Workers,
+		Context:     cfg.Context,
+		Obs:         o,
+		Placement:   ck.Placement,
+		Geo:         ck.Geo,
+		Placed: func(p *geoloc.Placement) error {
+			ck.Placement = p
+			return save()
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	profiles = polished.Kept
+	res.PolishRemoved = len(polished.Removed)
 	res.ActiveUsers = len(profiles)
-
-	if err := canceled(); err != nil {
-		return nil, err
+	if placementRestored {
+		res.Restored = append(res.Restored, "placement")
 	}
-	var placement *geoloc.Placement
-	if ck.Placement != nil {
-		po := o.Stage("placement")
-		placement = ck.Placement
-		restored(po, "placement")
-		po.End()
+	if geoRestored {
+		res.Restored = append(res.Restored, "em-select")
 	} else {
-		placement, err = geoloc.PlaceUsers(profiles, gen.Generic, geoloc.PlaceOptions{
-			Parallelism: cfg.Workers,
-			Context:     cfg.Context,
-			Obs:         o,
-			Margins:     cfg.Margins,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ck.Placement = placement
-		if err := save(); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := canceled(); err != nil {
-		return nil, err
-	}
-	var geo *geoloc.Geolocation
-	if ck.Geo != nil {
-		eo := o.Stage("em-select")
-		geo = ck.Geo
-		restored(eo, "em-select")
-		eo.End()
-	} else {
-		geo, err = geoloc.FitPlacement(placement, geoloc.GeolocateOptions{
-			Place: geoloc.PlaceOptions{Parallelism: cfg.Workers},
-			Obs:   o,
-		})
-		if err != nil {
-			return nil, err
-		}
 		// The checkpoint is saved before the bootstrap attaches Confidence:
 		// the intervals are a cheap deterministic function of the
 		// checkpointed placement and mixture, so resumes recompute them
@@ -486,7 +457,7 @@ func Geolocate(cfg Config) (*Result, error) {
 		if err := canceled(); err != nil {
 			return nil, err
 		}
-		ci, err := geoloc.BootstrapMixtureCI(placement, geo.Mixture, geoloc.BootstrapOptions{
+		ci, err := geoloc.BootstrapMixtureCI(geo.Placement, geo.Mixture, geoloc.BootstrapOptions{
 			Replicates:  cfg.BootstrapReplicates,
 			Seed:        cfg.BootstrapSeed,
 			Level:       cfg.BootstrapLevel,

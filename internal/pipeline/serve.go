@@ -5,8 +5,11 @@
 // immutable columnar base (trace.ShardedHead's compacted Dataset,
 // checkpointed to a .dcs snapshot) under small mutable ingest tails, with
 // incremental integer cell counts (profile.Accumulator) and a
-// version-keyed zone cache (geoloc.PlaceUsersPartial) keeping per-post
-// work O(changed state) instead of O(corpus).
+// version-keyed cache of each user's zone scan (zone, margin and flat
+// verdict against the generic profile) keeping per-post work O(changed
+// state) instead of O(corpus). A refit is one geoloc.LocateCrowd call
+// with that cache: polish pass 1 runs the kernel only for users whose
+// profile changed, and placement reads pass 1's zones.
 //
 // Concurrency design (DESIGN.md §4i): the hot path is shard → fold →
 // atomic view swap. Mutable per-user state (accumulator cells, zone
@@ -143,14 +146,13 @@ type ServeReport struct {
 	Geo *geoloc.Geolocation `json:"geo"`
 }
 
-// zoneEntry is one cached per-user placement, valid while the user's
-// profile version still matches. margin is the placement margin computed by
-// the same kernel call that picked the zone, so /place serves both from one
-// cache hit.
+// zoneEntry is one user's cached zone scan against the daemon's generic
+// profile (zone, margin and flat verdict from one kernel call), valid
+// while the user's profile version still matches. /place serves the zone
+// and margin from it, and a refit hands it to polish pass 1 as the cache.
 type zoneEntry struct {
-	zone   int
-	margin float64
-	ver    uint64
+	scan profile.ZoneScan
+	ver  uint64
 }
 
 // daemonShard is one user-hash shard of the daemon's mutable read-side
@@ -210,7 +212,7 @@ type Daemon struct {
 	cPosts, cRejects, cCompact *obs.Counter
 	cRefits, cRefitsBg         *obs.Counter
 	cSamplesSame               *obs.Counter
-	cFresh, cCached            *obs.Counter
+	cFresh, cCached, cScans    *obs.Counter
 	cSnapLoads, cSnapWrites    *obs.Counter
 	gPosts, gUsers             *obs.Gauge
 	latIngest, latPlace        *obs.LatencyHist
@@ -263,6 +265,7 @@ func NewDaemon(cfg ServeConfig) (*Daemon, error) {
 	d.cSamplesSame = d.o.Counter("serve.refit_samples_unchanged")
 	d.cFresh = d.o.Counter("serve.placements_fresh")
 	d.cCached = d.o.Counter("serve.placements_cached")
+	d.cScans = d.o.Counter(profile.ZoneScansCounter)
 	d.cSnapLoads = d.o.Counter("serve.snapshot_loads")
 	d.cSnapWrites = d.o.Counter("serve.snapshot_writes")
 	d.gPosts = d.o.Gauge("serve.posts")
@@ -576,7 +579,7 @@ func (d *Daemon) refit() (*ServeReport, error) {
 	}
 	profiles := make(map[string]profile.Profile)
 	versions := make(map[string]uint64)
-	known := make(map[string]int)
+	known := make(map[string]profile.ZoneScan)
 	posts, users := 0, 0
 	for i := range d.shards {
 		sh := &d.shards[i]
@@ -586,7 +589,7 @@ func (d *Daemon) refit() (*ServeReport, error) {
 			profiles[id] = p
 			versions[id] = sv[id]
 			if e, ok := sh.zones[id]; ok && e.ver == sv[id] {
-				known[id] = e.zone
+				known[id] = e.scan
 			}
 		}
 		posts += sh.acc.TotalPosts()
@@ -594,65 +597,52 @@ func (d *Daemon) refit() (*ServeReport, error) {
 		sh.mu.Unlock()
 	}
 
-	if len(profiles) == 0 {
+	polished, geo, err := geoloc.LocateCrowd(profiles, d.generic, geoloc.LocateOptions{
+		SkipPolish:    d.cfg.SkipPolish,
+		MaxComponents: d.cfg.MaxComponents,
+		Parallelism:   d.cfg.Workers,
+		Obs:           d.o,
+		Cache:         known,
+	})
+	if errors.Is(err, geoloc.ErrNoProfiles) {
 		return nil, ErrNoCrowd
 	}
-	polishRemoved := 0
-	kept := profiles
-	if !d.cfg.SkipPolish {
-		po := d.o.Stage("polish")
-		polished, err := profile.Polish(profiles, d.generic, true)
-		po.End()
-		if err != nil {
-			return nil, err
-		}
-		kept = polished.Kept
-		polishRemoved = len(polished.Removed)
-		if len(kept) == 0 {
-			return nil, ErrNoCrowd
-		}
-	}
-	placement, fresh, err := geoloc.PlaceUsersPartial(kept, d.generic, known, geoloc.PlaceOptions{Obs: d.o})
 	if err != nil {
 		return nil, err
 	}
 	if d.o.Enabled() {
 		// Measure how often EM sees the same ordered input twice in a
 		// row, the case an EM memo keyed on that vector would skip.
-		h := samplesHash(placement.Samples())
+		h := samplesHash(geo.Placement.Samples())
 		if d.haveSamples && h == d.lastSamples {
 			d.cSamplesSame.Add(1)
 		}
 		d.lastSamples, d.haveSamples = h, true
 	}
-	geo, err := geoloc.FitPlacement(placement, geoloc.GeolocateOptions{
-		MaxComponents: d.cfg.MaxComponents,
-		Place:         geoloc.PlaceOptions{Parallelism: d.cfg.Workers},
-		Obs:           d.o,
-	})
-	if err != nil {
-		return nil, err
-	}
 	rep := &ServeReport{
 		Gen:           g,
 		Posts:         posts,
 		Users:         users,
-		ActiveUsers:   len(kept),
-		PolishRemoved: polishRemoved,
+		ActiveUsers:   len(polished.Kept),
+		PolishRemoved: len(polished.Removed),
 		Geo:           geo,
 	}
 	d.cRefits.Add(1)
-	d.cFresh.Add(int64(len(fresh)))
-	d.cCached.Add(int64(len(kept) - len(fresh)))
+	d.cFresh.Add(int64(len(profiles) - len(known)))
+	d.cCached.Add(int64(len(known)))
 
-	// Freshly computed zones are valid for the profile versions captured
-	// in the sweep; staleness is re-checked against the live version on
-	// every later read, so writing them back unconditionally is safe even
-	// if the user changed mid-fit.
-	for id, pz := range fresh {
+	// The first scan against d.generic (polish pass 1, or placement
+	// without polishing) is valid for the profile versions captured in
+	// the sweep; staleness is re-checked against the live version on
+	// every later read, so writing fresh scans back unconditionally is
+	// safe even if the user changed mid-fit.
+	for i, id := range polished.IDs {
+		if _, ok := known[id]; ok {
+			continue
+		}
 		sh := &d.shards[d.head.ShardOfString(id)]
 		sh.mu.Lock()
-		sh.zones[id] = zoneEntry{zone: pz.Zone, margin: pz.Margin, ver: versions[id]}
+		sh.zones[id] = zoneEntry{scan: polished.Scans[i], ver: versions[id]}
 		sh.mu.Unlock()
 	}
 	// fitMu makes this the only writer; the newer-generation guard only
@@ -714,7 +704,7 @@ func (d *Daemon) Place(userID string) (PlaceResult, bool) {
 	ver := sh.acc.Version(userID)
 	if e, ok := sh.zones[userID]; ok && e.ver == ver {
 		sh.mu.Unlock()
-		zi, margin := e.zone, e.margin
+		zi, margin := e.scan.Zone, e.scan.Margin
 		res.ZoneIndex = &zi
 		res.Offset = profile.OffsetOf(zi).String()
 		res.Margin = &margin
@@ -723,20 +713,22 @@ func (d *Daemon) Place(userID string) (PlaceResult, bool) {
 	}
 	sh.mu.Unlock()
 	// Compute outside the lock: the EMD kernel needs only the profile
-	// copy. PlaceOneMargin is the same nearest-zone kernel the batch
-	// placement sweeps, minus its map bookkeeping; the margin rides along
-	// from the same all-rotations call.
-	zi, margin, err := geoloc.PlaceOneMargin(p, d.generic, geoloc.PlaceOptions{})
+	// copy. It is the zone scan polish pass 1 runs, so the entry also
+	// serves the next refit.
+	var sc profile.Scanner
+	scan, err := sc.Scan(p, d.generic)
 	if err != nil {
 		return res, true // active but unplaceable; report bare activity
 	}
+	d.cScans.Add(1)
+	zi, margin := scan.Zone, scan.Margin
 	res.ZoneIndex = &zi
 	res.Offset = profile.OffsetOf(zi).String()
 	res.Margin = &margin
 	d.cFresh.Add(1)
 	sh.mu.Lock()
 	if sh.acc.Version(userID) == ver {
-		sh.zones[userID] = zoneEntry{zone: zi, margin: margin, ver: ver}
+		sh.zones[userID] = zoneEntry{scan: scan, ver: ver}
 	}
 	sh.mu.Unlock()
 	return res, true

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +16,9 @@ import (
 
 	"darkcrowd/internal/core/profile"
 	"darkcrowd/internal/obs"
+	"darkcrowd/internal/synth"
 	"darkcrowd/internal/trace"
+	"darkcrowd/internal/tz"
 )
 
 // ndjson renders posts as the daemon's ingest wire format: one trace.Post
@@ -504,5 +507,67 @@ func TestDaemonRefitSamplesUnchanged(t *testing.T) {
 	}
 	if r, u := counters(); r != 3 || u != 1 {
 		t.Errorf("after an ingest that moves a zone: refits=%d unchanged=%d, want 3, 1", r, u)
+	}
+}
+
+// TestDaemonRefitScansDirtyUsers counts kernel calls per refit on a crowd
+// whose polish pass 1 removes nobody: the first refit scans every active
+// user once (polish and placement share the scan), and after k users gain
+// a new activity cell the next refit scans exactly those k.
+func TestDaemonRefitScansDirtyUsers(t *testing.T) {
+	jp, err := tz.ByCode("jp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := synth.GenerateCrowd(3, synth.CrowdConfig{
+		Name:   "dirty-refit",
+		Groups: []synth.Group{{Region: jp, Users: 30, PostsPerUser: 300}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]trace.Post, ds.NumPosts())
+	for i := range rows {
+		rows[i] = ds.Post(i)
+	}
+	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	d, err := NewDaemon(ServeConfig{Reference: testReference(t), RefitDebounce: -1, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	scans := o.Metrics.Counter(profile.ZoneScansCounter)
+
+	mustPost(t, srv.URL, ndjson(rows))
+	rep := getReport(t, srv.URL)
+	if rep.PolishRemoved != 0 {
+		t.Fatalf("premise broken: polish removed %d users", rep.PolishRemoved)
+	}
+	if got := scans.Load(); got != int64(rep.ActiveUsers) {
+		t.Fatalf("cold refit made %d zone scans, want one per active user (%d)", got, rep.ActiveUsers)
+	}
+
+	const k = 3
+	users := make([]string, 0, len(rep.Geo.Placement.Assignments))
+	for id := range rep.Geo.Placement.Assignments {
+		users = append(users, id)
+	}
+	sort.Strings(users)
+	var dirty []trace.Post
+	for i, id := range users[:k] {
+		// A day no user posted on: a new activity cell for each.
+		at := rows[0].Time.Add(time.Duration(1000+i) * 24 * time.Hour)
+		dirty = append(dirty, trace.Post{UserID: id, Time: at})
+	}
+	before := scans.Load()
+	mustPost(t, srv.URL, ndjson(dirty))
+	rep = getReport(t, srv.URL)
+	if rep.PolishRemoved != 0 {
+		t.Fatalf("premise broken: polish removed %d users after the dirtying posts", rep.PolishRemoved)
+	}
+	if got := scans.Load() - before; got != k {
+		t.Errorf("refit after dirtying %d users made %d zone scans, want %d", k, got, k)
 	}
 }

@@ -695,3 +695,29 @@ func TestEMTableMatchesPerSampleEM(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEMSelection measures EM with BIC model selection on 5,600
+// integer placement zones in four peaks, the shape of the scale-4 Table I
+// crowd: the Americas around zone index 5 (UTC-7), Brazil at 9 (UTC-3),
+// Europe at 13 (UTC+1) and Japan at 21 (UTC+9). Users interleave across
+// peaks as they do in sorted-user order.
+func BenchmarkEMSelection(b *testing.B) {
+	peaks := []int{5, 9, 13, 21}
+	weights := []int{4, 1, 4, 1} // users per round, per peak
+	spread := []int{0, 1, -1, 0, 2, 0, -1, 1, -2, 0, 1, -1, 0}
+	samples := make([]float64, 0, 5600)
+	for i := 0; len(samples) < cap(samples); i++ {
+		for j, zone := range peaks {
+			for w := 0; w < weights[j] && len(samples) < cap(samples); w++ {
+				z := (zone + spread[(i+w+3*j)%len(spread)] + 24) % 24
+				samples = append(samples, float64(z))
+			}
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SelectMixture(samples, 4, EMConfig{Period: 24}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -424,14 +424,14 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 }
 
 // TestAppendRFC3339MatchesFormat pins the integer fast-path formatter to
-// the stdlib across edge dates and a wide random sweep, nanoseconds and
-// out-of-range years included (those take the fallback).
+// the stdlib's RFC3339Nano across edge dates and a wide random sweep,
+// nanoseconds and out-of-range years included (those take the fallback).
 func TestAppendRFC3339MatchesFormat(t *testing.T) {
 	t.Parallel()
 	check := func(at time.Time) {
 		t.Helper()
 		got := string(appendRFC3339(nil, at.Unix(), int32(at.Nanosecond())))
-		want := at.UTC().Format(time.RFC3339)
+		want := at.UTC().Format(time.RFC3339Nano)
 		if got != want {
 			t.Fatalf("appendRFC3339(%v) = %q, want %q", at, got, want)
 		}

@@ -20,6 +20,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("user_id,time_rfc3339\n\"u,1\",2017-03-01T10:00:00Z\nu2,2017-12-31T23:59:59Z\n"))
 	f.Add([]byte("user_id,time_rfc3339\nu1,notatime\nu2,2017-03-01T10:00:00Z\n"))
 	f.Add([]byte("user_id,time_rfc3339\nu1,2017-03-01T10:00:00+02:00\n"))
+	f.Add([]byte("user_id,time_rfc3339\nabe,2021-03-04T05:06:07.25Z\nabe,2021-03-04T05:06:08Z\n"))
 	f.Add([]byte("user_id,time_rfc3339"))
 	f.Add([]byte(""))
 	f.Add([]byte("\"\n\x00,"))

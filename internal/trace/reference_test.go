@@ -88,9 +88,8 @@ func refSummary(name string, posts []Post) Summary {
 	return s
 }
 
-// refWholeSeconds is what the CSV format and the ingest head carry: each
-// instant floored to its second (RFC3339 as WriteCSV writes it has no
-// fractional part).
+// refWholeSeconds is what the ingest head carries: each instant floored
+// to its second.
 func refWholeSeconds(posts []Post) []Post {
 	out := make([]Post, len(posts))
 	for i, p := range posts {
@@ -186,7 +185,7 @@ func checkAgainstRows(t *testing.T, posts []Post) {
 		if err != nil {
 			t.Fatalf("IngestCSV of WriteCSV output: %v\n%s", err, csv.Bytes())
 		}
-		sameRows(t, "WriteCSV → IngestCSV", rows(res.Dataset), refWholeSeconds(posts))
+		sameRows(t, "WriteCSV → IngestCSV", rows(res.Dataset), posts)
 	}
 
 	raw := encodeSnapshot(t, d)

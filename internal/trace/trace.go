@@ -569,9 +569,10 @@ func daysIn(year, month int) int {
 
 // appendRFC3339 appends the instant (sec, nsec) — Unix seconds and the
 // sub-second nanoseconds — as RFC3339 in UTC, producing the same bytes as
-// time.Unix(sec, nsec).UTC().Format(time.RFC3339). Whole-second instants in
-// years 0000-9999 — every timestamp this package produces — take an integer
-// fast path; the rest fall back to AppendFormat.
+// time.Unix(sec, nsec).UTC().Format(time.RFC3339Nano): a fraction only
+// when nsec is non-zero, so the CSV round trip keeps sub-second instants.
+// Whole-second instants in years 0000-9999 take an integer fast path; the
+// rest fall back to AppendFormat.
 func appendRFC3339(buf []byte, sec int64, nsec int32) []byte {
 	if nsec == 0 {
 		days := sec / 86400
@@ -596,7 +597,7 @@ func appendRFC3339(buf []byte, sec int64, nsec int32) []byte {
 			return append(buf, 'Z')
 		}
 	}
-	return time.Unix(sec, int64(nsec)).UTC().AppendFormat(buf, time.RFC3339)
+	return time.Unix(sec, int64(nsec)).UTC().AppendFormat(buf, time.RFC3339Nano)
 }
 
 func appendDigits2(buf []byte, v int) []byte {
