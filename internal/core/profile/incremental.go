@@ -1,21 +1,36 @@
 package profile
 
+import "slices"
+
 // Incremental profile accumulation for the streaming ingest daemon. The
 // batch builder (BuildUserProfiles) derives each user's Eq. 1 profile from
 // scratch: sort the packed epochDay*24+h cell keys, count distinct cells
 // per hour, divide. Accumulator maintains exactly those integer counts
-// post-by-post — a per-user set of seen cells, the per-hour distinct-cell
-// tally, and the distinct total — so the profile it emits divides the same
-// integers as fromCellKeys and is therefore bit-identical to the batch
-// build over the same posts, in any arrival order.
+// post-by-post — a per-user sorted set of seen cell keys, the per-hour
+// distinct-cell tally, and the distinct total — so the profile it emits
+// divides the same integers as fromCellKeys and is therefore bit-identical
+// to the batch build over the same posts, in any arrival order.
+//
+// Cost model. A user's cell set is a sorted []int64 of distinct keys, 8
+// bytes per cell. A post whose cell lies past the user's last cell — the
+// common case, since a user's posts mostly arrive in time order — is an
+// append: amortised O(1). Any other post is a binary search, O(log n) for
+// a user with n distinct cells; a hit is a duplicate cell, and a miss
+// inserts the key, a memmove of at most 8n bytes, so O(log n + n).
+//
+// The set is kept here rather than derived from the daemon's trace head:
+// the head folds its tail into an immutable base every 65,536 posts
+// (pipeline.DefaultCompactEvery), so testing a cell for newness against
+// it would mean searching the user's base history and coupling trace to
+// profile.
 //
 // Accumulator is not goroutine-safe; the daemon serializes access under
 // its state lock.
 
 // userCells is one user's running cell tally.
 type userCells struct {
-	posts    int             // raw post count (the MinPosts threshold input)
-	cells    map[int64]int32 // packed cell key -> posts seen in that cell
+	posts    int     // raw post count (the MinPosts threshold input)
+	cells    []int64 // distinct packed cell keys, ascending
 	hours    [HoursPerDay]int32
 	distinct int    // number of distinct cells = sum(hours)
 	version  uint64 // bumped whenever the profile's value changes
@@ -48,7 +63,7 @@ func (a *Accumulator) MinPosts() int { return a.minPosts }
 func (a *Accumulator) Add(userID string, unixSec int64) bool {
 	uc := a.users[userID]
 	if uc == nil {
-		uc = &userCells{cells: make(map[int64]int32)}
+		uc = &userCells{}
 		a.users[userID] = uc
 	}
 	return a.add(uc, unixSec)
@@ -60,7 +75,7 @@ func (a *Accumulator) Add(userID string, unixSec int64) bool {
 func (a *Accumulator) AddBytes(userID []byte, unixSec int64) bool {
 	uc := a.users[string(userID)]
 	if uc == nil {
-		uc = &userCells{cells: make(map[int64]int32)}
+		uc = &userCells{}
 		a.users[string(userID)] = uc
 	}
 	return a.add(uc, unixSec)
@@ -71,9 +86,14 @@ func (a *Accumulator) add(uc *userCells, unixSec int64) bool {
 	a.posts++
 	hour, day := cellOfUnix(unixSec)
 	key := cellKey(hour, day)
-	uc.cells[key]++
-	if uc.cells[key] > 1 {
-		return false
+	if n := len(uc.cells); n == 0 || key > uc.cells[n-1] {
+		uc.cells = append(uc.cells, key)
+	} else {
+		i, found := slices.BinarySearch(uc.cells, key)
+		if found {
+			return false
+		}
+		uc.cells = slices.Insert(uc.cells, i, key)
 	}
 	uc.hours[hour]++
 	uc.distinct++

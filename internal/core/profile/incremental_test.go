@@ -1,8 +1,13 @@
 package profile
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -48,10 +53,52 @@ func profilesBitEqual(t *testing.T, got, want map[string]Profile) {
 	}
 }
 
+// streamOrders returns posts in the arrival orders the accumulator must
+// be indifferent to: three shuffles, time order (every new cell appends),
+// fully reversed time order (every new cell inserts at the front), and
+// per-user time order with users interleaved round-robin.
+func streamOrders(posts []trace.Post) map[string][]trace.Post {
+	orders := make(map[string][]trace.Post)
+	for _, seed := range []int64{0, 1, 2} {
+		shuffled := slices.Clone(posts)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		orders[fmt.Sprintf("shuffle-%d", seed)] = shuffled
+	}
+	sorted := slices.Clone(posts)
+	slices.SortStableFunc(sorted, func(a, b trace.Post) int { return a.Time.Compare(b.Time) })
+	orders["time"] = sorted
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	orders["reversed"] = reversed
+	byUser := make(map[string][]trace.Post)
+	var ids []string
+	for _, p := range sorted {
+		if byUser[p.UserID] == nil {
+			ids = append(ids, p.UserID)
+		}
+		byUser[p.UserID] = append(byUser[p.UserID], p)
+	}
+	var interleaved []trace.Post
+	for len(interleaved) < len(posts) {
+		for _, id := range ids {
+			if q := byUser[id]; len(q) > 0 {
+				interleaved = append(interleaved, q[0])
+				byUser[id] = q[1:]
+			}
+		}
+	}
+	orders["interleaved"] = interleaved
+	return orders
+}
+
 // TestAccumulatorMatchesBatchBuild feeds random streams post-by-post in
-// several shuffled orders and demands the accumulator's active profiles be
+// several arrival orders and demands the accumulator's active profiles be
 // bit-identical to BuildUserProfiles over the same posts — the invariant
-// the streaming daemon's equivalence guarantee rests on.
+// the streaming daemon's equivalence guarantee rests on. A late post that
+// lands in a cell its user already has must change nothing but the post
+// count.
 func TestAccumulatorMatchesBatchBuild(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7} {
 		posts := randomStream(seed, 40, 60)
@@ -60,22 +107,126 @@ func TestAccumulatorMatchesBatchBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, order := range []int64{0, 1, 2} {
-			shuffled := make([]trace.Post, len(posts))
-			copy(shuffled, posts)
-			rand.New(rand.NewSource(order)).Shuffle(len(shuffled), func(i, j int) {
-				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-			})
+		orders := streamOrders(posts)
+		for name, order := range orders {
 			acc := NewAccumulator(10)
-			for _, p := range shuffled {
+			for _, p := range order {
 				acc.Add(p.UserID, p.Time.Unix())
 			}
 			got, _ := acc.ActiveProfiles()
 			profilesBitEqual(t, got, want)
 			if acc.TotalPosts() != len(posts) {
-				t.Fatalf("TotalPosts = %d, want %d", acc.TotalPosts(), len(posts))
+				t.Fatalf("seed %d %s: TotalPosts = %d, want %d", seed, name, acc.TotalPosts(), len(posts))
 			}
 		}
+
+		// Out of order into an existing cell: after the time-ordered
+		// stream, replay each user's earliest post (it is not in the
+		// user's last cell whenever the user has two cells or more).
+		acc := NewAccumulator(10)
+		first := make(map[string]trace.Post)
+		for _, p := range orders["time"] {
+			acc.Add(p.UserID, p.Time.Unix())
+			if _, ok := first[p.UserID]; !ok {
+				first[p.UserID] = p
+			}
+		}
+		late := slices.Clone(posts)
+		for id, p := range first {
+			late = append(late, p)
+			v := acc.Version(id)
+			if acc.Add(id, p.Time.Unix()) {
+				t.Fatalf("seed %d: late post of %s into an existing cell reported a change", seed, id)
+			}
+			if acc.Version(id) != v {
+				t.Fatalf("seed %d: late post of %s into an existing cell bumped the version", seed, id)
+			}
+		}
+		// The replayed posts count towards the threshold like any other.
+		want, err = BuildUserProfiles(trace.NewDataset("late", late), BuildOptions{MinPosts: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := acc.ActiveProfiles()
+		profilesBitEqual(t, got, want)
+	}
+}
+
+// FuzzAccumulatorMatchesBatchBuild decodes the input into (user, second)
+// posts — seconds on both sides of the epoch, a few minutes apart so
+// cells repeat — feeds them one by one, and checks bit for bit that the
+// profiles equal BuildUserProfiles over the same posts and that Add and
+// Version move exactly when a post opens a cell its user has not seen.
+func FuzzAccumulatorMatchesBatchBuild(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 12, 0, 0, 12, 0, 255, 255, 1, 0, 1})
+	f.Add([]byte{2, 10, 0, 2, 9, 0, 2, 8, 0, 2, 10, 0, 3, 0, 128, 3, 255, 127, 3, 0, 128})
+	f.Add(bytes.Repeat([]byte{1, 7, 200}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const minPosts = 2
+		acc := NewAccumulator(minPosts)
+		seen := make(map[string]map[int64]bool)
+		var posts []trace.Post
+		for ; len(data) >= 3; data = data[3:] {
+			id := fmt.Sprintf("u%d", data[0]%4)
+			sec := int64(int16(binary.LittleEndian.Uint16(data[1:3]))) * 317
+			hour, day := cellOfUnix(sec)
+			key := cellKey(hour, day)
+			fresh := !seen[id][key]
+			if seen[id] == nil {
+				seen[id] = make(map[int64]bool)
+			}
+			seen[id][key] = true
+			v := acc.Version(id)
+			if changed := acc.Add(id, sec); changed != fresh {
+				t.Fatalf("post %s@%d: Add = %v, want %v", id, sec, changed, fresh)
+			}
+			if moved := acc.Version(id) != v; moved != fresh {
+				t.Fatalf("post %s@%d: version moved %v, want %v", id, sec, moved, fresh)
+			}
+			posts = append(posts, trace.Post{UserID: id, Time: time.Unix(sec, 0).UTC()})
+		}
+		got, _ := acc.ActiveProfiles()
+		want, err := BuildUserProfiles(trace.NewDataset("fuzz", posts), BuildOptions{MinPosts: minPosts})
+		if err != nil {
+			if !errors.Is(err, ErrNoActivity) || len(got) != 0 {
+				t.Fatalf("batch build: %v; accumulator has %d active users", err, len(got))
+			}
+			return
+		}
+		profilesBitEqual(t, got, want)
+	})
+}
+
+// BenchmarkAccumulatorAdd streams one user's posts, about 5,000 distinct
+// cells at two posts per cell, in time order (the append path), shuffled,
+// and reversed (every new cell inserted at the front), so the cost of
+// out-of-order cells is measured rather than guessed.
+func BenchmarkAccumulatorAdd(b *testing.B) {
+	const cells = 5000
+	secs := make([]int64, 0, 2*cells)
+	for c := int64(0); c < cells; c++ {
+		secs = append(secs, c*3600+60, c*3600+1800)
+	}
+	shuffled := slices.Clone(secs)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	reversed := slices.Clone(secs)
+	slices.Reverse(reversed)
+	for _, bc := range []struct {
+		name string
+		secs []int64
+	}{{"in-order", secs}, {"shuffled", shuffled}, {"reversed", reversed}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc := NewAccumulator(0)
+				for _, sec := range bc.secs {
+					acc.Add("u", sec)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bc.secs)), "ns/post")
+		})
 	}
 }
 

@@ -154,3 +154,36 @@ func mustSpec(t *testing.T, name string) synth.ForumSpec {
 	}
 	return spec
 }
+
+// TestHemisphereLinesDeterministic: the Pedo Support top-user lines come
+// out in MostActiveUsers order, so two runs print the same lines.
+func TestHemisphereLinesDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forum crawl skipped in -short mode")
+	}
+	lab := NewLab(Config{ForumScale: 4})
+	first, err := lab.Hemisphere()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := lab.Hemisphere()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(second.Lines, "\n"), strings.Join(first.Lines, "\n"); got != want {
+		t.Fatalf("second run's lines differ:\n%s\nwant:\n%s", got, want)
+	}
+	fr, err := lab.runForum("Pedo Support Community")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, line := range first.Lines {
+		if rest, ok := strings.CutPrefix(line, "  pedo top user "); ok {
+			order = append(order, rest[:strings.IndexByte(rest, ':')])
+		}
+	}
+	if want := geoloc.MostActiveUsers(fr.scraped, 5); strings.Join(order, ",") != strings.Join(want, ",") {
+		t.Fatalf("pedo top users printed as %v, want MostActiveUsers order %v", order, want)
+	}
+}

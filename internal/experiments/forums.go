@@ -223,7 +223,10 @@ func (l *Lab) Hemisphere() (*Result, error) {
 	}
 	counts := map[tz.Hemisphere]int{}
 	matches, classified := 0, 0
-	for u, v := range verdicts {
+	// Print in MostActiveUsers order (the order ClassifyTopUsers picked
+	// them in), not map order, so the lines are the same on every run.
+	for _, u := range geoloc.MostActiveUsers(fr.scraped, 5) {
+		v := verdicts[u]
 		if v == nil {
 			res.Lines = append(res.Lines, fmt.Sprintf("  pedo top user %s: insufficient seasonal activity", u))
 			continue

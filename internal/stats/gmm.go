@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
+	"time"
 
 	"darkcrowd/internal/obs"
 	"darkcrowd/internal/par"
@@ -373,7 +375,8 @@ func bicScore(k, n int, ll float64) float64 {
 // The per-k EM runs are independent, so they execute on cfg.Parallelism
 // workers; every run is deterministic and the winner is picked by scanning
 // the results in k order (ties go to the smaller model), so the outcome
-// matches the sequential loop exactly.
+// matches the sequential loop exactly. If some k fail outright, the error
+// of the smallest failing k is returned, at any worker count.
 //
 // Degraded per-k fits (see FitMixtureEM) do not abort selection: their best
 // recoverable models stay in the BIC race alongside the healthy candidates.
@@ -381,6 +384,12 @@ func bicScore(k, n int, ll float64) float64 {
 // nil error and the Degraded field set — the model is the best available
 // estimate, and the caller decides whether that warrants a warning.
 func SelectMixture(samples []float64, maxK int, cfg EMConfig) (EMResult, error) {
+	return selectMixture(samples, maxK, cfg, FitMixtureEM)
+}
+
+// selectMixture is SelectMixture over a given per-k fit, so tests can make
+// chosen k fail.
+func selectMixture(samples []float64, maxK int, cfg EMConfig, fit func([]float64, int, EMConfig) (EMResult, error)) (EMResult, error) {
 	cfg = cfg.withDefaults()
 	if maxK <= 0 {
 		return EMResult{}, fmt.Errorf("stats: maxK must be positive, got %d", maxK)
@@ -394,34 +403,42 @@ func SelectMixture(samples []float64, maxK int, cfg EMConfig) (EMResult, error) 
 	}
 	o := cfg.Obs.Stage("em-select")
 	defer o.End()
-	o.SetWorkers(par.Workers(cfg.Parallelism, kMax))
-	// A typed-nil *Span must not become a non-nil ShardObserver.
-	var so par.ShardObserver
-	if sp := o.SpanRef(); sp != nil {
-		so = sp
-	}
+	workers := par.Workers(cfg.Parallelism, kMax)
+	o.SetWorkers(workers)
+	sp := o.SpanRef()
+	// An EM iteration costs O(k·n), so the fits grow with k. Workers take
+	// k from kMax down through a shared counter: the slowest fits start
+	// first and whichever worker frees up takes the next smaller k, where
+	// contiguous k ranges left one worker with all the large fits. Results
+	// and errors are stored by k, so nothing depends on who ran what.
 	results := make([]EMResult, kMax)
-	err := par.RangesObserved(nil, cfg.Parallelism, kMax, func(start, end int) error {
-		for i := start; i < end; i++ {
-			res, err := FitMixtureEM(samples, i+1, cfg)
+	errs := make([]error, kMax)
+	var next atomic.Int64
+	next.Store(int64(kMax))
+	err := par.Ranges(nil, workers, workers, func(w, _ int) error {
+		for i := int(next.Add(-1)); i >= 0; i = int(next.Add(-1)) {
+			began := time.Now()
+			res, err := fit(samples, i+1, cfg)
 			var deg *FitDegradedError
 			if errors.As(err, &deg) {
 				// A degraded fit still carries the best recoverable model.
 				// It stays in the BIC race: aborting model selection because
 				// one candidate k failed to converge would discard every
 				// healthy candidate along with it.
-				results[i] = deg.Result
-				continue
+				res, err = deg.Result, nil
 			}
-			if err != nil {
-				return fmt.Errorf("stats: EM with k=%d: %w", i+1, err)
-			}
-			results[i] = res
+			results[i], errs[i] = res, err
+			sp.ShardDone(w, i, i+1, time.Since(began)) // nil-safe
 		}
 		return nil
-	}, so)
+	})
 	if err != nil {
 		return EMResult{}, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return EMResult{}, fmt.Errorf("stats: EM with k=%d: %w", i+1, err)
+		}
 	}
 	best := results[0]
 	for _, res := range results[1:] {

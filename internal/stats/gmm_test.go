@@ -5,8 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"darkcrowd/internal/obs"
 )
 
 // sampleMixture draws n deterministic samples from the mixture on a
@@ -718,6 +722,71 @@ func BenchmarkEMSelection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := SelectMixture(samples, 4, EMConfig{Period: 24}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSelectMixtureSameAtAnyWorkerCount: the per-k fits are handed out
+// largest k first through a shared counter, so which worker runs which k
+// depends on scheduling; the selected model must not. Every k is fitted
+// and reported exactly once.
+func TestSelectMixtureSameAtAnyWorkerCount(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(5))
+	samples := sampleMixture(rng, Mixture{
+		{Weight: 0.6, Mean: 2, Sigma: 2.5},
+		{Weight: 0.4, Mean: 14, Sigma: 2.5},
+	}, 600)
+	const maxK = 6
+	var want EMResult
+	for i, workers := range []int{1, 2, 7} {
+		root := obs.StartSpan("test")
+		res, err := SelectMixture(samples, maxK, EMConfig{Period: 24, Parallelism: workers, Obs: &obs.Observer{Span: root}})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if i == 0 {
+			want = res
+		} else if !reflect.DeepEqual(res, want) {
+			t.Fatalf("workers %d: %+v, want %+v", workers, res, want)
+		}
+		span := root.Children()[0]
+		seen := make([]int, maxK)
+		for _, sh := range span.Shards() {
+			for k := sh.Start; k < sh.End; k++ {
+				seen[k]++
+			}
+		}
+		for k, n := range seen {
+			if n != 1 {
+				t.Fatalf("workers %d: k=%d fitted %d times, want 1", workers, k+1, n)
+			}
+		}
+	}
+}
+
+// TestSelectMixtureLowestFailingKWins: when k=2 and k=3 both fail, the
+// k=2 error is returned at every worker count, even though k=3 is handed
+// out first and fails first here.
+func TestSelectMixtureLowestFailingKWins(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(9))
+	samples := sampleMixture(rng, Mixture{{Weight: 1, Mean: 8, Sigma: 2.5}}, 200)
+	errK2, errK3 := errors.New("k2 failed"), errors.New("k3 failed")
+	fit := func(samples []float64, k int, cfg EMConfig) (EMResult, error) {
+		switch k {
+		case 2:
+			time.Sleep(5 * time.Millisecond)
+			return EMResult{}, errK2
+		case 3:
+			return EMResult{}, errK3
+		}
+		return FitMixtureEM(samples, k, cfg)
+	}
+	for _, workers := range []int{1, 2, 7} {
+		_, err := selectMixture(samples, 4, EMConfig{Period: 24, Parallelism: workers}, fit)
+		if !errors.Is(err, errK2) || !strings.Contains(err.Error(), "k=2") {
+			t.Fatalf("workers %d: err = %v, want the k=2 error", workers, err)
 		}
 	}
 }

@@ -25,10 +25,12 @@ package trace
 //     back to readCSV wholesale. The fast path only handles byte shapes
 //     whose csv semantics are trivially the identity.
 //
-// The fused-ingest hook rides on the same pass: with CollectCells set,
-// the shard loop also emits the integer profile cell (epochDay*24+hour,
-// i.e. floor(unixSec/3600)) per post, so profile building can skip its
-// re-scan of the store (see profile.BuildUserProfilesFused).
+// The fused-ingest hook rides on the same result: with CollectCells set,
+// IngestResult.Cells hands profile building the integer profile cell
+// (epochDay*24+hour, i.e. floor(unixSec/3600)) of each user's posts,
+// computed from the store's seconds column as they are read, so no
+// per-post cell column is written or merged (see
+// profile.BuildUserProfilesFused).
 
 import (
 	"bytes"
@@ -60,8 +62,8 @@ type IngestOptions struct {
 	// Workers is the shard parallelism (<=0 selects GOMAXPROCS; clamped
 	// like par.Workers). The parsed result is bit-identical at any value.
 	Workers int
-	// CollectCells additionally emits the integer UTC profile cell of
-	// every post during the parse, fusing ingest with the first half of
+	// CollectCells additionally returns IngestResult.Cells, the per-user
+	// integer UTC profile cells, fusing ingest with the first half of
 	// profile building.
 	CollectCells bool
 }
@@ -79,10 +81,10 @@ type IngestResult struct {
 // UserCells is the fused-ingest product: per-post integer profile cells
 // (epochDay*24+hour, UTC) grouped per user through the columnar index.
 // It feeds profile.BuildUserProfilesFused the exact sequence of keys the
-// unfused path would recompute from the store's timestamp column.
+// unfused path would recompute from the store's timestamp column; the
+// keys are derived from that column on demand, so it holds only the store.
 type UserCells struct {
 	store *Store
-	keys  []int64 // per post, dataset order: floor(unixSec/3600)
 }
 
 // NumUsers returns the number of distinct users.
@@ -101,7 +103,7 @@ func (c *UserCells) Store() *Store { return c.store }
 // to buf and returns it — the fused twin of Store.AppendUserTimes.
 func (c *UserCells) AppendUserKeys(buf []int64, u int) []int64 {
 	for _, pos := range c.store.posts[c.store.offsets[u]:c.store.offsets[u+1]] {
-		buf = append(buf, c.keys[pos])
+		buf = append(buf, floorDiv3600(c.store.when[pos]))
 	}
 	return buf
 }
@@ -142,7 +144,7 @@ func IngestCSV(name string, data []byte, opts IngestOptions) (*IngestResult, err
 	shards := make([]*shardResult, workers)
 	if err := par.Ranges(nil, workers, workers, func(start, end int) error {
 		for k := start; k < end; k++ {
-			shards[k] = parseShard(data[cuts[k]:cuts[k+1]], opts.Lenient, keep, opts.CollectCells)
+			shards[k] = parseShard(data[cuts[k]:cuts[k+1]], opts.Lenient, keep)
 		}
 		return nil
 	}); err != nil {
@@ -163,13 +165,8 @@ func ingestSequential(name string, data []byte, opts IngestOptions) (*IngestResu
 		return nil, err
 	}
 	res := &IngestResult{Dataset: ds, Report: report}
-	s := ds.Index()
 	if opts.CollectCells {
-		keys := make([]int64, len(s.when))
-		for i, sec := range s.when {
-			keys[i] = floorDiv3600(sec)
-		}
-		res.Cells = &UserCells{store: s, keys: keys}
+		res.Cells = &UserCells{store: ds.Index()}
 	}
 	return res, nil
 }
@@ -308,7 +305,6 @@ type shardResult struct {
 	lookup  map[string]int32 // user ID -> shard-local index
 	userOf  []int32          // per post: shard-local user index
 	when    []int64          // per post: Unix seconds (floor)
-	cells   []int64          // per post: floorDiv3600(when), if collecting
 	nanoAt  []int32          // shard-local post indices with sub-second parts
 	nanoNS  []int32          // parallel to nanoAt: their nanoseconds
 	lines   int              // physical lines consumed
@@ -329,7 +325,7 @@ func (sh *shardResult) addBad(b shardBad, lenient bool, keep int) (stop bool) {
 
 // record processes one well-formed csv row (user, timestamp fields as raw
 // bytes) and reports whether the shard should stop.
-func (sh *shardResult) record(user, ts []byte, lenient bool, keep int, collectCells bool) (stop bool) {
+func (sh *shardResult) record(user, ts []byte, lenient bool, keep int) (stop bool) {
 	sec, t, fast, err := parseStamp(ts)
 	if err != nil {
 		return sh.addBad(shardBad{rec: sh.recs, timeErr: err, raw: string(ts)}, lenient, keep)
@@ -352,9 +348,6 @@ func (sh *shardResult) record(user, ts []byte, lenient bool, keep int, collectCe
 	}
 	sh.userOf = append(sh.userOf, u)
 	sh.when = append(sh.when, sec)
-	if collectCells {
-		sh.cells = append(sh.cells, floorDiv3600(sec))
-	}
 	return false
 }
 
@@ -362,16 +355,13 @@ func (sh *shardResult) record(user, ts []byte, lenient bool, keep int, collectCe
 // '\r'-free lines with two plain comma-separated fields — byte shapes
 // where csv parsing is the identity — and anything containing '\r' is
 // delegated to a one-line encoding/csv reader.
-func parseShard(seg []byte, lenient bool, keep int, collectCells bool) *shardResult {
+func parseShard(seg []byte, lenient bool, keep int) *shardResult {
 	sh := &shardResult{lookup: make(map[string]int32)}
 	// Size the columns once: a line holds at most one post, and counting
 	// newlines is far cheaper than growing the columns by appends.
 	lines := bytes.Count(seg, []byte{'\n'}) + 1
 	sh.userOf = make([]int32, 0, lines)
 	sh.when = make([]int64, 0, lines)
-	if collectCells {
-		sh.cells = make([]int64, 0, lines)
-	}
 	rest := seg
 	for len(rest) > 0 {
 		nl := bytes.IndexByte(rest, '\n')
@@ -401,7 +391,7 @@ func parseShard(seg []byte, lenient bool, keep int, collectCells bool) *shardRes
 				}
 				continue
 			}
-			if sh.record([]byte(fields[0]), []byte(fields[1]), lenient, keep, collectCells) {
+			if sh.record([]byte(fields[0]), []byte(fields[1]), lenient, keep) {
 				return sh
 			}
 			continue
@@ -421,7 +411,7 @@ func parseShard(seg []byte, lenient bool, keep int, collectCells bool) *shardRes
 			}
 			continue
 		}
-		if sh.record(raw[:comma], raw[comma+1:], lenient, keep, collectCells) {
+		if sh.record(raw[:comma], raw[comma+1:], lenient, keep) {
 			return sh
 		}
 	}
@@ -511,10 +501,6 @@ func mergeShards(name string, shards []*shardResult, headerLines int, opts Inges
 	userOf := make([]int32, totalPosts)
 	when := make([]int64, totalPosts)
 	var nanoAt, nanoNS []int32
-	var cells []int64
-	if opts.CollectCells {
-		cells = make([]int64, totalPosts)
-	}
 	for k, sh := range shards {
 		base := postOff[k]
 		remap := make([]int32, len(sh.dict))
@@ -535,15 +521,12 @@ func mergeShards(name string, shards []*shardResult, headerLines int, opts Inges
 			nanoAt = append(nanoAt, int32(base)+at)
 			nanoNS = append(nanoNS, sh.nanoNS[j])
 		}
-		if opts.CollectCells {
-			copy(cells[base:], sh.cells)
-		}
 	}
 
 	s := newStore(ids, userOf, when, nanoAt, nanoNS)
 	res := &IngestResult{Dataset: &Dataset{Name: name, s: s}, Report: report}
 	if opts.CollectCells {
-		res.Cells = &UserCells{store: s, keys: cells}
+		res.Cells = &UserCells{store: s}
 	}
 	return res, nil
 }

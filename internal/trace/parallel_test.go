@@ -292,8 +292,16 @@ func TestIngestQuotedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IngestCSV: %v", err)
 	}
-	if res.Cells == nil || len(res.Cells.keys) != 2 {
-		t.Fatalf("quoted fallback cells missing: %+v", res.Cells)
+	if res.Cells == nil {
+		t.Fatal("quoted fallback cells missing")
+	}
+	// Both posts fall in the first hour of 2021-01-01 UTC.
+	var keys []int64
+	for u := 0; u < res.Cells.NumUsers(); u++ {
+		keys = res.Cells.AppendUserKeys(keys, u)
+	}
+	if want := int64(1609459200 / 3600); len(keys) != 2 || keys[0] != want || keys[1] != want {
+		t.Fatalf("quoted fallback cells = %v, want two posts in cell %d", keys, want)
 	}
 	if got := res.Dataset.Post(0).UserID; got != "u,1" {
 		t.Fatalf("quoted field mangled: %q", got)
