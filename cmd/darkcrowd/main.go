@@ -308,7 +308,7 @@ func cmdProfile(args []string) error {
 		if len(posts) == 0 {
 			return fmt.Errorf("user %q not in trace", *user)
 		}
-		p, err := profile.FromPosts(posts, profile.UTCHours())
+		p, err := profile.FromPosts(posts, profile.UTCCells())
 		if err != nil {
 			return err
 		}
@@ -365,7 +365,7 @@ func cmdSnapshot(args []string) error {
 	fs := flag.NewFlagSet("snapshot", flag.ContinueOnError)
 	in := fs.String("in", "crowd.csv", "input CSV trace (UTC timestamps)")
 	out := fs.String("out", "", "output snapshot path (default: <in>.dcs)")
-	workers := fs.Int("ingest-workers", 0, "parser worker goroutines (0 = all cores); output is identical for every setting")
+	workers := fs.Int("workers", 0, "parser worker goroutines (0 = all cores); output is identical for every setting")
 	lenient := fs.Bool("lenient", false, "quarantine malformed trace rows instead of failing (report on stderr)")
 	maxBadRows := fs.Int("max-bad-rows", 0, "with -lenient, fail after this many bad rows (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
@@ -408,7 +408,6 @@ func cmdGeolocate(args []string) error {
 	lenient := fs.Bool("lenient", false, "quarantine malformed trace rows instead of failing (report on stderr)")
 	maxBadRows := fs.Int("max-bad-rows", 0, "with -lenient, fail after this many bad rows (0 = unlimited)")
 	snapshot := fs.String("snapshot", "", "binary snapshot cache: load the trace from this .dcs file if it exists, else ingest the CSV and write it (empty = off)")
-	ingestWorkers := fs.Int("ingest-workers", 0, "CSV parser worker goroutines (0 = all cores); output is identical for every setting")
 	ckpt := fs.String("checkpoint", "", "stage checkpoint file: an interrupted run resumes from it (empty = off)")
 	outPath := fs.String("out", "", "also write the full geolocation result as JSON to this path")
 	margins := fs.Bool("margins", false, "record per-user placement margins (best-vs-runner-up EMD gap) and a margin summary")
@@ -430,7 +429,6 @@ func cmdGeolocate(args []string) error {
 		Lenient:        *lenient,
 		MaxBadRows:     *maxBadRows,
 		SnapshotPath:   *snapshot,
-		IngestWorkers:  *ingestWorkers,
 		MinPosts:       *minPosts,
 		SkipPolish:     *skipPolish,
 		Workers:        *workers,

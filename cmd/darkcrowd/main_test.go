@@ -234,7 +234,7 @@ func TestSnapshotCommand(t *testing.T) {
 		t.Fatalf("generate: %v", err)
 	}
 	snapPath := filepath.Join(dir, "crowd.dcs")
-	if err := run([]string{"snapshot", "-in", csvPath, "-out", snapPath, "-ingest-workers", "3"}); err != nil {
+	if err := run([]string{"snapshot", "-in", csvPath, "-out", snapPath, "-workers", "3"}); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	raw, err := os.ReadFile(snapPath)
@@ -265,7 +265,7 @@ func TestSnapshotCommand(t *testing.T) {
 	geoArgs := []string{"geolocate", "-in", csvPath, "-twitter-scale", "300"}
 	want := captureStdout(t, func() error { return run(geoArgs) })
 	fresh := filepath.Join(dir, "fresh.dcs")
-	withSnap := append(geoArgs, "-snapshot", fresh, "-ingest-workers", "5")
+	withSnap := append(geoArgs, "-snapshot", fresh, "-workers", "5")
 	if got := captureStdout(t, func() error { return run(withSnap) }); got != want {
 		t.Errorf("snapshot-writing geolocate diverged:\n%s\nvs\n%s", got, want)
 	}

@@ -140,6 +140,7 @@ func PlaceUsers(profiles map[string]profile.Profile, generic profile.Profile, op
 
 // PlaceOneMargin places a single profile — the per-user form of
 // PlaceUsers — and returns its zone index and placement margin.
+// Kept only for bench/traced.go; delete with the bench-spans item.
 func PlaceOneMargin(p, generic profile.Profile, opts PlaceOptions) (int, float64, error) {
 	if opts.Distance == DistanceLinearEMD {
 		return nearestLinear(p, profile.ZoneProfiles(generic))

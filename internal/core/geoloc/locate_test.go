@@ -132,7 +132,7 @@ func TestLocateCrowdMatchesThreeStepDefinition(t *testing.T) {
 			kept := c.profiles
 			var want *profile.PolishResult
 			if polish {
-				if want, err = profile.Polish(c.profiles, c.generic, true); err != nil {
+				if want, err = profile.PolishWith(c.profiles, c.generic, true, profile.ScanOptions{}); err != nil {
 					t.Fatal(err)
 				}
 				if len(want.Removed) == 0 {

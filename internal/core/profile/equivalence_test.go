@@ -16,18 +16,18 @@ import (
 	"darkcrowd/internal/tz"
 )
 
-// legacyHourOf is the pre-optimization bucketing contract: hour bin plus a
+// legacyCellOf is the pre-optimization bucketing contract: hour bin plus a
 // calendar-day string key.
-type legacyHourOf func(t time.Time) (hour int, day string)
+type legacyCellOf func(t time.Time) (hour int, day string)
 
-func legacyUTCHours() legacyHourOf {
+func legacyUTCCells() legacyCellOf {
 	return func(t time.Time) (int, string) {
 		u := t.UTC()
 		return u.Hour(), u.Format("2006-01-02")
 	}
 }
 
-func legacyLocalHours(region tz.Region) legacyHourOf {
+func legacyLocalCells(region tz.Region) legacyCellOf {
 	return func(t time.Time) (int, string) {
 		local := region.LocalTime(t)
 		return local.Hour(), local.Format("2006-01-02")
@@ -36,12 +36,12 @@ func legacyLocalHours(region tz.Region) legacyHourOf {
 
 // legacyFromPosts is the pre-optimization Eq. 1 builder: map[string]bool
 // dedup over fmt.Sprintf cell keys.
-func legacyFromPosts(posts []trace.Post, hourOf legacyHourOf) (Profile, error) {
+func legacyFromPosts(posts []trace.Post, cellOf legacyCellOf) (Profile, error) {
 	seen := make(map[string]bool)
 	var counts [HoursPerDay]float64
 	var total float64
 	for _, post := range posts {
-		h, day := hourOf(post.Time)
+		h, day := cellOf(post.Time)
 		key := fmt.Sprintf("%s#%02d", day, h)
 		if seen[key] {
 			continue
@@ -93,56 +93,44 @@ func equivalenceRegions(t *testing.T) []tz.Region {
 	return out
 }
 
-// TestHourOfMatchesLegacyStringKeys pins the re-typed HourOf (and the
-// columnar CellOf) to the legacy time.Format implementation: same hour, and
-// a day key that distinguishes exactly the same calendar days.
-func TestHourOfMatchesLegacyStringKeys(t *testing.T) {
+// legacyDay renders an epoch-day key as the legacy "2006-01-02" string.
+func legacyDay(epochDay int64) string {
+	return time.Unix(epochDay*86400, 0).UTC().Format("2006-01-02")
+}
+
+// TestCellOfMatchesLegacyStringKeys pins CellOf to the legacy time.Format
+// implementation at whole-second resolution: same hour, and an epoch-day
+// key naming the same calendar day as the legacy string key.
+func TestCellOfMatchesLegacyStringKeys(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(41))
 	times := randomTimes(rng, 3000)
 	regions := equivalenceRegions(t)
 	for _, tc := range []struct {
 		name   string
-		hourOf HourOf
 		cells  CellOf
-		legacy legacyHourOf
+		legacy legacyCellOf
 	}{
-		{"utc", UTCHours(), UTCCells(), legacyUTCHours()},
-		{"de", LocalHours(regions[0]), LocalCells(regions[0]), legacyLocalHours(regions[0])},
-		{"jp", LocalHours(regions[1]), LocalCells(regions[1]), legacyLocalHours(regions[1])},
-		{"us-ca", LocalHours(regions[2]), LocalCells(regions[2]), legacyLocalHours(regions[2])},
-		{"au-nsw", LocalHours(regions[3]), LocalCells(regions[3]), legacyLocalHours(regions[3])},
+		{"utc", UTCCells(), legacyUTCCells()},
+		{"de", LocalCells(regions[0]), legacyLocalCells(regions[0])},
+		{"jp", LocalCells(regions[1]), legacyLocalCells(regions[1])},
+		{"us-ca", LocalCells(regions[2]), legacyLocalCells(regions[2])},
+		{"au-nsw", LocalCells(regions[3]), legacyLocalCells(regions[3])},
 	} {
-		dayOfString := map[string]int64{}
-		stringOfDay := map[int64]string{}
 		for _, at := range times {
-			h, day := tc.hourOf(at)
+			h, day := tc.cells(at.Unix())
 			lh, lday := tc.legacy(at)
-			if h != lh {
-				t.Fatalf("%s: hour(%v) = %d, legacy %d", tc.name, at, h, lh)
-			}
-			// The integer day key must induce the same partition into days
-			// as the legacy string key (bijective on observed days).
-			if prev, ok := dayOfString[lday]; ok && prev != day {
-				t.Fatalf("%s: day %q mapped to both %d and %d", tc.name, lday, prev, day)
-			}
-			if prev, ok := stringOfDay[day]; ok && prev != lday {
-				t.Fatalf("%s: day key %d mapped to both %q and %q", tc.name, day, prev, lday)
-			}
-			dayOfString[lday] = day
-			stringOfDay[day] = lday
-			// CellOf must agree with HourOf at whole-second resolution.
-			ch, cday := tc.cells(at.Unix())
-			if ch != h || cday != day {
-				t.Fatalf("%s: CellOf(%d) = (%d,%d), HourOf = (%d,%d)", tc.name, at.Unix(), ch, cday, h, day)
+			if h != lh || legacyDay(day) != lday {
+				t.Fatalf("%s: CellOf(%v) = (%d, %s), legacy (%d, %s)", tc.name, at, h, legacyDay(day), lh, lday)
 			}
 		}
 	}
 }
 
-// TestHourOfDSTBoundaries sweeps second-by-second windows around every DST
-// transition of 2017 for a northern and a southern region.
-func TestHourOfDSTBoundaries(t *testing.T) {
+// TestCellOfDSTBoundaries sweeps windows around every DST transition of
+// 2017 for northern and southern regions, comparing LocalCells with the
+// legacy bucketing.
+func TestCellOfDSTBoundaries(t *testing.T) {
 	t.Parallel()
 	regions := equivalenceRegions(t)
 	boundaries := []time.Time{}
@@ -159,21 +147,41 @@ func TestHourOfDSTBoundaries(t *testing.T) {
 		t.Fatal("no DST boundaries found in catalogue regions")
 	}
 	for _, r := range regions {
-		hourOf, cells, legacy := LocalHours(r), LocalCells(r), legacyLocalHours(r)
+		cells, legacy := LocalCells(r), legacyLocalCells(r)
 		for _, b := range boundaries {
 			for s := -3700; s <= 3700; s += 97 {
 				at := b.Add(time.Duration(s) * time.Second)
-				h, day := hourOf(at)
-				lh, _ := legacy(at)
-				if h != lh {
-					t.Fatalf("%s at %v: hour %d, legacy %d", r.Code, at, h, lh)
-				}
-				ch, cday := cells(at.Unix())
-				if ch != h || cday != day {
-					t.Fatalf("%s at %v: CellOf disagrees with HourOf", r.Code, at)
+				h, day := cells(at.Unix())
+				lh, lday := legacy(at)
+				if h != lh || legacyDay(day) != lday {
+					t.Fatalf("%s at %v: CellOf (%d, %s), legacy (%d, %s)", r.Code, at, h, legacyDay(day), lh, lday)
 				}
 			}
 		}
+	}
+}
+
+// TestFloorDiv3600MatchesCellKey pins the build's default key:
+// floorDiv3600(sec) is cellKey(cellOfUnix(sec)) at pre-1970 instants, on
+// both sides of hour and day edges, around ±2^40 s and at random seconds.
+func TestFloorDiv3600MatchesCellKey(t *testing.T) {
+	t.Parallel()
+	check := func(sec int64) {
+		if got, want := floorDiv3600(sec), cellKey(cellOfUnix(sec)); got != want {
+			t.Fatalf("floorDiv3600(%d) = %d, cellKey(cellOfUnix) = %d", sec, got, want)
+		}
+	}
+	const big = int64(1) << 40
+	edges := []int64{0, 3600, -3600, 7200, -7200, 86400, -86400, 1509494400, -31536000,
+		big, -big, big / 3600 * 3600, -big / 3600 * 3600, big / 86400 * 86400, -big / 86400 * 86400}
+	for _, e := range edges {
+		for d := int64(-2); d <= 2; d++ {
+			check(e + d)
+		}
+	}
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < 100000; i++ {
+		check(rng.Int63n(2*big+1) - big)
 	}
 }
 
@@ -192,13 +200,13 @@ func TestFromPostsMatchesLegacy(t *testing.T) {
 		region := regions[trial%len(regions)]
 		for _, tc := range []struct {
 			name   string
-			hourOf HourOf
-			legacy legacyHourOf
+			cells  CellOf
+			legacy legacyCellOf
 		}{
-			{"utc", UTCHours(), legacyUTCHours()},
-			{region.Code, LocalHours(region), legacyLocalHours(region)},
+			{"utc", UTCCells(), legacyUTCCells()},
+			{region.Code, LocalCells(region), legacyLocalCells(region)},
 		} {
-			got, err := FromPosts(posts, tc.hourOf)
+			got, err := FromPosts(posts, tc.cells)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,19 +241,18 @@ func TestBuildUserProfilesColumnarMatchesRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, frame := range []struct {
-		name   string
-		cells  CellOf
-		hourOf HourOf
+		name  string
+		cells CellOf
 	}{
-		{"utc", nil, UTCHours()},
-		{"de", LocalCells(de), LocalHours(de)},
+		{"utc", nil},
+		{"de", LocalCells(de)},
 	} {
 		rows := make(map[string]Profile)
 		for id, posts := range ds.ByUser() {
 			if len(posts) < 10 {
 				continue
 			}
-			p, err := FromPosts(posts, frame.hourOf)
+			p, err := FromPosts(posts, frame.cells)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,12 +356,13 @@ func TestBuildUserProfilesSteadyStateAllocs(t *testing.T) {
 		})
 	}
 	ds := trace.NewDataset("allocs", posts)
-	src := storeCells{ds.Index(), UTCCells()}
 	keys := make([]int64, 0, 256)
 	avg := testing.AllocsPerRun(100, func() {
-		keys = src.AppendUserKeys(keys[:0], 0)
-		if _, err := fromCellKeys(keys); err != nil {
-			t.Fatal(err)
+		for _, cells := range []CellOf{nil, UTCCells()} {
+			keys = appendUserKeys(keys[:0], ds.Index(), 0, cells)
+			if _, err := fromCellKeys(keys); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	if avg != 0 {

@@ -12,8 +12,8 @@ import (
 	"darkcrowd/internal/trace"
 )
 
-// fusedTestIngest builds a seeded dataset through the fused ingest path:
-// mixed user activity levels, multi-day spans, pre-1970 instants.
+// fusedTestIngest ingests a seeded CSV with CollectCells set: mixed user
+// activity levels, multi-day spans, pre-1970 instants.
 func fusedTestIngest(t *testing.T, workers int) *trace.IngestResult {
 	t.Helper()
 	r := rand.New(rand.NewSource(17))
@@ -35,9 +35,9 @@ func fusedTestIngest(t *testing.T, workers int) *trace.IngestResult {
 	return res
 }
 
-// TestFusedBuildMatchesColumnar pins the tentpole equivalence: profiles
-// built from ingest-time cells are bit-identical to BuildUserProfiles on
-// the same dataset, across worker counts and thresholds.
+// TestFusedBuildMatchesColumnar pins the BuildUserProfilesFused shim to
+// BuildUserProfiles on the same dataset, across worker counts and
+// thresholds.
 func TestFusedBuildMatchesColumnar(t *testing.T) {
 	t.Parallel()
 	for _, ingestWorkers := range []int{1, 4} {
@@ -58,8 +58,8 @@ func TestFusedBuildMatchesColumnar(t *testing.T) {
 	}
 }
 
-// TestFusedBuildRejectsCustomFrames pins the API contract: fused cells
-// are UTC-frame only.
+// TestFusedBuildRejectsCustomFrames pins the shim's contract: it builds
+// in the default UTC frame only.
 func TestFusedBuildRejectsCustomFrames(t *testing.T) {
 	t.Parallel()
 	res := fusedTestIngest(t, 2)

@@ -181,7 +181,7 @@ func TestPolishRemovesBots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	polished, err := Polish(profiles, res.Generic, true)
+	polished, err := PolishWith(profiles, res.Generic, true, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestPolishKeepsCleanCrowd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	polished, err := Polish(profiles, res.Generic, false)
+	polished, err := PolishWith(profiles, res.Generic, false, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,10 @@ import "slices"
 // scratch: sort the packed epochDay*24+h cell keys, count distinct cells
 // per hour, divide. Accumulator maintains exactly those integer counts
 // post-by-post — a per-user sorted set of seen cell keys, the per-hour
-// distinct-cell tally, and the distinct total — so the profile it emits
-// divides the same integers as fromCellKeys and is therefore bit-identical
-// to the batch build over the same posts, in any arrival order.
+// distinct-cell tally, and the distinct total — and hands them to the
+// same fromCounts division as the batch build, so its profiles are
+// bit-identical to the batch build over the same posts, in any arrival
+// order.
 //
 // Cost model. A user's cell set is a sorted []int64 of distinct keys, 8
 // bytes per cell. A post whose cell lies past the user's last cell — the
@@ -131,14 +132,7 @@ func (a *Accumulator) Active(userID string) bool {
 	return uc != nil && uc.posts >= a.minPosts
 }
 
-func (uc *userCells) profile() Profile {
-	var p Profile
-	total := float64(uc.distinct)
-	for h := range p {
-		p[h] = float64(uc.hours[h]) / total
-	}
-	return p
-}
+func (uc *userCells) profile() Profile { return fromCounts(&uc.hours, uc.distinct) }
 
 // ProfileOf returns userID's current profile. ok is false for unknown
 // users and users below the active threshold — the same users
@@ -154,7 +148,7 @@ func (a *Accumulator) ProfileOf(userID string) (Profile, bool) {
 // ActiveProfiles snapshots the profiles (and their versions) of every
 // active user. The result is bit-identical to
 // BuildUserProfiles(batch-of-the-same-posts, BuildOptions{MinPosts: ...}):
-// both divide the same per-hour distinct-cell integers by the same total.
+// both pass the same per-hour distinct-cell integers to fromCounts.
 func (a *Accumulator) ActiveProfiles() (map[string]Profile, map[string]uint64) {
 	profiles := make(map[string]Profile)
 	versions := make(map[string]uint64)

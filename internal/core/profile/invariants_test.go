@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,34 +10,18 @@ import (
 	"darkcrowd/internal/trace"
 )
 
-// eqOneBuilders are the three ways the code turns posts into Eq. 1 user
-// profiles: the batch build over the columnar index, the fused build over
-// ingest-time cells, and the streaming accumulator.
+// eqOneBuilders are the ways the code turns posts into Eq. 1 user
+// profiles: the store build with its default floor(sec/3600) key, the
+// store build bucketing through UTCCells(), and the streaming accumulator.
 var eqOneBuilders = []struct {
 	name  string
 	build func(t *testing.T, posts []trace.Post, minPosts int) map[string]Profile
 }{
 	{"batch", func(t *testing.T, posts []trace.Post, minPosts int) map[string]Profile {
-		out, err := BuildUserProfiles(trace.NewDataset("eq1", posts), BuildOptions{MinPosts: minPosts, Parallelism: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return eqOneStoreBuild(t, posts, BuildOptions{MinPosts: minPosts, Parallelism: 3})
 	}},
-	{"fused", func(t *testing.T, posts []trace.Post, minPosts int) map[string]Profile {
-		var buf bytes.Buffer
-		if err := trace.NewDataset("", posts).WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		res, err := trace.IngestCSV("eq1", buf.Bytes(), trace.IngestOptions{Workers: 3, CollectCells: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := BuildUserProfilesFused(res.Cells, BuildOptions{MinPosts: minPosts, Parallelism: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+	{"utc-cells", func(t *testing.T, posts []trace.Post, minPosts int) map[string]Profile {
+		return eqOneStoreBuild(t, posts, BuildOptions{MinPosts: minPosts, Parallelism: 3, Cells: UTCCells()})
 	}},
 	{"accumulator", func(t *testing.T, posts []trace.Post, minPosts int) map[string]Profile {
 		acc := NewAccumulator(minPosts)
@@ -48,6 +31,14 @@ var eqOneBuilders = []struct {
 		out, _ := acc.ActiveProfiles()
 		return out
 	}},
+}
+
+func eqOneStoreBuild(t *testing.T, posts []trace.Post, opts BuildOptions) map[string]Profile {
+	out, err := BuildUserProfiles(trace.NewDataset("eq1", posts), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // eqOnePosts is a seeded crowd of whole-second posts spread over a few

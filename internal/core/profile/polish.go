@@ -149,23 +149,26 @@ type PolishResult struct {
 	Scans []ZoneScan
 }
 
-// Polish implements the iterative flat-profile removal of §IV-C: a user is
-// discarded when their profile is closer (under the circular EMD) to the
-// artificial uniform 1/24 profile than to every one of the 24 time-zone
-// reference profiles derived from the generic profile. Because removing
-// users does not change the reference profiles but the paper applies the
-// procedure "in an iterative way to polish all the generic timezone
-// profiles", Polish optionally rebuilds the generic profile from the kept
-// users after each pass when rebuild is true.
+// Polish is PolishWith with zero ScanOptions.
+// Kept only for bench/traced.go; delete with the bench-spans item.
 func Polish(profiles map[string]Profile, generic Profile, rebuild bool) (*PolishResult, error) {
 	return PolishWith(profiles, generic, rebuild, ScanOptions{})
 }
 
-// PolishWith is Polish with scan options. Each pass is one zone scan per
-// kept user: the flat verdicts pick the removals, and the rebuild (which
-// replaces generic only after the pass) aligns the kept users by their
-// scanned zones. Removals and the rebuild walk the users in sorted order,
-// so the result is the same for every Parallelism.
+// PolishWith implements the iterative flat-profile removal of §IV-C: a
+// user is discarded when their profile is closer (under the circular EMD)
+// to the artificial uniform 1/24 profile than to every one of the 24
+// time-zone reference profiles derived from the generic profile. Because
+// removing users does not change the reference profiles but the paper
+// applies the procedure "in an iterative way to polish all the generic
+// timezone profiles", PolishWith optionally rebuilds the generic profile
+// from the kept users after each pass when rebuild is true.
+//
+// Each pass is one zone scan per kept user: the flat verdicts pick the
+// removals, and the rebuild (which replaces generic only after the pass)
+// aligns the kept users by their scanned zones. Removals and the rebuild
+// walk the users in sorted order, so the result is the same for every
+// Parallelism.
 func PolishWith(profiles map[string]Profile, generic Profile, rebuild bool, opts ScanOptions) (*PolishResult, error) {
 	kept := make(map[string]Profile, len(profiles))
 	for id, p := range profiles {

@@ -102,7 +102,7 @@ func TestPolishMatchesThreeSweepDefinition(t *testing.T) {
 	}
 	profiles, generic := crowd.profiles, crowd.generic
 	for _, rebuild := range []bool{true, false} {
-		got, err := Polish(profiles, generic, rebuild)
+		got, err := PolishWith(profiles, generic, rebuild, ScanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestPolishDefinition(t *testing.T) {
 		profiles[off.String()] = ZoneProfile(generic, off)
 	}
 	for _, rebuild := range []bool{true, false} {
-		res, err := Polish(profiles, generic, rebuild)
+		res, err := PolishWith(profiles, generic, rebuild, ScanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func BenchmarkPolish(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Polish(crowd.profiles, crowd.generic, true); err != nil {
+		if _, err := PolishWith(crowd.profiles, crowd.generic, true, ScanOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

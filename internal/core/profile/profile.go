@@ -170,18 +170,14 @@ func (p Profile) Entropy() (float64, error) {
 	return stats.Entropy(p[:])
 }
 
-// HourOf selects which civil frame posts are bucketed in: it returns the
-// hour bin 0..23 and an integer day key (days since the Unix epoch on that
-// frame's calendar) that together identify the post's (day, hour) activity
-// cell. Integer day keys replace the old "2006-01-02" strings: the mapping
-// between calendar days and epoch-day numbers is a bijection, so cell
-// identity — the only thing FromPosts uses the key for — is unchanged,
-// while the hot loop sheds time.Format and fmt.Sprintf entirely.
-type HourOf func(t time.Time) (hour int, epochDay int64)
-
-// CellOf is the columnar counterpart of HourOf; it buckets a post given
-// only its Unix-seconds timestamp, exactly as stored in the trace index's
-// time column, so profile building never materializes a time.Time.
+// CellOf selects which civil frame posts are bucketed in: given a post's
+// Unix-seconds timestamp, exactly as stored in the trace store's time
+// column, it returns the hour bin 0..23 and an integer day key (days since
+// the Unix epoch on that frame's calendar) that together identify the
+// post's (day, hour) activity cell. Integer day keys replace the old
+// "2006-01-02" strings: the mapping between calendar days and epoch-day
+// numbers is a bijection, so cell identity is unchanged, while the hot
+// loop never materializes a time.Time or formats a string.
 type CellOf func(unixSec int64) (hour int, epochDay int64)
 
 // cellOfUnix maps Unix seconds to (UTC hour, UTC epoch day) with floor
@@ -196,31 +192,17 @@ func cellOfUnix(u int64) (int, int64) {
 	return int(rem / 3600), day
 }
 
-// UTCHours buckets posts by UTC hour; day keys follow the UTC calendar.
-func UTCHours() HourOf {
-	return func(t time.Time) (int, int64) {
-		return cellOfUnix(t.Unix())
-	}
-}
-
-// LocalHours buckets posts by the region's DST-aware local hour; day keys
-// follow the local calendar. This implements the paper's "we have
-// considered daylight saving time for all regions where it is used".
-func LocalHours(region tz.Region) HourOf {
-	return func(t time.Time) (int, int64) {
-		// Offsets are whole hours (tz.Offset), so the local civil hour and
-		// day fall out of integer arithmetic on the shifted epoch seconds —
-		// identical to region.LocalTime(t).Hour() / its calendar day.
-		return cellOfUnix(t.Unix() + int64(region.OffsetAt(t))*3600)
-	}
-}
-
-// UTCCells is the CellOf equivalent of UTCHours.
+// UTCCells buckets posts by UTC hour; day keys follow the UTC calendar.
 func UTCCells() CellOf { return cellOfUnix }
 
-// LocalCells is the CellOf equivalent of LocalHours. DST boundaries sit on
-// whole-hour instants, so evaluating the offset at the floor-to-second
-// time.Unix(u, 0) agrees with evaluating it at the original post time.
+// LocalCells buckets posts by the region's DST-aware local hour; day keys
+// follow the local calendar. This implements the paper's "we have
+// considered daylight saving time for all regions where it is used".
+// Offsets are whole hours (tz.Offset), so the local civil hour and day
+// fall out of integer arithmetic on the shifted epoch seconds. DST
+// boundaries sit on whole-hour instants, so evaluating the offset at the
+// floor-to-second time.Unix(u, 0) agrees with evaluating it at the
+// original post time.
 func LocalCells(region tz.Region) CellOf {
 	return func(u int64) (int, int64) {
 		off := region.OffsetAt(time.Unix(u, 0).UTC())
@@ -233,6 +215,28 @@ func cellKey(hour int, epochDay int64) int64 {
 	return epochDay*HoursPerDay + int64(hour)
 }
 
+// floorDiv3600 is floor(sec/3600): the UTC cell key
+// cellKey(cellOfUnix(sec)) in one division, the build's default key.
+func floorDiv3600(sec int64) int64 {
+	q := sec / 3600
+	if sec%3600 != 0 && sec < 0 {
+		q--
+	}
+	return q
+}
+
+// fromCounts is the one integer-counts → Profile step of Eq. 1: each
+// hour's distinct-cell count over the distinct total. The batch build and
+// the Accumulator both end here, so they agree bit for bit whenever they
+// count the same cells.
+func fromCounts(counts *[HoursPerDay]int32, total int) Profile {
+	var p Profile
+	for h := range p {
+		p[h] = float64(counts[h]) / float64(total)
+	}
+	return p
+}
+
 // fromCellKeys builds the Eq. 1 profile from packed cell keys, counting
 // each distinct cell once. It sorts keys in place (the caller's slice is
 // scratch) and allocates nothing — duplicate detection is a comparison with
@@ -242,8 +246,8 @@ func fromCellKeys(keys []int64) (Profile, error) {
 		return Profile{}, ErrNoActivity
 	}
 	slices.Sort(keys)
-	var counts [HoursPerDay]float64
-	var total float64
+	var counts [HoursPerDay]int32
+	total := 0
 	for i, k := range keys {
 		if i > 0 && k == keys[i-1] {
 			continue
@@ -251,15 +255,11 @@ func fromCellKeys(keys []int64) (Profile, error) {
 		counts[((k%HoursPerDay)+HoursPerDay)%HoursPerDay]++
 		total++
 	}
-	var p Profile
-	for h := range counts {
-		p[h] = counts[h] / total
-	}
-	return p, nil
+	return fromCounts(&counts, total), nil
 }
 
 // FromPosts builds the Eq. 1 user profile from a post list using the given
-// bucketing frame:
+// bucketing frame (nil = UTCCells()):
 //
 //	P_u[h] = sum_d a_d(h) / sum_{d,h} a_d(h)
 //
@@ -267,13 +267,13 @@ func fromCellKeys(keys []int64) (Profile, error) {
 // of day d. Multiple posts in the same (day, hour) cell count once, which
 // is what makes the profile a distribution of *activity* rather than of
 // post volume.
-func FromPosts(posts []trace.Post, hourOf HourOf) (Profile, error) {
-	if hourOf == nil {
-		hourOf = UTCHours()
+func FromPosts(posts []trace.Post, cells CellOf) (Profile, error) {
+	if cells == nil {
+		cells = UTCCells()
 	}
 	keys := make([]int64, 0, len(posts))
 	for _, post := range posts {
-		keys = append(keys, cellKey(hourOf(post.Time)))
+		keys = append(keys, cellKey(cells(post.Time.Unix())))
 	}
 	return fromCellKeys(keys)
 }
@@ -305,14 +305,14 @@ func Aggregate(profiles []Profile) (Profile, error) {
 	return sum, nil
 }
 
-// BuildOptions configures BuildUserProfiles and BuildUserProfilesFused.
+// BuildOptions configures BuildUserProfiles.
 type BuildOptions struct {
 	// MinPosts is the active-user threshold; users with fewer posts are
 	// dropped. Defaults to DefaultMinPosts (30).
 	MinPosts int
-	// Cells selects the bucketing frame: BuildUserProfiles feeds epoch
-	// seconds straight from the trace index into the cell function.
-	// Defaults to UTCCells(). The fused build only supports the default.
+	// Cells selects the bucketing frame: the build feeds epoch seconds
+	// straight from the trace store into it. Nil buckets in UTC with the
+	// key floor(sec/3600), which is UTCCells()'s key in one division.
 	Cells CellOf
 	// Parallelism is the number of workers building per-user profiles:
 	// 0 uses every core (GOMAXPROCS), 1 forces the sequential path. Each
@@ -331,59 +331,53 @@ type BuildOptions struct {
 // BuildUserProfiles builds one profile per active user of the dataset.
 // Users below the post threshold are silently dropped ("we have also
 // filtered out non active users", §IV); an error is returned only if no
-// user survives. The build runs on the dataset's columnar index: each
-// worker streams a user's epoch seconds into a reused key buffer, buckets
-// them with opts.Cells and dedups cells by sorting, allocating nothing per
-// user.
+// user survives. The build runs on the dataset's columnar store: it
+// thresholds users on their post count, and each of opts.Parallelism
+// workers streams a user's epoch seconds into a reused key buffer, buckets
+// them in place and dedups cells by sorting, allocating nothing per user.
+// Every worker writes its own slots of an index-addressed result slice, so
+// the map is the same for every worker count.
 func BuildUserProfiles(ds *trace.Dataset, opts BuildOptions) (map[string]Profile, error) {
-	cells := opts.Cells
-	if cells == nil {
-		cells = UTCCells()
+	return buildProfiles(ds.Index(), opts)
+}
+
+// BuildUserProfilesFused is BuildUserProfiles over the store of an
+// IngestCSV result, in the default UTC frame only.
+// Kept only for bench/traced.go; delete with the bench-spans item.
+func BuildUserProfilesFused(cells *trace.UserCells, opts BuildOptions) (map[string]Profile, error) {
+	if opts.Cells != nil {
+		return nil, fmt.Errorf("profile: fused build only supports the default UTC frame")
 	}
-	return buildProfiles(storeCells{ds.Index(), cells}, opts)
+	return buildProfiles(cells.Store(), opts)
 }
 
-// cellSource is what the profile build reads: users at dense indices
-// 0..NumUsers()-1 with their post counts and packed per-post cell keys.
-// trace.UserCells (ingest-time keys) implements it, and storeCells
-// derives the keys from a trace index.
-type cellSource interface {
-	NumUsers() int
-	UserID(u int) string
-	Count(u int) int
-	AppendUserKeys(buf []int64, u int) []int64
-}
-
-// storeCells is the cellSource over a dataset's columnar index: it reads a
-// user's epoch seconds and buckets them, in place, in the cells frame.
-type storeCells struct {
-	*trace.Store
-	cells CellOf
-}
-
-// AppendUserKeys appends user u's packed cell keys to buf.
-func (c storeCells) AppendUserKeys(buf []int64, u int) []int64 {
+// appendUserKeys appends user u's packed cell keys, in dataset order, to
+// buf: the store's epoch seconds, bucketed in place by cells, or by
+// floorDiv3600 when cells is nil.
+func appendUserKeys(buf []int64, s *trace.Store, u int, cells CellOf) []int64 {
 	n := len(buf)
-	buf = c.AppendUserTimes(buf, u)
-	for i := n; i < len(buf); i++ {
-		buf[i] = cellKey(c.cells(buf[i]))
+	buf = s.AppendUserTimes(buf, u)
+	keys := buf[n:]
+	if cells == nil {
+		for i, sec := range keys {
+			keys[i] = floorDiv3600(sec)
+		}
+	} else {
+		for i, sec := range keys {
+			keys[i] = cellKey(cells(sec))
+		}
 	}
 	return buf
 }
 
-// buildProfiles is the one per-user Eq. 1 build loop. It thresholds users
-// on their post count, builds the active ones on opts.Parallelism workers
-// (each writing its own slots of an index-addressed result slice), and
-// collects the profiles by user ID. Integer cell counts divide the same
-// way regardless of visit order, so every source of the same cell keys
-// yields a bit-identical map.
-func buildProfiles(src cellSource, opts BuildOptions) (map[string]Profile, error) {
+// buildProfiles is the one per-user Eq. 1 build loop.
+func buildProfiles(s *trace.Store, opts BuildOptions) (map[string]Profile, error) {
 	if opts.MinPosts == 0 {
 		opts.MinPosts = DefaultMinPosts
 	}
-	active := make([]int, 0, src.NumUsers())
-	for u := 0; u < src.NumUsers(); u++ {
-		if src.Count(u) >= opts.MinPosts {
+	active := make([]int, 0, s.NumUsers())
+	for u := 0; u < s.NumUsers(); u++ {
+		if s.Count(u) >= opts.MinPosts {
 			active = append(active, u)
 		}
 	}
@@ -409,7 +403,7 @@ func buildProfiles(src cellSource, opts BuildOptions) (map[string]Profile, error
 					return err
 				}
 			}
-			keys = src.AppendUserKeys(keys[:0], active[i])
+			keys = appendUserKeys(keys[:0], s, active[i], opts.Cells)
 			cellsN += int64(len(keys))
 			p, err := fromCellKeys(keys)
 			if err != nil {
@@ -428,7 +422,7 @@ func buildProfiles(src cellSource, opts BuildOptions) (map[string]Profile, error
 	out := make(map[string]Profile, len(active))
 	for i, u := range active {
 		if ok[i] {
-			out[src.UserID(u)] = built[i]
+			out[s.UserID(u)] = built[i]
 		}
 	}
 	if len(out) == 0 {

@@ -26,7 +26,7 @@ func TestFromPostsEquationOne(t *testing.T) {
 		postAt(0, 21),
 		postAt(1, 9),
 	}
-	p, err := FromPosts(posts, UTCHours())
+	p, err := FromPosts(posts, UTCCells())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFromPostsLocalFrame(t *testing.T) {
 	}
 	// 20:00 UTC is 05:00 in Japan (UTC+9).
 	posts := []trace.Post{{UserID: "u", Time: time.Date(2017, time.June, 1, 20, 0, 0, 0, time.UTC)}}
-	p, err := FromPosts(posts, LocalHours(jp))
+	p, err := FromPosts(posts, LocalCells(jp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFromPostsLocalFrameDST(t *testing.T) {
 	june := trace.Post{UserID: "u", Time: time.Date(2017, time.June, 1, 20, 0, 0, 0, time.UTC)}
 	// In January Germany is UTC+1: 20:00 UTC -> 21:00 local.
 	january := trace.Post{UserID: "u", Time: time.Date(2017, time.January, 10, 20, 0, 0, 0, time.UTC)}
-	p, err := FromPosts([]trace.Post{june, january}, LocalHours(de))
+	p, err := FromPosts([]trace.Post{june, january}, LocalCells(de))
 	if err != nil {
 		t.Fatal(err)
 	}

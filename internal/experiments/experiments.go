@@ -68,7 +68,7 @@ func (l *Lab) Fig1() (*Result, error) {
 		return nil, fmt.Errorf("no German users at scale 1/%d", l.cfg.TwitterScale)
 	}
 	posts := sub.ByUser()[users[0]]
-	p, err := profile.FromPosts(posts, profile.LocalHours(de))
+	p, err := profile.FromPosts(posts, profile.LocalCells(de))
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +290,7 @@ func (l *Lab) Fig7() (*Result, error) {
 	res.Lines = append(res.Lines, profileChart(profiles[flattest])...)
 	res.addProfileChart("flat-profile", "Example of a flat (bot) profile", profiles[flattest])
 
-	polished, err := profile.Polish(profiles, gen.Generic, true)
+	polished, err := profile.PolishWith(profiles, gen.Generic, true, profile.ScanOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,10 @@
 package obs
 
-// LatencyHist is the request-latency primitive: a fixed-size log-linear
-// histogram tuned for percentile readout. The power-of-two Histogram is
-// fine for batch-stage durations, but its 2x bucket width makes p99
-// estimates useless for a serving hot path; LatencyHist splits every
-// octave into 8 sub-buckets (~12.5% worst-case quantile error) while
-// keeping the same obs contracts: every update is a single atomic add on a
+// LatencyHist is the package's one histogram: a fixed-size log-linear
+// histogram tuned for percentile readout. It splits every power-of-two
+// octave into 8 sub-buckets (~12.5% worst-case quantile error), so p99
+// estimates stay useful on a serving hot path, and it keeps the obs
+// contracts: every update is a single atomic add on a
 // fixed array (lock-free, no resizing, no tail pointer), and a nil
 // receiver ignores all updates without allocating, so instrumented
 // handlers pay one predictable nil check when observability is off.

@@ -1,5 +1,5 @@
 // Package obs is the pipeline's observability layer: a dependency-free
-// metrics registry (atomic counters, gauges and histograms with a
+// metrics registry (atomic counters, gauges and latency histograms with a
 // lock-free hot path and snapshot-on-read), a hierarchical stage tracer
 // (Span), a structured progress logger, and an optional debug HTTP
 // server exposing /metrics and net/http/pprof.
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -111,100 +110,6 @@ func (g *FloatGauge) Load() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// histBuckets is the number of power-of-two histogram buckets: bucket i
-// counts observations v with bit length i, i.e. 2^(i-1) <= v < 2^i;
-// non-positive observations land in bucket 0.
-const histBuckets = 64
-
-// Histogram records the distribution of an int64-valued observation
-// (durations in nanoseconds, batch sizes) in power-of-two buckets. All
-// updates are single atomic adds; min/max are maintained with CAS loops.
-// A nil *Histogram ignores all updates.
-type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	min     atomic.Int64 // valid only when count > 0
-	max     atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
-func newHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
-	h.max.Store(math.MinInt64)
-	return h
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	var b int
-	if v > 0 {
-		b = bits.Len64(uint64(v))
-	}
-	h.buckets[b].Add(1)
-}
-
-// HistogramSnapshot is a point-in-time read of a Histogram.
-type HistogramSnapshot struct {
-	Count int64   `json:"count"`
-	Sum   int64   `json:"sum"`
-	Min   int64   `json:"min"`
-	Max   int64   `json:"max"`
-	Mean  float64 `json:"mean"`
-	// Buckets maps the inclusive upper bound of each non-empty
-	// power-of-two bucket (rendered as a decimal string, so JSON keys
-	// stay exact) to its count.
-	Buckets map[string]int64 `json:"buckets,omitempty"`
-}
-
-// Snapshot reads the histogram without stopping writers. Concurrent
-// observations may straddle the read; the snapshot is still internally
-// plausible (counts never negative, mean from the same count/sum read).
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-	}
-	if s.Count > 0 {
-		s.Min = h.min.Load()
-		s.Max = h.max.Load()
-		s.Mean = float64(s.Sum) / float64(s.Count)
-	}
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
-			if s.Buckets == nil {
-				s.Buckets = make(map[string]int64)
-			}
-			upper := int64(math.MaxInt64)
-			if i < 63 {
-				upper = (int64(1) << i) - 1
-			}
-			s.Buckets[fmt.Sprintf("%d", upper)] = n
-		}
-	}
-	return s
-}
-
 // Registry holds named instruments. Registration (the name -> instrument
 // lookup) takes a mutex and may allocate; the instruments themselves are
 // lock-free, so hot loops resolve once and update atomically. A nil
@@ -214,7 +119,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	floats   map[string]*FloatGauge
-	hists    map[string]*Histogram
 	lats     map[string]*LatencyHist
 }
 
@@ -224,7 +128,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		floats:   make(map[string]*FloatGauge),
-		hists:    make(map[string]*Histogram),
 		lats:     make(map[string]*LatencyHist),
 	}
 }
@@ -274,21 +177,6 @@ func (r *Registry) FloatGauge(name string) *FloatGauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = newHistogram()
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Latency returns the named latency histogram, creating it on first use.
 func (r *Registry) Latency(name string) *LatencyHist {
 	if r == nil {
@@ -306,11 +194,10 @@ func (r *Registry) Latency(name string) *LatencyHist {
 
 // Snapshot is a point-in-time JSON-ready read of every instrument.
 type Snapshot struct {
-	Counters    map[string]int64             `json:"counters,omitempty"`
-	Gauges      map[string]int64             `json:"gauges,omitempty"`
-	FloatGauges map[string]float64           `json:"float_gauges,omitempty"`
-	Histograms  map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Latencies   map[string]LatencySnapshot   `json:"latencies,omitempty"`
+	Counters    map[string]int64           `json:"counters,omitempty"`
+	Gauges      map[string]int64           `json:"gauges,omitempty"`
+	FloatGauges map[string]float64         `json:"float_gauges,omitempty"`
+	Latencies   map[string]LatencySnapshot `json:"latencies,omitempty"`
 }
 
 // Snapshot reads every registered instrument. Writers are never blocked:
@@ -334,10 +221,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.floats {
 		floats[k] = v
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
 	lats := make(map[string]*LatencyHist, len(r.lats))
 	for k, v := range r.lats {
 		lats[k] = v
@@ -360,12 +243,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.FloatGauges = make(map[string]float64, len(floats))
 		for k, v := range floats {
 			s.FloatGauges[k] = v.Load()
-		}
-	}
-	if len(hists) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(hists))
-		for k, v := range hists {
-			s.Histograms[k] = v.Snapshot()
 		}
 	}
 	if len(lats) > 0 {
@@ -400,7 +277,7 @@ func (r *Registry) Names() []string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.floats)+len(r.hists)+len(r.lats))
+	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.floats)+len(r.lats))
 	for k := range r.counters {
 		out = append(out, k)
 	}
@@ -408,9 +285,6 @@ func (r *Registry) Names() []string {
 		out = append(out, k)
 	}
 	for k := range r.floats {
-		out = append(out, k)
-	}
-	for k := range r.hists {
 		out = append(out, k)
 	}
 	for k := range r.lats {

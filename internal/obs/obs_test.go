@@ -47,7 +47,7 @@ func TestSnapshotDuringWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		c := reg.Counter("w")
-		h := reg.Histogram("h")
+		h := reg.Latency("h")
 		g := reg.Gauge("g")
 		f := reg.FloatGauge("f")
 		for i := 0; ; i++ {
@@ -57,7 +57,7 @@ func TestSnapshotDuringWrites(t *testing.T) {
 			default:
 			}
 			c.Inc()
-			h.Observe(int64(i % 1000))
+			h.ObserveNs(int64(i % 1000))
 			g.Set(int64(i))
 			f.Set(float64(i))
 		}
@@ -84,34 +84,30 @@ func TestGaugesAndHistogram(t *testing.T) {
 	if got := reg.FloatGauge("ll").Load(); got != -1234.5 {
 		t.Errorf("float gauge = %g, want -1234.5", got)
 	}
-	h := reg.Histogram("latency")
+	h := reg.Latency("latency")
 	for _, v := range []int64{1, 2, 3, 100, 7} {
-		h.Observe(v)
+		h.ObserveNs(v)
 	}
 	s := h.Snapshot()
-	if s.Count != 5 || s.Sum != 113 || s.Min != 1 || s.Max != 100 {
+	// Values below 16 have exact buckets; 100 lands in [96,103].
+	if s.Count != 5 || s.Sum != 113 || s.P50 != 3 || s.P99 != 103 || s.Max != 103 {
 		t.Errorf("histogram snapshot = %+v", s)
 	}
 	if got := s.Mean; math.Abs(got-22.6) > 1e-9 {
 		t.Errorf("mean = %g, want 22.6", got)
 	}
-	// 1 -> bucket [1,1]; 2,3 -> [2,3]; 7 -> [4,7]; 100 -> [64,127].
-	if s.Buckets["1"] != 1 || s.Buckets["3"] != 2 || s.Buckets["7"] != 1 || s.Buckets["127"] != 1 {
-		t.Errorf("buckets = %v", s.Buckets)
-	}
 }
 
+// TestHistogramNonPositive: non-positive observations are counted in
+// bucket 0 and keep their value in the sum.
 func TestHistogramNonPositive(t *testing.T) {
 	t.Parallel()
-	h := newHistogram()
-	h.Observe(0)
-	h.Observe(-5)
+	var h LatencyHist
+	h.ObserveNs(0)
+	h.ObserveNs(-5)
 	s := h.Snapshot()
-	if s.Count != 2 || s.Min != -5 || s.Max != 0 {
+	if s.Count != 2 || s.Sum != -5 || s.P50 != 0 || s.Max != 0 {
 		t.Errorf("snapshot = %+v", s)
-	}
-	if s.Buckets["0"] != 2 {
-		t.Errorf("non-positive bucket = %v", s.Buckets)
 	}
 }
 
@@ -121,7 +117,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	reg.Counter("crawler.requests").Add(42)
 	reg.Gauge("em.selected_k").Set(2)
 	reg.FloatGauge("em.final_ll").Set(-99.25)
-	reg.Histogram("h").Observe(10)
+	reg.Latency("h").ObserveNs(10)
 	var b strings.Builder
 	if err := reg.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -139,8 +135,8 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if s.FloatGauges["em.final_ll"] != -99.25 {
 		t.Errorf("float gauges = %v", s.FloatGauges)
 	}
-	if s.Histograms["h"].Count != 1 {
-		t.Errorf("histograms = %v", s.Histograms)
+	if s.Latencies["h"].Count != 1 {
+		t.Errorf("latencies = %v", s.Latencies)
 	}
 }
 
@@ -149,7 +145,7 @@ func TestRegistryNames(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("b")
 	reg.Gauge("a")
-	reg.Histogram("c")
+	reg.Latency("c")
 	got := reg.Names()
 	want := []string{"a", "b", "c"}
 	if len(got) != len(want) {
@@ -281,14 +277,12 @@ func TestZeroAllocDisabled(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var f *FloatGauge
-	var h *Histogram
 	var lh *LatencyHist
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(3)
 		c.Inc()
 		g.Set(7)
 		f.Set(1.5)
-		h.Observe(9)
 		lh.Observe(9 * time.Microsecond)
 		lh.ObserveNs(9)
 		span.AddItems(1)
@@ -297,8 +291,9 @@ func TestZeroAllocDisabled(t *testing.T) {
 		span.Child("x").End()
 		reg.Counter("name").Inc()
 		reg.Gauge("name").Set(1)
-		reg.Histogram("name").Observe(2)
+		reg.Latency("name").ObserveNs(2)
 		o.Counter("name").Add(1)
+		o.Latency("name").ObserveNs(1)
 		o.Stage("stage").End()
 		o.AddItems(5)
 		o.SetWorkers(2)
@@ -318,13 +313,11 @@ func TestZeroAllocEnabledHotPath(t *testing.T) {
 	c := reg.Counter("hot")
 	g := reg.Gauge("hot")
 	f := reg.FloatGauge("hot")
-	h := reg.Histogram("hot")
 	lh := reg.Latency("hot.ns")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		g.Set(2)
 		f.Set(3)
-		h.Observe(4)
 		lh.ObserveNs(5)
 	})
 	if allocs != 0 {

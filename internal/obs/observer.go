@@ -89,14 +89,6 @@ func (o *Observer) FloatGauge(name string) *FloatGauge {
 	return o.Metrics.FloatGauge(name)
 }
 
-// Histogram resolves a named histogram (nil when metrics are off).
-func (o *Observer) Histogram(name string) *Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.Histogram(name)
-}
-
 // Latency resolves a named latency histogram (nil when metrics are off).
 func (o *Observer) Latency(name string) *LatencyHist {
 	if o == nil {

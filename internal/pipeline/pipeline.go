@@ -48,10 +48,6 @@ type Config struct {
 	// snapshot is written atomically next to the run. A snapshot carries
 	// the post-quarantine dataset, so loads from it report no quarantine.
 	SnapshotPath string
-	// IngestWorkers sets the worker count for sharded CSV parsing
-	// (0 = all cores). The parsed dataset is bit-identical for every
-	// setting.
-	IngestWorkers int
 	// Reference supplies the generic reference profile — built
 	// synthetically or loaded from a file; the pipeline only dictates
 	// when it runs and how it is checkpointed. Required.
@@ -65,10 +61,10 @@ type Config struct {
 	MinPosts int
 	// SkipPolish disables flat-profile removal.
 	SkipPolish bool
-	// Workers sets the worker count for every parallel stage (0 = all
-	// cores). Output is identical for every setting, so it is NOT part of
-	// the checkpoint fingerprint — a checkpoint taken with 8 workers
-	// resumes fine with 1.
+	// Workers sets the worker count for every parallel stage, CSV parsing
+	// included (0 = all cores). Output is identical for every setting, so
+	// it is NOT part of the checkpoint fingerprint — a checkpoint taken
+	// with 8 workers resumes fine with 1.
 	Workers int
 	// CheckpointPath enables stage checkpointing (empty = off). The file
 	// is rewritten atomically after each completed expensive stage.
@@ -239,7 +235,6 @@ func Geolocate(cfg Config) (*Result, error) {
 		err        error
 		ds         *trace.Dataset
 		quarantine *trace.QuarantineReport
-		cells      *trace.UserCells
 
 		snapLoaded, snapWritten bool
 	)
@@ -270,16 +265,13 @@ func Geolocate(cfg Config) (*Result, error) {
 		ing, err := trace.IngestCSV(cfg.TracePath, data, trace.IngestOptions{
 			Lenient:    cfg.Lenient,
 			MaxBadRows: cfg.MaxBadRows,
-			Workers:    cfg.IngestWorkers,
-			// The fused profile build consumes ingest-time cells, but only
-			// in the default UTC frame; a Cells override needs timestamps.
-			CollectCells: cfg.Cells == nil,
+			Workers:    cfg.Workers,
 		})
 		if err != nil {
 			lo.End()
 			return nil, err
 		}
-		ds, quarantine, cells = ing.Dataset, ing.Report, ing.Cells
+		ds, quarantine = ing.Dataset, ing.Report
 		if cfg.SnapshotPath != "" {
 			err := atomicio.WriteFileHooked(cfg.SnapshotPath, ds.WriteSnapshot, cfg.CheckpointHook)
 			if err != nil {
@@ -383,25 +375,13 @@ func Geolocate(cfg Config) (*Result, error) {
 		restored(po, "profile-build")
 		po.End()
 	} else {
-		if cells != nil && cfg.Cells == nil {
-			// Fresh sharded ingest: the cell keys accumulated during the
-			// parse feed the profile build directly, skipping the per-post
-			// timestamp→cell arithmetic. Bit-identical to the path below.
-			profiles, err = profile.BuildUserProfilesFused(cells, profile.BuildOptions{
-				MinPosts:    cfg.MinPosts,
-				Parallelism: cfg.Workers,
-				Context:     cfg.Context,
-				Obs:         o,
-			})
-		} else {
-			profiles, err = profile.BuildUserProfiles(ds, profile.BuildOptions{
-				MinPosts:    cfg.MinPosts,
-				Cells:       cfg.Cells,
-				Parallelism: cfg.Workers,
-				Context:     cfg.Context,
-				Obs:         o,
-			})
-		}
+		profiles, err = profile.BuildUserProfiles(ds, profile.BuildOptions{
+			MinPosts:    cfg.MinPosts,
+			Cells:       cfg.Cells,
+			Parallelism: cfg.Workers,
+			Context:     cfg.Context,
+			Obs:         o,
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -300,9 +300,9 @@ func TestGeolocateConfigErrors(t *testing.T) {
 	}
 }
 
-// TestGeolocateSnapshotPaths: every ingest path — sequential CSV, sharded
-// CSV, snapshot write, snapshot load, and the unfused profile build —
-// yields a byte-identical geolocation.
+// TestGeolocateSnapshotPaths: every ingest path — CSV at the default and
+// at 7 workers, snapshot write, snapshot load — and an explicit UTC cell
+// hook in the profile build yield a byte-identical geolocation.
 func TestGeolocateSnapshotPaths(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := writeCrowd(t, dir)
@@ -318,7 +318,7 @@ func TestGeolocateSnapshotPaths(t *testing.T) {
 	want := geoJSON(t, clean)
 
 	sharded := base
-	sharded.IngestWorkers = 7
+	sharded.Workers = 7
 	res, err := Geolocate(sharded)
 	if err != nil {
 		t.Fatal(err)
@@ -327,16 +327,16 @@ func TestGeolocateSnapshotPaths(t *testing.T) {
 		t.Errorf("sharded ingest diverged from sequential")
 	}
 
-	// Forcing the unfused build (explicit UTC cell hook) must not change
-	// the output either — it pins fused/unfused equivalence in situ.
-	unfused := base
-	unfused.Cells = profile.UTCCells()
-	res, err = Geolocate(unfused)
+	// Bucketing through UTCCells() instead of the default floor(sec/3600)
+	// key must not change the output either.
+	hooked := base
+	hooked.Cells = profile.UTCCells()
+	res, err = Geolocate(hooked)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := geoJSON(t, res); got != want {
-		t.Errorf("unfused profile build diverged")
+		t.Errorf("explicit UTC cell hook diverged")
 	}
 
 	// First snapshot run ingests the CSV and installs the snapshot …

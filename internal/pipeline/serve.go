@@ -38,14 +38,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"io/fs"
-	"math"
 	"net/http"
 	"os"
 	"sync"
@@ -211,17 +208,11 @@ type Daemon struct {
 	// observability is off).
 	cPosts, cRejects, cCompact *obs.Counter
 	cRefits, cRefitsBg         *obs.Counter
-	cSamplesSame               *obs.Counter
 	cFresh, cCached, cScans    *obs.Counter
 	cSnapLoads, cSnapWrites    *obs.Counter
 	gPosts, gUsers             *obs.Gauge
 	latIngest, latPlace        *obs.LatencyHist
 	latReport, latHealthz      *obs.LatencyHist
-
-	// lastSamples is the samplesHash of the previous refit's EM input;
-	// haveSamples is false until the first refit. Both guarded by fitMu.
-	lastSamples uint64
-	haveSamples bool
 
 	kick      chan struct{}
 	stop      context.CancelFunc
@@ -262,7 +253,6 @@ func NewDaemon(cfg ServeConfig) (*Daemon, error) {
 	d.cCompact = d.o.Counter("serve.compactions")
 	d.cRefits = d.o.Counter("serve.refits")
 	d.cRefitsBg = d.o.Counter("serve.refits_background")
-	d.cSamplesSame = d.o.Counter("serve.refit_samples_unchanged")
 	d.cFresh = d.o.Counter("serve.placements_fresh")
 	d.cCached = d.o.Counter("serve.placements_cached")
 	d.cScans = d.o.Counter(profile.ZoneScansCounter)
@@ -610,15 +600,6 @@ func (d *Daemon) refit() (*ServeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.o.Enabled() {
-		// Measure how often EM sees the same ordered input twice in a
-		// row, the case an EM memo keyed on that vector would skip.
-		h := samplesHash(geo.Placement.Samples())
-		if d.haveSamples && h == d.lastSamples {
-			d.cSamplesSame.Add(1)
-		}
-		d.lastSamples, d.haveSamples = h, true
-	}
 	rep := &ServeReport{
 		Gen:           g,
 		Posts:         posts,
@@ -651,18 +632,6 @@ func (d *Daemon) refit() (*ServeReport, error) {
 		d.view.Store(&reportView{rep: rep, fitted: g})
 	}
 	return rep, nil
-}
-
-// samplesHash is the FNV-64a hash of the float bits of an ordered EM
-// sample vector.
-func samplesHash(samples []float64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, x := range samples {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }
 
 // PlaceResult is the /place/{user} response.

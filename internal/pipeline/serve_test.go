@@ -450,66 +450,6 @@ func TestDaemonIngestResultConsistency(t *testing.T) {
 	}
 }
 
-// TestDaemonRefitSamplesUnchanged: serve.refit_samples_unchanged counts
-// refits whose ordered EM input equals the previous refit's. A /report
-// with no ingest since the last refit is served from the published view
-// and runs no refit at all; a refit after an ingest that leaves every
-// placement alone (one post by a user below the activity threshold)
-// counts; a refit after an ingest that moves a user's zone does not.
-func TestDaemonRefitSamplesUnchanged(t *testing.T) {
-	dir := t.TempDir()
-	rows := loadPosts(t, writeCrowd(t, dir))
-	o := &obs.Observer{Metrics: obs.NewRegistry()}
-	d, err := NewDaemon(ServeConfig{Reference: testReference(t), RefitDebounce: -1, Obs: o})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
-	counters := func() (refits, unchanged int64) {
-		c := o.Metrics.Snapshot().Counters
-		return c["serve.refits"], c["serve.refit_samples_unchanged"]
-	}
-
-	mustPost(t, srv.URL, ndjson(rows))
-	rep := getReport(t, srv.URL)
-	getReport(t, srv.URL)
-	if r, u := counters(); r != 1 || u != 0 {
-		t.Fatalf("after two reports on one generation: refits=%d unchanged=%d, want 1, 0", r, u)
-	}
-
-	lurker := []trace.Post{{UserID: "lurker", Time: rows[0].Time}}
-	mustPost(t, srv.URL, ndjson(lurker))
-	getReport(t, srv.URL)
-	if r, u := counters(); r != 2 || u != 1 {
-		t.Fatalf("after an ingest that moves no zone: refits=%d unchanged=%d, want 2, 1", r, u)
-	}
-
-	// Give one user four copies of their posts, 12 hours later and on
-	// days they never posted: the new cells dominate the profile and
-	// pull the user's zone across the circle.
-	user := rows[0].UserID
-	before := rep.Geo.Placement.Assignments[user]
-	var moved []trace.Post
-	for _, p := range rows {
-		if p.UserID == user {
-			for k := 1; k <= 4; k++ {
-				shift := time.Duration(400*k)*24*time.Hour + 12*time.Hour
-				moved = append(moved, trace.Post{UserID: user, Time: p.Time.Add(shift)})
-			}
-		}
-	}
-	mustPost(t, srv.URL, ndjson(moved))
-	after := getReport(t, srv.URL).Geo.Placement.Assignments[user]
-	if after == before {
-		t.Fatalf("premise broken: %s stayed in zone %v", user, before)
-	}
-	if r, u := counters(); r != 3 || u != 1 {
-		t.Errorf("after an ingest that moves a zone: refits=%d unchanged=%d, want 3, 1", r, u)
-	}
-}
-
 // TestDaemonRefitScansDirtyUsers counts kernel calls per refit on a crowd
 // whose polish pass 1 removes nobody: the first refit scans every active
 // user once (polish and placement share the scan), and after k users gain

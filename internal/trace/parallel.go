@@ -25,12 +25,9 @@ package trace
 //     back to readCSV wholesale. The fast path only handles byte shapes
 //     whose csv semantics are trivially the identity.
 //
-// The fused-ingest hook rides on the same result: with CollectCells set,
-// IngestResult.Cells hands profile building the integer profile cell
-// (epochDay*24+hour, i.e. floor(unixSec/3600)) of each user's posts,
-// computed from the store's seconds column as they are read, so no
-// per-post cell column is written or merged (see
-// profile.BuildUserProfilesFused).
+// Profile building reads the built store's seconds column directly
+// (profile.BuildUserProfiles); IngestOptions.CollectCells and
+// IngestResult.Cells only hand that store back a second time.
 
 import (
 	"bytes"
@@ -62,63 +59,31 @@ type IngestOptions struct {
 	// Workers is the shard parallelism (<=0 selects GOMAXPROCS; clamped
 	// like par.Workers). The parsed result is bit-identical at any value.
 	Workers int
-	// CollectCells additionally returns IngestResult.Cells, the per-user
-	// integer UTC profile cells, fusing ingest with the first half of
-	// profile building.
+	// CollectCells sets IngestResult.Cells.
+	// Kept only for bench/traced.go; delete with the bench-spans item.
 	CollectCells bool
 }
 
-// IngestResult is what IngestCSV produces: the dataset, the lenient-mode
-// quarantine report and the optional fused cells.
+// IngestResult is what IngestCSV produces: the dataset and the
+// lenient-mode quarantine report.
 type IngestResult struct {
 	Dataset *Dataset
 	Report  *QuarantineReport
 	// Cells is non-nil when IngestOptions.CollectCells was set and the
 	// ingest succeeded.
+	// Kept only for bench/traced.go; delete with the bench-spans item.
 	Cells *UserCells
 }
 
-// UserCells is the fused-ingest product: per-post integer profile cells
-// (epochDay*24+hour, UTC) grouped per user through the columnar index.
-// It feeds profile.BuildUserProfilesFused the exact sequence of keys the
-// unfused path would recompute from the store's timestamp column; the
-// keys are derived from that column on demand, so it holds only the store.
+// UserCells wraps the store of an IngestCSV result for
+// profile.BuildUserProfilesFused.
+// Kept only for bench/traced.go; delete with the bench-spans item.
 type UserCells struct {
 	store *Store
 }
 
-// NumUsers returns the number of distinct users.
-func (c *UserCells) NumUsers() int { return c.store.NumUsers() }
-
-// UserID returns the user ID at dense index u (sorted by ID).
-func (c *UserCells) UserID(u int) string { return c.store.UserID(u) }
-
-// Count returns the number of posts of the user at dense index u.
-func (c *UserCells) Count(u int) int { return c.store.Count(u) }
-
-// Store returns the columnar index the cells are grouped by.
+// Store returns the wrapped columnar store.
 func (c *UserCells) Store() *Store { return c.store }
-
-// AppendUserKeys appends user u's per-post cell keys (in dataset order)
-// to buf and returns it — the fused twin of Store.AppendUserTimes.
-func (c *UserCells) AppendUserKeys(buf []int64, u int) []int64 {
-	for _, pos := range c.store.posts[c.store.offsets[u]:c.store.offsets[u+1]] {
-		buf = append(buf, floorDiv3600(c.store.when[pos]))
-	}
-	return buf
-}
-
-// floorDiv3600 is floor(sec/3600) — the UTC profile cell key
-// epochDay*24+hour of an epoch-seconds timestamp (exactly
-// profile.cellKey(profile.cellOfUnix(sec)), proven by the fused-build
-// equivalence test).
-func floorDiv3600(sec int64) int64 {
-	q := sec / 3600
-	if sec%3600 != 0 && sec < 0 {
-		q--
-	}
-	return q
-}
 
 // IngestCSV parses a CSV activity trace (the layout WriteCSV emits) with
 // sharded workers and builds the columnar store as part of the merge. On
@@ -153,8 +118,8 @@ func IngestCSV(name string, data []byte, opts IngestOptions) (*IngestResult, err
 	return mergeShards(name, shards, headerLines, opts)
 }
 
-// ingestSequential is the quoted-input fallback: readCSV plus the cells,
-// under IngestCSV's error contract.
+// ingestSequential is the quoted-input fallback: readCSV under
+// IngestCSV's result and error contract.
 func ingestSequential(name string, data []byte, opts IngestOptions) (*IngestResult, error) {
 	ds, report, err := readCSV(name, data, opts)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // parallelWorkerCounts are the shard counts the equivalence suite sweeps —
@@ -242,49 +243,11 @@ func TestParallelReadEdgeCases(t *testing.T) {
 	}
 }
 
-// TestIngestCellsMatchStore asserts the fused cells are exactly the
-// floor-divided timestamp column, grouped per user like AppendUserTimes.
-func TestIngestCellsMatchStore(t *testing.T) {
-	t.Parallel()
-	r := rand.New(rand.NewSource(99))
-	data := genEquivCSV(r, false)
-	for _, workers := range parallelWorkerCounts {
-		res, err := IngestCSV("cells", data, IngestOptions{
-			Lenient:      true, // the generator emits some invalid calendar dates
-			Workers:      workers,
-			CollectCells: true,
-		})
-		if err != nil {
-			t.Fatalf("IngestCSV(workers=%d): %v", workers, err)
-		}
-		if res.Cells == nil {
-			t.Fatalf("IngestCSV(workers=%d): nil Cells", workers)
-		}
-		s := res.Dataset.Index()
-		if res.Cells.NumUsers() != s.NumUsers() {
-			t.Fatalf("cells users %d != store users %d", res.Cells.NumUsers(), s.NumUsers())
-		}
-		var timeBuf []int64
-		var keyBuf []int64
-		for u := 0; u < s.NumUsers(); u++ {
-			timeBuf = s.AppendUserTimes(timeBuf[:0], u)
-			keyBuf = res.Cells.AppendUserKeys(keyBuf[:0], u)
-			if len(timeBuf) != len(keyBuf) {
-				t.Fatalf("user %d: %d times vs %d keys", u, len(timeBuf), len(keyBuf))
-			}
-			for i, sec := range timeBuf {
-				if want := floorDiv3600(sec); keyBuf[i] != want {
-					t.Fatalf("user %d post %d: key %d, want %d (sec %d)", u, i, keyBuf[i], want, sec)
-				}
-			}
-		}
-	}
-}
-
 // TestIngestQuotedFallback pins the sequential fallback: any input
-// containing a quote parses via readCSV, still with cells. It also pins
-// IngestCSV's error contract on both paths: the result is nil on every
-// error except a lenient bad-row budget abort, which carries the report.
+// containing a quote parses via readCSV into the same dataset shape. It
+// also pins IngestCSV's error contract on both paths: the result is nil on
+// every error except a lenient bad-row budget abort, which carries the
+// report.
 func TestIngestQuotedFallback(t *testing.T) {
 	t.Parallel()
 	data := []byte("user_id,time_rfc3339\n\"u,1\",2021-01-01T00:00:00Z\nu2,2021-01-01T00:00:01Z\n")
@@ -292,19 +255,18 @@ func TestIngestQuotedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IngestCSV: %v", err)
 	}
-	if res.Cells == nil {
-		t.Fatal("quoted fallback cells missing")
+	ds := res.Dataset
+	if ds.Name != "quoted" || ds.NumPosts() != 2 || ds.Index().NumUsers() != 2 {
+		t.Fatalf("quoted fallback dataset = %+v", ds.Summarize())
 	}
-	// Both posts fall in the first hour of 2021-01-01 UTC.
-	var keys []int64
-	for u := 0; u < res.Cells.NumUsers(); u++ {
-		keys = res.Cells.AppendUserKeys(keys, u)
+	base := time.Date(2021, time.January, 1, 0, 0, 0, 0, time.UTC)
+	for i, want := range []Post{{UserID: "u,1", Time: base}, {UserID: "u2", Time: base.Add(time.Second)}} {
+		if got := ds.Post(i); got.UserID != want.UserID || !got.Time.Equal(want.Time) {
+			t.Fatalf("post %d = %+v, want %+v", i, got, want)
+		}
 	}
-	if want := int64(1609459200 / 3600); len(keys) != 2 || keys[0] != want || keys[1] != want {
-		t.Fatalf("quoted fallback cells = %v, want two posts in cell %d", keys, want)
-	}
-	if got := res.Dataset.Post(0).UserID; got != "u,1" {
-		t.Fatalf("quoted field mangled: %q", got)
+	if res.Cells == nil || res.Cells.Store() != ds.Index() {
+		t.Fatal("quoted fallback Cells does not wrap the dataset's store")
 	}
 
 	for _, user := range []string{"u2", `"u,2"`} {
