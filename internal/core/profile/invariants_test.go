@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 
 // eqOneBuilders are the ways the code turns posts into Eq. 1 user
 // profiles: the store build with its default floor(sec/3600) key, the
+// same build over the store of a CSV ingest (BuildUserProfilesFused), the
 // store build bucketing through UTCCells(), and the streaming accumulator.
 var eqOneBuilders = []struct {
 	name  string
@@ -19,6 +21,21 @@ var eqOneBuilders = []struct {
 }{
 	{"batch", func(t *testing.T, posts []trace.Post, minPosts int) map[string]Profile {
 		return eqOneStoreBuild(t, posts, BuildOptions{MinPosts: minPosts, Parallelism: 3})
+	}},
+	{"fused", func(t *testing.T, posts []trace.Post, minPosts int) map[string]Profile {
+		var buf bytes.Buffer
+		if err := trace.NewDataset("", posts).WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		res, err := trace.IngestCSV("eq1", buf.Bytes(), trace.IngestOptions{Workers: 3, CollectCells: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := BuildUserProfilesFused(res.Cells, BuildOptions{MinPosts: minPosts, Parallelism: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}},
 	{"utc-cells", func(t *testing.T, posts []trace.Post, minPosts int) map[string]Profile {
 		return eqOneStoreBuild(t, posts, BuildOptions{MinPosts: minPosts, Parallelism: 3, Cells: UTCCells()})
