@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -408,7 +409,7 @@ func cmdGeolocate(args []string) error {
 	lenient := fs.Bool("lenient", false, "quarantine malformed trace rows instead of failing (report on stderr)")
 	maxBadRows := fs.Int("max-bad-rows", 0, "with -lenient, fail after this many bad rows (0 = unlimited)")
 	snapshot := fs.String("snapshot", "", "binary snapshot cache: load the trace from this .dcs file if it exists, else ingest the CSV and write it (empty = off)")
-	ckpt := fs.String("checkpoint", "", "stage checkpoint file: an interrupted run resumes from it (empty = off)")
+	ckpt := fs.String("checkpoint", "", "reference checkpoint file: an interrupted run resumes without rebuilding the reference (empty = off)")
 	outPath := fs.String("out", "", "also write the full geolocation result as JSON to this path")
 	margins := fs.Bool("margins", false, "record per-user placement margins (best-vs-runner-up EMD gap) and a margin summary")
 	bootstrap := fs.Int("bootstrap", 0, "bootstrap replicates for mixture confidence intervals (0 = off)")
@@ -444,7 +445,9 @@ func cmdGeolocate(args []string) error {
 	cfg.ReferenceID, cfg.Reference = referenceLoader(*refPath, *seed, *scale, *workers)
 	res, err := pipeline.Geolocate(cfg)
 	if err != nil {
-		if *ckpt != "" {
+		// A stale or foreign checkpoint can never resume; its error
+		// already says to delete the file.
+		if *ckpt != "" && !errors.Is(err, pipeline.ErrCheckpointMismatch) && !errors.Is(err, pipeline.ErrCheckpointVersion) {
 			fmt.Fprintf(os.Stderr, "geolocation interrupted; rerun with -checkpoint %s to resume\n", *ckpt)
 		}
 		return err
@@ -460,8 +463,8 @@ func cmdGeolocate(args []string) error {
 	if res.Quarantine != nil && !res.Quarantine.Empty() {
 		fmt.Fprintf(os.Stderr, "warning: %s\n", res.Quarantine)
 	}
-	for _, stage := range res.Restored {
-		fmt.Fprintf(os.Stderr, "resumed %s from checkpoint\n", stage)
+	if res.Restored {
+		fmt.Fprintln(os.Stderr, "resumed reference from checkpoint")
 	}
 	geo := res.Geo
 	if geo.Degraded != "" {

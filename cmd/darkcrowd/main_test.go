@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 
 	"darkcrowd/internal/forum"
 	"darkcrowd/internal/obs"
+	"darkcrowd/internal/pipeline"
 	"darkcrowd/internal/synth"
 	"darkcrowd/internal/trace"
 	"darkcrowd/internal/tz"
@@ -304,28 +306,36 @@ func TestReferenceRoundTrip(t *testing.T) {
 	}
 }
 
-// captureStdout runs fn with os.Stdout redirected into a pipe and
-// returns everything it printed.
-func captureStdout(t *testing.T, fn func() error) string {
+// capture runs fn with *stream (os.Stdout or os.Stderr) redirected into
+// a pipe and returns everything written to it, along with fn's error.
+func capture(t *testing.T, stream **os.File, fn func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
+	old := *stream
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*stream = w
 	runErr := fn()
 	w.Close()
-	os.Stdout = old
+	*stream = old
 	data, err := io.ReadAll(r)
 	r.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runErr != nil {
-		t.Fatalf("command failed: %v\noutput:\n%s", runErr, data)
+	return string(data), runErr
+}
+
+// captureStdout runs fn with os.Stdout redirected into a pipe and
+// returns everything it printed; fn must succeed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	out, err := capture(t, &os.Stdout, fn)
+	if err != nil {
+		t.Fatalf("command failed: %v\noutput:\n%s", err, out)
 	}
-	return string(data)
+	return out
 }
 
 func TestGeolocateObservabilityFlags(t *testing.T) {
@@ -406,5 +416,72 @@ func TestScrapeObservabilityFlags(t *testing.T) {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %q missing from metrics report: %v", name, snap.Counters)
 		}
+	}
+}
+
+// TestGeolocateCheckpointResumeHint: a checkpointed run resumes the
+// reference, and the "rerun to resume" hint follows every failure except
+// a checkpoint that can never resume (foreign fingerprint, old version).
+func TestGeolocateCheckpointResumeHint(t *testing.T) {
+	dir := t.TempDir()
+	refPath := filepath.Join(dir, "ref.json")
+	if err := run([]string{"reference", "-twitter-scale", "300", "-out", refPath}); err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	crowdPath := filepath.Join(dir, "crowd.csv")
+	if err := run([]string{"generate", "-regions", "jp:30", "-out", crowdPath}); err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	ckpt := filepath.Join(dir, "stage.ckpt")
+	geolocate := func(extra ...string) (string, error) {
+		args := append([]string{"geolocate", "-in", crowdPath, "-ref", refPath, "-checkpoint", ckpt}, extra...)
+		return capture(t, &os.Stderr, func() error { return run(args) })
+	}
+	const hint, resumed = "rerun with -checkpoint", "resumed reference from checkpoint"
+
+	if stderr, err := geolocate(); err != nil || strings.Contains(stderr, resumed) {
+		t.Fatalf("fresh run: err %v, stderr:\n%s", err, stderr)
+	}
+	if stderr, err := geolocate(); err != nil || !strings.Contains(stderr, resumed) {
+		t.Fatalf("resumed run: err %v, stderr:\n%s", err, stderr)
+	}
+
+	// Another active-user threshold: the fingerprint differs.
+	stderr, err := geolocate("-min-posts", "10")
+	if !errors.Is(err, pipeline.ErrCheckpointMismatch) || strings.Contains(stderr, hint) {
+		t.Errorf("fingerprint mismatch: err %v, stderr:\n%s", err, stderr)
+	}
+
+	// A checkpoint from an older format version.
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &ck); err != nil {
+		t.Fatal(err)
+	}
+	ck["version"] = json.RawMessage("3")
+	old, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stderr, err = geolocate()
+	if !errors.Is(err, pipeline.ErrCheckpointVersion) || strings.Contains(stderr, hint) {
+		t.Errorf("old version: err %v, stderr:\n%s", err, stderr)
+	}
+
+	// Any other failure keeps the hint.
+	if err := os.Remove(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	stderr, err = capture(t, &os.Stderr, func() error {
+		return run([]string{"geolocate", "-in", crowdPath, "-ref", filepath.Join(dir, "missing.json"), "-checkpoint", ckpt})
+	})
+	if err == nil || !strings.Contains(stderr, hint) {
+		t.Errorf("missing reference: err %v, stderr:\n%s", err, stderr)
 	}
 }

@@ -157,8 +157,8 @@ func TestChaosPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Restored) == 0 || res.Restored[0] != "reference" {
-		t.Errorf("restored %v, want the checkpointed reference", res.Restored)
+	if !res.Restored {
+		t.Error("rerun did not restore the checkpointed reference")
 	}
 	if got := geoJSON(t, res); got != want {
 		t.Error("post-panic resumed run diverged from clean run")

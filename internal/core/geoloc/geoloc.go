@@ -61,8 +61,7 @@ type Placement struct {
 	// zone and the winning zone. A margin near zero means the placement
 	// was nearly a coin flip between two zones; a large margin means the
 	// user's profile points unambiguously at one zone. Nil when margin
-	// recording was off, so pre-margin reports and checkpoints are
-	// unaffected.
+	// recording was off, so pre-margin reports are unaffected.
 	Margins map[string]float64 `json:",omitempty"`
 }
 
@@ -361,9 +360,7 @@ type GeolocateOptions struct {
 }
 
 // FitPlacement runs the model-fitting half of §IV-B on a placement: EM
-// mixture selection with BIC, then the Table II fit-quality metrics. The
-// placement may come from a fresh run or from a stage checkpoint — the
-// result is identical either way.
+// mixture selection with BIC, then the Table II fit-quality metrics.
 func FitPlacement(placement *Placement, opts GeolocateOptions) (*Geolocation, error) {
 	if opts.MaxComponents == 0 {
 		opts.MaxComponents = 4

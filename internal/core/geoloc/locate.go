@@ -29,16 +29,6 @@ type LocateOptions struct {
 	// profile has not changed since (see profile.ScanOptions.Cache); the
 	// first scan of the step skips the kernel for them.
 	Cache map[string]profile.ZoneScan
-
-	// Placement and Geo resume a checkpointed run: when non-nil the step
-	// takes that stage from them instead of computing it, and notes the
-	// restore on the stage span. Polishing always runs.
-	Placement *Placement
-	Geo       *Geolocation
-	// Placed, when non-nil, receives a freshly computed placement before
-	// the fit starts, so a caller can checkpoint it; an error aborts the
-	// step.
-	Placed func(*Placement) error
 }
 
 // LocateCrowd is the paper's crowd-geolocation step on a set of user
@@ -53,9 +43,9 @@ type LocateOptions struct {
 // With SkipPolish the polishing outcome keeps every user after zero
 // passes. Its IDs and Scans hold the step's first scan against generic of
 // every input user — polish pass 1, or the placement sweep without
-// polishing — which a caller can keep as a later Cache; they are nil when
-// a restored placement replaced that sweep. LocateCrowd returns
-// ErrNoProfiles when profiles is empty or polishing removes every user.
+// polishing — which a caller can keep as a later Cache. LocateCrowd
+// returns ErrNoProfiles when profiles is empty or polishing removes every
+// user.
 func LocateCrowd(profiles map[string]profile.Profile, generic profile.Profile, opts LocateOptions) (*profile.PolishResult, *Geolocation, error) {
 	if len(profiles) == 0 {
 		return nil, nil, ErrNoProfiles
@@ -81,11 +71,7 @@ func LocateCrowd(profiles map[string]profile.Profile, generic profile.Profile, o
 	}
 
 	po := opts.Obs.Stage("placement")
-	placement := opts.Placement
-	switch {
-	case placement != nil:
-		po.Eventf("placement", "restored from checkpoint")
-	case opts.SkipPolish:
+	if opts.SkipPolish {
 		ids := profile.SortedUserIDs(profiles)
 		scan.Obs = po
 		scans, err := profile.ScanUsers(profiles, ids, generic, scan)
@@ -94,26 +80,13 @@ func LocateCrowd(profiles map[string]profile.Profile, generic profile.Profile, o
 			return nil, nil, err
 		}
 		polished.IDs, polished.Scans = ids, scans
-		placement = placementOf(profiles, ids, scans, opts.Margins, po)
-	default:
-		placement = placementOf(polished.Kept, polished.IDs, polished.Scans, opts.Margins, po)
 	}
+	placement := placementOf(polished.Kept, polished.IDs, polished.Scans, opts.Margins, po)
 	po.End()
-	if opts.Placement == nil && opts.Placed != nil {
-		if err := opts.Placed(placement); err != nil {
-			return nil, nil, err
-		}
-	}
 	if err := ctxErr(opts.Context); err != nil {
 		return nil, nil, err
 	}
 
-	if opts.Geo != nil {
-		eo := opts.Obs.Stage("em-select")
-		eo.Eventf("em-select", "restored from checkpoint")
-		eo.End()
-		return polished, opts.Geo, nil
-	}
 	geo, err := FitPlacement(placement, GeolocateOptions{
 		MaxComponents: opts.MaxComponents,
 		Parallelism:   opts.Parallelism,

@@ -6,14 +6,15 @@
 //   - lenient ingest: malformed trace rows are quarantined into a
 //     structured report (under a bad-row budget) instead of killing a
 //     crawl's worth of work;
-//   - stage checkpoints: after each expensive stage the pipeline
-//     atomically saves everything computed so far, so an interrupted run
-//     resumes mid-pipeline and produces byte-identical final output.
+//   - a reference checkpoint: the generic reference profile, the one
+//     costly artifact built outside the crowd's own trace, is saved
+//     atomically once built, so an interrupted run resumes without
+//     rebuilding it and produces byte-identical final output.
 //
-// Every stage is deterministic, so a resumed run and a clean run agree
-// bit for bit: checkpoints are JSON, and Go's float64 JSON encoding
-// (shortest round-trip representation) restores every finite value
-// exactly.
+// Every per-crowd stage is deterministic and cheap, so a resumed run
+// recomputes them and agrees with a clean run bit for bit: the checkpoint
+// is JSON, and Go's float64 JSON encoding (shortest round-trip
+// representation) restores every finite value of the reference exactly.
 package pipeline
 
 import (
@@ -66,19 +67,20 @@ type Config struct {
 	// it is NOT part of the checkpoint fingerprint — a checkpoint taken
 	// with 8 workers resumes fine with 1.
 	Workers int
-	// CheckpointPath enables stage checkpointing (empty = off). The file
-	// is rewritten atomically after each completed expensive stage.
+	// CheckpointPath enables the reference checkpoint (empty = off): the
+	// stripped reference is saved there atomically once built, and a rerun
+	// with the same inputs and settings loads it instead of calling
+	// Reference. Every later stage is recomputed.
 	CheckpointPath string
 	// Margins records each user's placement margin (best-vs-runner-up EMD
 	// gap) into the placement and a MarginSummary into the geolocation.
-	// Margins change the placement's serialized content, so the flag is
-	// part of the checkpoint fingerprint.
+	// Margins change the report, so the flag is part of the checkpoint
+	// fingerprint.
 	Margins bool
 	// BootstrapReplicates, when positive, computes bootstrap confidence
 	// intervals on the mixture components (geoloc.BootstrapMixtureCI) and
 	// attaches them as Geo.Confidence. The intervals are a deterministic
-	// function of (placement, mixture, replicates, seed, level), so they
-	// are recomputed on checkpoint resume rather than checkpointed.
+	// function of (placement, mixture, replicates, seed, level).
 	BootstrapReplicates int
 	// BootstrapSeed seeds the bootstrap resampling RNG.
 	BootstrapSeed int64
@@ -100,8 +102,7 @@ type Config struct {
 	// Cells overrides the profile-build bucketing hook (nil = UTC cells).
 	// The chaos harness wraps it to inject worker panics mid-stage; the
 	// production CLI leaves it nil. It is not part of the checkpoint
-	// fingerprint, so overrides that change the output must not share a
-	// checkpoint with runs that don't.
+	// fingerprint: the checkpointed reference does not depend on it.
 	Cells profile.CellOf
 }
 
@@ -121,9 +122,9 @@ type Result struct {
 	// Provenance is the hash-chained measurement record; nil unless
 	// Config.Provenance was set.
 	Provenance *Provenance
-	// Restored lists the stages that came from the checkpoint instead of
-	// being recomputed, in pipeline order.
-	Restored []string
+	// Restored reports that the reference came from the checkpoint instead
+	// of Config.Reference.
+	Restored bool
 	// SnapshotLoaded reports that the dataset came from Config.SnapshotPath
 	// instead of the CSV trace.
 	SnapshotLoaded bool
@@ -137,8 +138,9 @@ type Result struct {
 // v2: placements may carry per-user margins and the fingerprint covers the
 // margins flag. v3: the fingerprint is checkpointKey (the dataset's .dcs
 // content hash plus the stage settings), replacing an FNV-1a over rows
-// whose UnixNano timestamps wrapped outside 1678–2262.
-const checkpointVersion = 3
+// whose UnixNano timestamps wrapped outside 1678–2262. v4: the checkpoint
+// holds only the reference; profiles, placement and fit are recomputed.
+const checkpointVersion = 4
 
 // ErrCheckpointVersion is wrapped by the error for a checkpoint written by
 // another format version: it fails closed and is never resumed.
@@ -158,18 +160,14 @@ type checkpointError struct {
 func (e *checkpointError) Error() string { return e.msg }
 func (e *checkpointError) Unwrap() error { return e.kind }
 
-// checkpoint is the cumulative snapshot of a staged run: each field is
-// nil until its stage completes, and the whole struct is rewritten
-// atomically after every completed stage. All stage outputs are pure
-// functions of the fingerprinted inputs, so restoring any prefix of them
-// yields the same final output as recomputing it.
+// checkpoint is the on-disk reference checkpoint, written once, right
+// after the reference is built. Every later stage is a cheap pure
+// function of the fingerprinted inputs and the reference, so a resumed
+// run recomputes it to the same bytes.
 type checkpoint struct {
-	Version     int                        `json:"version"`
-	Fingerprint string                     `json:"fingerprint"`
-	Reference   *profile.GenericResult     `json:"reference,omitempty"`
-	Profiles    map[string]profile.Profile `json:"profiles,omitempty"`
-	Placement   *geoloc.Placement          `json:"placement,omitempty"`
-	Geo         *geoloc.Geolocation        `json:"geo,omitempty"`
+	Version     int                    `json:"version"`
+	Fingerprint string                 `json:"fingerprint"`
+	Reference   *profile.GenericResult `json:"reference"`
 }
 
 // checkpointKey is the checkpoint fingerprint: a digest of everything the
@@ -188,9 +186,9 @@ func checkpointKey(dsHash string, cfg Config) (string, error) {
 	}{dsHash, cfg.ReferenceID, cfg.MinPosts, cfg.SkipPolish, cfg.Margins})
 }
 
-// loadCheckpoint reads a snapshot, returning (nil, nil) when none exists
-// yet. A snapshot for different inputs or settings is an error, not a
-// silent fresh start: resuming the wrong run corrupts the result.
+// loadCheckpoint reads a checkpoint, returning (nil, nil) when none
+// exists yet. A checkpoint for different inputs or settings is an error,
+// not a silent fresh start: resuming the wrong run corrupts the result.
 func loadCheckpoint(path, fp string) (*checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -204,7 +202,7 @@ func loadCheckpoint(path, fp string) (*checkpoint, error) {
 		return nil, fmt.Errorf("pipeline: parse checkpoint %s: %w", path, err)
 	}
 	if ck.Version != checkpointVersion {
-		return nil, &checkpointError{fmt.Sprintf("pipeline: checkpoint %s has version %d, want %d",
+		return nil, &checkpointError{fmt.Sprintf("pipeline: checkpoint %s has version %d, want %d; delete it to start over",
 			path, ck.Version, checkpointVersion), ErrCheckpointVersion}
 	}
 	if ck.Fingerprint != fp {
@@ -312,55 +310,37 @@ func Geolocate(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	if ck == nil {
-		ck = &checkpoint{Version: checkpointVersion, Fingerprint: fp}
-	}
-	save := func() error {
-		if cfg.CheckpointPath == "" {
-			return nil
-		}
-		data, err := json.Marshal(ck)
-		if err != nil {
-			return fmt.Errorf("pipeline: encode checkpoint: %w", err)
-		}
-		err = atomicio.WriteFileHooked(cfg.CheckpointPath, func(w io.Writer) error {
-			_, err := w.Write(data)
-			return err
-		}, cfg.CheckpointHook)
-		if err != nil {
-			return fmt.Errorf("pipeline: save checkpoint: %w", err)
-		}
-		return nil
-	}
-	restored := func(so *obs.Observer, stage string) {
-		res.Restored = append(res.Restored, stage)
-		so.Eventf(stage, "restored from checkpoint")
-	}
 
 	if err := canceled(); err != nil {
 		return nil, err
 	}
 	ro := o.Stage("reference")
-	var gen *profile.GenericResult
-	if ck.Reference != nil {
-		gen = ck.Reference
-		restored(ro, "reference")
+	var ref *profile.GenericResult
+	if ck != nil && ck.Reference != nil {
+		ref = ck.Reference
+		res.Restored = true
+		ro.Eventf("reference", "restored from checkpoint")
 	} else {
-		gen, err = cfg.Reference()
+		gen, err := cfg.Reference()
 		if err != nil {
 			ro.End()
 			return nil, err
 		}
 		// The pipeline only ever consults the aggregate profiles; dropping
 		// the per-user map keeps synthetic-reference checkpoints small.
-		ck.Reference = &profile.GenericResult{
+		ref = &profile.GenericResult{
 			Generic:     gen.Generic,
 			PerRegion:   gen.PerRegion,
 			ActiveUsers: gen.ActiveUsers,
 		}
-		if err := save(); err != nil {
-			ro.End()
-			return nil, err
+		if cfg.CheckpointPath != "" {
+			err := atomicio.WriteFileHooked(cfg.CheckpointPath, func(w io.Writer) error {
+				return json.NewEncoder(w).Encode(checkpoint{Version: checkpointVersion, Fingerprint: fp, Reference: ref})
+			}, cfg.CheckpointHook)
+			if err != nil {
+				ro.End()
+				return nil, fmt.Errorf("pipeline: save checkpoint: %w", err)
+			}
 		}
 	}
 	ro.End()
@@ -368,69 +348,32 @@ func Geolocate(cfg Config) (*Result, error) {
 	if err := canceled(); err != nil {
 		return nil, err
 	}
-	var profiles map[string]profile.Profile
-	if ck.Profiles != nil {
-		po := o.Stage("profile-build")
-		profiles = ck.Profiles
-		restored(po, "profile-build")
-		po.End()
-	} else {
-		profiles, err = profile.BuildUserProfiles(ds, profile.BuildOptions{
-			MinPosts:    cfg.MinPosts,
-			Cells:       cfg.Cells,
-			Parallelism: cfg.Workers,
-			Context:     cfg.Context,
-			Obs:         o,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ck.Profiles = profiles
-		if err := save(); err != nil {
-			return nil, err
-		}
+	built, err := profile.BuildUserProfiles(ds, profile.BuildOptions{
+		MinPosts:    cfg.MinPosts,
+		Cells:       cfg.Cells,
+		Parallelism: cfg.Workers,
+		Context:     cfg.Context,
+		Obs:         o,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	if err := canceled(); err != nil {
 		return nil, err
 	}
-	// Polishing reruns on resume instead of being checkpointed: it is
-	// deterministic, and its pass 1 is the placement scan.
-	placementRestored, geoRestored := ck.Placement != nil, ck.Geo != nil
-	polished, geo, err := geoloc.LocateCrowd(profiles, gen.Generic, geoloc.LocateOptions{
+	polished, geo, err := geoloc.LocateCrowd(built, ref.Generic, geoloc.LocateOptions{
 		SkipPolish:  cfg.SkipPolish,
 		Margins:     cfg.Margins,
 		Parallelism: cfg.Workers,
 		Context:     cfg.Context,
 		Obs:         o,
-		Placement:   ck.Placement,
-		Geo:         ck.Geo,
-		Placed: func(p *geoloc.Placement) error {
-			ck.Placement = p
-			return save()
-		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	profiles = polished.Kept
 	res.PolishRemoved = len(polished.Removed)
-	res.ActiveUsers = len(profiles)
-	if placementRestored {
-		res.Restored = append(res.Restored, "placement")
-	}
-	if geoRestored {
-		res.Restored = append(res.Restored, "em-select")
-	} else {
-		// The checkpoint is saved before the bootstrap attaches Confidence:
-		// the intervals are a cheap deterministic function of the
-		// checkpointed placement and mixture, so resumes recompute them
-		// instead of trusting (and bloating) the checkpoint.
-		ck.Geo = geo
-		if err := save(); err != nil {
-			return nil, err
-		}
-	}
+	res.ActiveUsers = len(polished.Kept)
 	res.Geo = geo
 
 	if cfg.BootstrapReplicates > 0 {
@@ -452,7 +395,7 @@ func Geolocate(cfg Config) (*Result, error) {
 	}
 
 	if cfg.Provenance {
-		prov, err := buildProvenance(ds, dsHash, cfg, ck, profiles, res)
+		prov, err := buildProvenance(ds, dsHash, cfg, ref, built, polished.Kept, res)
 		if err != nil {
 			return nil, err
 		}
@@ -462,12 +405,12 @@ func Geolocate(cfg Config) (*Result, error) {
 }
 
 // buildProvenance assembles the hash chain once every artifact is in hand.
-// The chain is built at the end of the run but in stage order, and every
-// payload is an artifact the checkpoint round-trips (or a pure function of
-// them), so a fresh run and a checkpoint-resumed run chain identically.
-// dsHash is HashDataset(ds); kept is the post-polish profile map actually
-// placed.
-func buildProvenance(ds *trace.Dataset, dsHash string, cfg Config, ck *checkpoint, kept map[string]profile.Profile, res *Result) (*Provenance, error) {
+// The chain is built at the end of the run but in stage order. The only
+// payload a resumed run does not recompute is ref, which the checkpoint
+// round-trips exactly, so a fresh run and a resumed run chain identically.
+// dsHash is HashDataset(ds); ref is the stripped reference; built is the
+// pre-polish profile map and kept the post-polish map actually placed.
+func buildProvenance(ds *trace.Dataset, dsHash string, cfg Config, ref *profile.GenericResult, built, kept map[string]profile.Profile, res *Result) (*Provenance, error) {
 	prov := &Provenance{
 		Version: provenanceVersion,
 		Dataset: DatasetID{Name: ds.Name, Posts: ds.NumPosts(), SHA256: dsHash},
@@ -484,10 +427,10 @@ func buildProvenance(ds *trace.Dataset, dsHash string, cfg Config, ck *checkpoin
 	if err := prov.addRecord("dataset", dsHash); err != nil {
 		return nil, err
 	}
-	if err := prov.addJSON("reference", ck.Reference); err != nil {
+	if err := prov.addJSON("reference", ref); err != nil {
 		return nil, err
 	}
-	if err := prov.addJSON("profile-build", ck.Profiles); err != nil {
+	if err := prov.addJSON("profile-build", built); err != nil {
 		return nil, err
 	}
 	if !cfg.SkipPolish {
@@ -499,7 +442,7 @@ func buildProvenance(ds *trace.Dataset, dsHash string, cfg Config, ck *checkpoin
 			return nil, err
 		}
 	}
-	if err := prov.addJSON("placement", ck.Placement); err != nil {
+	if err := prov.addJSON("placement", res.Geo.Placement); err != nil {
 		return nil, err
 	}
 	if err := prov.addJSON("em-fit", res.Geo); err != nil {

@@ -96,8 +96,8 @@ func TestGeolocateCheckpointedMatchesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(clean.Restored) != 0 {
-		t.Errorf("clean run restored stages: %v", clean.Restored)
+	if clean.Restored {
+		t.Error("clean run restored the reference")
 	}
 	if clean.ActiveUsers == 0 || clean.Geo == nil || len(clean.Geo.Components) == 0 {
 		t.Fatalf("clean run produced no geolocation: %+v", clean)
@@ -114,24 +114,36 @@ func TestGeolocateCheckpointedMatchesClean(t *testing.T) {
 	if got := geoJSON(t, first); got != want {
 		t.Errorf("checkpointing run diverged from clean run:\n%s\nvs\n%s", got, want)
 	}
-	if _, err := os.Stat(ckCfg.CheckpointPath); err != nil {
+	if first.Restored {
+		t.Error("fresh checkpointing run restored the reference")
+	}
+	// The checkpoint holds the reference and nothing computed after it.
+	raw, err := os.ReadFile(ckCfg.CheckpointPath)
+	if err != nil {
 		t.Fatalf("no checkpoint written: %v", err)
 	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"version", "fingerprint", "reference"} {
+		if fields[key] == nil {
+			t.Errorf("checkpoint has no %q field", key)
+		}
+		delete(fields, key)
+	}
+	for key := range fields {
+		t.Errorf("checkpoint holds %q, want only version, fingerprint and reference", key)
+	}
 
-	// Rerunning against the finished checkpoint restores every stage and
-	// still agrees byte for byte.
+	// Rerunning against the checkpoint restores the reference, recomputes
+	// the rest and still agrees byte for byte.
 	second, err := Geolocate(ckCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStages := []string{"reference", "profile-build", "placement", "em-select"}
-	if len(second.Restored) != len(wantStages) {
-		t.Fatalf("restored %v, want %v", second.Restored, wantStages)
-	}
-	for i, s := range wantStages {
-		if second.Restored[i] != s {
-			t.Fatalf("restored %v, want %v", second.Restored, wantStages)
-		}
+	if !second.Restored {
+		t.Error("rerun did not restore the checkpointed reference")
 	}
 	if got := geoJSON(t, second); got != want {
 		t.Errorf("resumed run diverged from clean run:\n%s\nvs\n%s", got, want)
@@ -139,8 +151,9 @@ func TestGeolocateCheckpointedMatchesClean(t *testing.T) {
 }
 
 // TestGeolocateResumesAfterCheckpointWriteFailure: a checkpoint-save I/O
-// failure aborts the run, but the previous checkpoint survives intact and
-// a rerun resumes from it to the byte-identical final result.
+// failure aborts the run without installing a checkpoint or leaving a
+// temp file, and a rerun saves the reference and then resumes from it to
+// the byte-identical final result.
 func TestGeolocateResumesAfterCheckpointWriteFailure(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := writeCrowd(t, dir)
@@ -157,32 +170,25 @@ func TestGeolocateResumesAfterCheckpointWriteFailure(t *testing.T) {
 
 	cfg := base
 	cfg.CheckpointPath = filepath.Join(dir, "stage.ckpt")
-	// Fail the second checkpoint save (after profile-build) at the rename
-	// step — the worst point: content fully written, not yet installed.
+	// Fail the reference save at the rename step — the worst point:
+	// content fully written, not yet installed.
 	saves := 0
 	injected := errors.New("disk detached")
 	cfg.CheckpointHook = func(op, path string) error {
 		if op == atomicio.OpRename {
 			saves++
-			if saves == 2 {
-				return injected
-			}
+			return injected
 		}
 		return nil
 	}
 	_, err = Geolocate(cfg)
-	if !errors.Is(err, injected) {
-		t.Fatalf("got %v, want injected checkpoint failure", err)
+	if !errors.Is(err, injected) || saves != 1 {
+		t.Fatalf("got %v after %d saves, want one injected checkpoint failure", err, saves)
 	}
-	// The first save (reference) must still be installed and parseable.
-	ck, err := loadCheckpoint(cfg.CheckpointPath, testCheckpointKey(t, clean.Dataset, cfg))
-	if err != nil || ck == nil {
-		t.Fatalf("previous checkpoint lost: ck=%v err=%v", ck, err)
+	// Neither the checkpoint nor a temp file may exist after the failure.
+	if _, err := os.Stat(cfg.CheckpointPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed save installed a checkpoint (stat err %v)", err)
 	}
-	if ck.Reference == nil || ck.Profiles != nil {
-		t.Fatalf("checkpoint holds the wrong stages: %+v", ck)
-	}
-	// No temp files may survive the failure.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -193,15 +199,31 @@ func TestGeolocateResumesAfterCheckpointWriteFailure(t *testing.T) {
 		}
 	}
 
-	// Resume without the fault: reference is restored, the rest recomputes,
-	// and the final result is byte-identical to the clean run.
+	// Rerun without the fault: the reference is rebuilt and saved, and the
+	// result is byte-identical to the clean run.
 	cfg.CheckpointHook = nil
 	res, err := Geolocate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Restored) != 1 || res.Restored[0] != "reference" {
-		t.Errorf("restored %v, want [reference]", res.Restored)
+	if res.Restored {
+		t.Error("rerun after a failed save restored a reference")
+	}
+	if got := geoJSON(t, res); got != want {
+		t.Errorf("rerun after a failed save diverged from clean run")
+	}
+	ck, err := loadCheckpoint(cfg.CheckpointPath, testCheckpointKey(t, clean.Dataset, cfg))
+	if err != nil || ck == nil || ck.Reference == nil {
+		t.Fatalf("rerun saved no reference: ck=%v err=%v", ck, err)
+	}
+
+	// The next run resumes from it, still byte-identical.
+	res, err = Geolocate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Restored {
+		t.Error("resume did not restore the reference")
 	}
 	if got := geoJSON(t, res); got != want {
 		t.Errorf("post-failure resume diverged from clean run")
@@ -487,8 +509,8 @@ func TestCheckpointRejectsUnixNanoTwin(t *testing.T) {
 }
 
 // TestCheckpointOldVersionFailsClosed: a checkpoint written by format
-// version 2 — the row-fingerprint format — is refused with
-// ErrCheckpointVersion, never resumed.
+// version 3 — the format that also held profiles, placement and fit — is
+// refused with ErrCheckpointVersion, never resumed.
 func TestCheckpointOldVersionFailsClosed(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
@@ -508,7 +530,7 @@ func TestCheckpointOldVersionFailsClosed(t *testing.T) {
 	if err := json.Unmarshal(raw, &ck); err != nil {
 		t.Fatal(err)
 	}
-	ck["version"] = json.RawMessage("2")
+	ck["version"] = json.RawMessage("3")
 	old, err := json.Marshal(ck)
 	if err != nil {
 		t.Fatal(err)
@@ -518,9 +540,9 @@ func TestCheckpointOldVersionFailsClosed(t *testing.T) {
 	}
 	res, err := Geolocate(cfg)
 	if !errors.Is(err, ErrCheckpointVersion) || res != nil {
-		t.Fatalf("v2 checkpoint: got %v, want ErrCheckpointVersion", err)
+		t.Fatalf("v3 checkpoint: got %v, want ErrCheckpointVersion", err)
 	}
-	if want := "has version 2, want 3"; !strings.Contains(err.Error(), want) {
+	if want := "has version 3, want 4"; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not say %q", err, want)
 	}
 }

@@ -16,9 +16,10 @@ package pipeline
 //     is the canonical snapshot hash plus name and post count, so a fixture
 //     verifies from any directory;
 //   - every hashed payload is the canonical JSON (json.Marshal: map keys
-//     sorted, float64 shortest round-trip) of the same Go values a resumed
-//     run restores from its checkpoint, so fresh and checkpoint-restored
-//     runs chain to identical records.
+//     sorted, float64 shortest round-trip) of the run's own artifacts; a
+//     resumed run restores only the reference, which JSON round-trips
+//     exactly, so fresh and checkpoint-restored runs chain to identical
+//     records.
 
 import (
 	"crypto/sha256"

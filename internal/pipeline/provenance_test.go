@@ -130,7 +130,7 @@ func TestProvenanceStableAcrossResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resumed.Restored) == 0 {
+	if !resumed.Restored {
 		t.Fatal("second checkpointed run restored nothing")
 	}
 	if !reflect.DeepEqual(resumed.Provenance, clean.Provenance) {

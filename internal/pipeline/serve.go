@@ -414,7 +414,7 @@ func (d *Daemon) Ingest(r io.Reader) (IngestResult, error) {
 	buf := lineBufPool.Get().(*[]byte)
 	defer lineBufPool.Put(buf)
 	sc.Buffer((*buf)[:0], maxIngestLine)
-	for sc.Scan() {
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		// Full trim, not just leading: CRLF-terminated lines (curl on
 		// Windows, proxy rewrites) reach the scanner with a trailing \r
 		// when the stream mixes \r\n into a line the scanner split on \n.
@@ -430,7 +430,7 @@ func (d *Daemon) Ingest(r io.Reader) (IngestResult, error) {
 			if err := json.Unmarshal(line, &p); err != nil || p.UserID == "" || p.Time.IsZero() {
 				res.Rejected++
 				if res.FirstError == "" {
-					res.FirstError = fmt.Sprintf("bad line %d: want {\"user_id\":string,\"time\":RFC3339}", res.Accepted+res.Rejected)
+					res.FirstError = fmt.Sprintf("bad line %d: want {\"user_id\":string,\"time\":RFC3339}", lineNo)
 				}
 				if d.cfg.MaxBadLines > 0 && res.Rejected > d.cfg.MaxBadLines {
 					return res, fmt.Errorf("%w: %d malformed lines (budget %d)", ErrBadLineBudget, res.Rejected, d.cfg.MaxBadLines)

@@ -84,13 +84,15 @@ func getReport(t *testing.T, url string) *ServeReport {
 // ingested through /ingest — shuffled, in odd-sized chunks — must yield a
 // /report whose Geolocation is bit-identical (same JSON bytes; Go's
 // float64 JSON encoding is shortest-round-trip, so equal bytes mean equal
-// bits) to the batch pipeline over the same trace.
+// bits) to the batch pipeline over the same trace. The trace carries
+// bursts (see withBursts), so the shuffled drain also meets duplicate
+// cells arriving before and after their first post.
 func TestDaemonStreamingEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	path := writeCrowd(t, dir)
+	rows := withBursts(t, path)
 	batchRes, wantGeo := batchGeo(t, path)
 
-	rows := loadPosts(t, path)
 	for _, chunk := range []int{1, 17, 400} {
 		posts := make([]trace.Post, len(rows))
 		copy(posts, rows)
@@ -133,6 +135,58 @@ func TestDaemonStreamingEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// withBursts appends bursts to the CSV trace at path for every tenth user
+// in sorted order: three exact repeats of every fourth post and two posts
+// in the same UTC hour at other minutes. Eq. 1 counts each of those cells
+// once. It returns every row of the extended trace.
+func withBursts(t *testing.T, path string) []trace.Post {
+	t.Helper()
+	rows := loadPosts(t, path)
+	users := map[string]bool{}
+	for _, p := range rows {
+		users[p.UserID] = false
+	}
+	ids := make([]string, 0, len(users))
+	for id := range users {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for i := 0; i < len(ids); i += 10 {
+		users[ids[i]] = true
+	}
+	var csv bytes.Buffer
+	seen := map[string]int{}
+	for _, p := range rows {
+		if !users[p.UserID] {
+			continue
+		}
+		seen[p.UserID]++
+		if seen[p.UserID]%4 != 1 {
+			continue
+		}
+		hour := p.Time.Truncate(time.Hour)
+		minute := time.Duration(p.Time.Minute()) * time.Minute
+		burst := []time.Time{p.Time, p.Time, p.Time,
+			hour.Add((minute + 17*time.Minute) % time.Hour),
+			hour.Add((minute+41*time.Minute)%time.Hour + 5*time.Second)}
+		for _, at := range burst {
+			rows = append(rows, trace.Post{UserID: p.UserID, Time: at})
+			fmt.Fprintf(&csv, "%s,%s\n", p.UserID, at.Format(time.RFC3339))
+		}
+	}
+	fh, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fh.Write(csv.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 // loadPosts ingests the CSV trace at path and returns its rows.
@@ -347,7 +401,8 @@ func TestDaemonIngestAndPlaceEdges(t *testing.T) {
 		t.Fatalf("empty /report status = %d, want 503", resp.StatusCode)
 	}
 
-	body := "{\"user_id\":\"alice\",\"time\":\"2018-03-01T12:00:00Z\"}\n" +
+	body := "\n" + // blank lines are not an error, but they count
+		"{\"user_id\":\"alice\",\"time\":\"2018-03-01T12:00:00Z\"}\n" +
 		"this is not json\n" +
 		"\n" + // blank lines are not an error
 		"{\"user_id\":\"\",\"time\":\"2018-03-01T12:00:00Z\"}\n" + // empty user
@@ -357,8 +412,8 @@ func TestDaemonIngestAndPlaceEdges(t *testing.T) {
 	if res.Accepted != 2 || res.Rejected != 3 {
 		t.Fatalf("accepted/rejected = %d/%d, want 2/3", res.Accepted, res.Rejected)
 	}
-	if res.FirstError == "" {
-		t.Fatal("rejections did not surface a first_error")
+	if !strings.HasPrefix(res.FirstError, "bad line 3:") {
+		t.Fatalf("first_error = %q, want the physical line number 3", res.FirstError)
 	}
 	if h := d.Healthz(); h.Rejected != 3 {
 		t.Fatalf("healthz rejected_lines = %d, want 3", h.Rejected)
