@@ -19,7 +19,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -205,38 +204,39 @@ func saveTrace(ds *trace.Dataset, path string) error {
 	})
 }
 
-// reference builds the generic profile from a fresh synthetic Twitter
-// stand-in on the given number of workers (0 = every core).
-func reference(seed int64, scale, workers int) (*profile.GenericResult, error) {
-	return pipeline.SynthReference(seed, scale, workers)
-}
-
 // referenceLoader resolves the -ref/-seed/-twitter-scale flags shared by
-// geolocate and serve into a cache-key identity string plus the loader
-// itself: a saved JSON reference when refPath is set, a fresh synthetic
-// build otherwise.
-func referenceLoader(refPath string, seed int64, scale, workers int) (string, func() (*profile.GenericResult, error)) {
-	if refPath != "" {
-		return "file:" + refPath, func() (*profile.GenericResult, error) {
-			fh, err := os.Open(refPath)
-			if err != nil {
-				return nil, fmt.Errorf("open reference: %w", err)
-			}
-			defer fh.Close()
-			ref, err := darkcrowd.ReadReference(fh)
-			if err != nil {
-				return nil, err
-			}
-			return &profile.GenericResult{
-				Generic:     ref.Generic,
-				PerRegion:   ref.PerRegion,
-				ActiveUsers: ref.ActiveUsers,
-			}, nil
-		}
+// geolocate, verify and serve into the reference ID plus the loader
+// itself. A saved JSON reference (refPath set) is read up front: its ID is
+// the origin it records, or empty when it records none, which names it by
+// its content ("sha256:…" in a provenance header). A fresh synthetic
+// build is named by its seed and scale. No ID is ever a path.
+func referenceLoader(refPath string, seed int64, scale, workers int) (string, func() (*profile.GenericResult, error), error) {
+	if refPath == "" {
+		return pipeline.SynthReferenceID(seed, scale), func() (*profile.GenericResult, error) {
+			return pipeline.SynthReference(seed, scale, workers)
+		}, nil
 	}
-	return pipeline.SynthReferenceID(seed, scale), func() (*profile.GenericResult, error) {
-		return reference(seed, scale, workers)
+	fh, err := os.Open(refPath)
+	if err != nil {
+		return "", nil, fmt.Errorf("open reference: %w", err)
 	}
+	defer fh.Close()
+	ref, err := darkcrowd.ReadReference(fh)
+	if err != nil {
+		return "", nil, err
+	}
+	// A report names its reference by this origin, so it must be an ID
+	// that verify can rebuild.
+	if _, _, ok := pipeline.ParseSynthReferenceID(ref.Origin); ref.Origin != "" && !ok {
+		return "", nil, fmt.Errorf("reference %s records origin %q, want a synthetic build ID such as %q",
+			refPath, ref.Origin, pipeline.SynthReferenceID(2018, 40))
+	}
+	gen := &profile.GenericResult{
+		Generic:     ref.Generic,
+		PerRegion:   ref.PerRegion,
+		ActiveUsers: ref.ActiveUsers,
+	}
+	return ref.Origin, func() (*profile.GenericResult, error) { return gen, nil }, nil
 }
 
 func cmdGenerate(args []string) error {
@@ -338,12 +338,12 @@ func cmdReference(args []string) error {
 	fs := flag.NewFlagSet("reference", flag.ContinueOnError)
 	seed := fs.Int64("seed", 2018, "seed for the reference dataset")
 	scale := fs.Int("twitter-scale", 40, "reference dataset scale divisor")
-	out := fs.String("out", "reference.json", "output JSON path")
+	out := fs.String("out", "reference.json", "output JSON path; `geolocate -ref` and `verify -ref` load it instead of rebuilding the reference, and reports name it by the seed and scale it records")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all cores, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	gen, err := reference(*seed, *scale, *workers)
+	gen, err := pipeline.SynthReference(*seed, *scale, *workers)
 	if err != nil {
 		return err
 	}
@@ -351,6 +351,7 @@ func cmdReference(args []string) error {
 		Generic:     gen.Generic,
 		PerRegion:   gen.PerRegion,
 		ActiveUsers: gen.ActiveUsers,
+		Origin:      pipeline.SynthReferenceID(*seed, *scale),
 	}
 	if err := atomicio.WriteFile(*out, ref.WriteJSON); err != nil {
 		return err
@@ -409,7 +410,6 @@ func cmdGeolocate(args []string) error {
 	lenient := fs.Bool("lenient", false, "quarantine malformed trace rows instead of failing (report on stderr)")
 	maxBadRows := fs.Int("max-bad-rows", 0, "with -lenient, fail after this many bad rows (0 = unlimited)")
 	snapshot := fs.String("snapshot", "", "binary snapshot cache: load the trace from this .dcs file if it exists, else ingest the CSV and write it (empty = off)")
-	ckpt := fs.String("checkpoint", "", "reference checkpoint file: an interrupted run resumes without rebuilding the reference (empty = off)")
 	outPath := fs.String("out", "", "also write the full geolocation result as JSON to this path")
 	margins := fs.Bool("margins", false, "record per-user placement margins (best-vs-runner-up EMD gap) and a margin summary")
 	bootstrap := fs.Int("bootstrap", 0, "bootstrap replicates for mixture confidence intervals (0 = off)")
@@ -426,15 +426,14 @@ func cmdGeolocate(args []string) error {
 	}
 	defer finish()
 	cfg := pipeline.Config{
-		TracePath:      *in,
-		Lenient:        *lenient,
-		MaxBadRows:     *maxBadRows,
-		SnapshotPath:   *snapshot,
-		MinPosts:       *minPosts,
-		SkipPolish:     *skipPolish,
-		Workers:        *workers,
-		CheckpointPath: *ckpt,
-		Obs:            o,
+		TracePath:    *in,
+		Lenient:      *lenient,
+		MaxBadRows:   *maxBadRows,
+		SnapshotPath: *snapshot,
+		MinPosts:     *minPosts,
+		SkipPolish:   *skipPolish,
+		Workers:      *workers,
+		Obs:          o,
 
 		Margins:             *margins,
 		BootstrapReplicates: *bootstrap,
@@ -442,18 +441,15 @@ func cmdGeolocate(args []string) error {
 		BootstrapLevel:      *bootstrapLevel,
 		Provenance:          *provenance,
 	}
-	cfg.ReferenceID, cfg.Reference = referenceLoader(*refPath, *seed, *scale, *workers)
-	res, err := pipeline.Geolocate(cfg)
-	if err != nil {
-		// A stale or foreign checkpoint can never resume; its error
-		// already says to delete the file.
-		if *ckpt != "" && !errors.Is(err, pipeline.ErrCheckpointMismatch) && !errors.Is(err, pipeline.ErrCheckpointVersion) {
-			fmt.Fprintf(os.Stderr, "geolocation interrupted; rerun with -checkpoint %s to resume\n", *ckpt)
-		}
+	if cfg.ReferenceID, cfg.Reference, err = referenceLoader(*refPath, *seed, *scale, *workers); err != nil {
 		return err
 	}
-	// Diagnostics go to stderr so a resumed run's stdout stays
-	// byte-identical to a clean run's.
+	res, err := pipeline.Geolocate(cfg)
+	if err != nil {
+		return err
+	}
+	// Diagnostics go to stderr so stdout is the same whether the trace came
+	// from the CSV or the snapshot.
 	if res.SnapshotLoaded {
 		fmt.Fprintf(os.Stderr, "loaded trace from snapshot %s\n", *snapshot)
 	}
@@ -462,9 +458,6 @@ func cmdGeolocate(args []string) error {
 	}
 	if res.Quarantine != nil && !res.Quarantine.Empty() {
 		fmt.Fprintf(os.Stderr, "warning: %s\n", res.Quarantine)
-	}
-	if res.Restored {
-		fmt.Fprintln(os.Stderr, "resumed reference from checkpoint")
 	}
 	geo := res.Geo
 	if geo.Degraded != "" {
@@ -514,7 +507,7 @@ func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
 	reportPath := fs.String("report", "report.json", "report JSON written by `geolocate -provenance -out`")
 	snapshot := fs.String("snapshot", "", "the .dcs snapshot the report was computed from (required)")
-	refPath := fs.String("ref", "", "reference JSON file, required when the report used -ref")
+	refPath := fs.String("ref", "", "reference JSON file, required when the report names its reference by content (sha256:…, from a -ref file that records no origin) or by a file path; a file whose digest differs fails")
 	workers := fs.Int("workers", 0, "replay worker goroutines (0 = all cores); verification is identical for every setting")
 	of := registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -540,11 +533,11 @@ func cmdVerify(args []string) error {
 			if *refPath == "" {
 				return nil, fmt.Errorf("report's reference is %q; pass the original file with -ref", refID)
 			}
-			_, loader := referenceLoader(*refPath, 0, 0, *workers)
-			if want := "file:" + *refPath; refID != want {
+			if strings.HasPrefix(refID, "file:") && refID != "file:"+*refPath {
 				fmt.Fprintf(os.Stderr, "note: report names reference %q, verifying against %s\n", refID, *refPath)
 			}
-			return loader, nil
+			_, loader, err := referenceLoader(*refPath, 0, 0, *workers)
+			return loader, err
 		},
 	})
 	if err != nil {
@@ -666,7 +659,13 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	refID, ref := referenceLoader(*refPath, *seed, *scale, *workers)
+	refID, ref, err := referenceLoader(*refPath, *seed, *scale, *workers)
+	if err != nil {
+		return err
+	}
+	if refID == "" {
+		refID = *refPath
+	}
 	fmt.Fprintf(os.Stderr, "loading reference (%s)...\n", refID)
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	d, err := pipeline.NewDaemon(pipeline.ServeConfig{

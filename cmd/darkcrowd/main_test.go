@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"darkcrowd"
+	"darkcrowd/internal/atomicio"
 	"darkcrowd/internal/forum"
 	"darkcrowd/internal/obs"
 	"darkcrowd/internal/pipeline"
@@ -220,6 +222,22 @@ func TestScrapeCommand(t *testing.T) {
 	if ds.NumPosts() != crowd.NumPosts() {
 		t.Errorf("scraped %d posts, want %d", ds.NumPosts(), crowd.NumPosts())
 	}
+	// The crawler's own checkpoint: a completed crawl writes the same
+	// trace and removes its checkpoint.
+	ckpt, ckOut := filepath.Join(dir, "crawl.ckpt"), filepath.Join(dir, "ck.csv")
+	if err := run([]string{"scrape", "-url", srv.URL, "-checkpoint", ckpt, "-out", ckOut}); err != nil {
+		t.Fatalf("scrape -checkpoint: %v", err)
+	}
+	want, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(ckOut); err != nil || string(got) != string(want) {
+		t.Errorf("checkpointed scrape wrote another trace (err %v)", err)
+	}
+	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("completed crawl left its checkpoint (stat err %v)", err)
+	}
 	// Missing URL.
 	if err := run([]string{"scrape"}); err == nil || !strings.Contains(err.Error(), "required") {
 		t.Errorf("scrape without URL: %v", err)
@@ -288,6 +306,12 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
+// TestReferenceRoundTrip: a saved reference stands in for a rebuilt one.
+// Reports are named by what the reference is, never by where it lies:
+// the same file under two paths and the synthetic build it records write
+// cmp-identical -provenance reports, a file without an origin is named by
+// its content digest and verifies only against that content, and an
+// origin verify could not rebuild is refused.
 func TestReferenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	refPath := filepath.Join(dir, "ref.json")
@@ -295,14 +319,97 @@ func TestReferenceRoundTrip(t *testing.T) {
 		t.Fatalf("reference: %v", err)
 	}
 	crowdPath := filepath.Join(dir, "crowd.csv")
-	if err := run([]string{"generate", "-regions", "jp:30", "-out", crowdPath}); err != nil {
+	if err := run([]string{"generate", "-regions", "jp:30,it:10", "-out", crowdPath}); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	if err := run([]string{"geolocate", "-in", crowdPath, "-ref", refPath}); err != nil {
-		t.Fatalf("geolocate with saved reference: %v", err)
+	snapPath := filepath.Join(dir, "crowd.dcs")
+	geolocate := func(name string, ref ...string) []byte {
+		t.Helper()
+		out := filepath.Join(dir, name)
+		args := append([]string{"geolocate", "-in", crowdPath, "-snapshot", snapPath,
+			"-margins", "-bootstrap", "16", "-provenance", "-out", out}, ref...)
+		if _, err := capture(t, &os.Stdout, func() error { return run(args) }); err != nil {
+			t.Fatalf("geolocate %v: %v", ref, err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	synthetic := geolocate("synth.json", "-twitter-scale", "300")
+	if got := geolocate("ref.json.out", "-ref", refPath); string(got) != string(synthetic) {
+		t.Error("report from the saved synthetic reference differs from the synthetic run's")
+	}
+	if got := geolocate("dotref.json.out", "-ref", dir+"/./ref.json"); string(got) != string(synthetic) {
+		t.Error("report depends on the path the reference was passed by")
+	}
+
+	// The same reference without its origin is named by its content.
+	fh, err := os.Open(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := darkcrowd.ReadReference(fh)
+	fh.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := pipeline.SynthReferenceID(2018, 300); ref.Origin != want {
+		t.Fatalf("saved reference records origin %q, want %q", ref.Origin, want)
+	}
+	writeRef := func(name, origin string) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		ref.Origin = origin
+		if err := atomicio.WriteFile(path, ref.WriteJSON); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	barePath := writeRef("bare.json", "")
+	bareReport := filepath.Join(dir, "bare.json.out")
+	var bare pipeline.Report
+	if err := json.Unmarshal(geolocate("bare.json.out", "-ref", barePath), &bare); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bare.Provenance.Params.ReferenceID, "sha256:"+bare.Provenance.Records[1].Payload; bare.Provenance.Records[1].Stage != "reference" || got != want {
+		t.Errorf("reference_id %q, want %q (the chain's reference payload)", got, want)
+	}
+	verify := func(ref string) error {
+		_, err := capture(t, &os.Stdout, func() error {
+			return run([]string{"verify", "-report", bareReport, "-snapshot", snapPath, "-ref", ref})
+		})
+		return err
+	}
+	if err := verify(barePath); err != nil {
+		t.Errorf("verify against the same content: %v", err)
+	}
+	if err := verify(refPath); err != nil {
+		t.Errorf("verify against the same content with its origin: %v", err)
+	}
+	otherPath := filepath.Join(dir, "other.json")
+	if err := run([]string{"reference", "-twitter-scale", "250", "-out", otherPath}); err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	if err := verify(otherPath); !errors.Is(err, pipeline.ErrReferenceMismatch) {
+		t.Errorf("verify against another reference: got %v, want ErrReferenceMismatch", err)
+	}
+
+	// Only the exact form SynthReferenceID writes is an origin.
+	for _, origin := range []string{"file:ref.json", "sha256:00", "synth:seed=2018", "synth:seed=x,scale=300",
+		"synth:seed=2018,scale=300 ", "synth:seed=2018,scale=300junk", "synth:seed=02018,scale=300"} {
+		bad := writeRef("bad.json", origin)
+		err := run([]string{"geolocate", "-in", crowdPath, "-ref", bad})
+		if err == nil || !strings.Contains(err.Error(), "origin") {
+			t.Errorf("origin %q: got %v, want a refusal", origin, err)
+		}
 	}
 	if err := run([]string{"geolocate", "-in", crowdPath, "-ref", filepath.Join(dir, "missing.json")}); err == nil {
 		t.Error("missing reference should fail")
+	}
+	if err := run([]string{"geolocate", "-in", crowdPath, "-ref", refPath, "-checkpoint", filepath.Join(dir, "ck.json")}); err == nil {
+		t.Error("geolocate accepted the removed -checkpoint flag")
 	}
 }
 
@@ -416,72 +523,5 @@ func TestScrapeObservabilityFlags(t *testing.T) {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %q missing from metrics report: %v", name, snap.Counters)
 		}
-	}
-}
-
-// TestGeolocateCheckpointResumeHint: a checkpointed run resumes the
-// reference, and the "rerun to resume" hint follows every failure except
-// a checkpoint that can never resume (foreign fingerprint, old version).
-func TestGeolocateCheckpointResumeHint(t *testing.T) {
-	dir := t.TempDir()
-	refPath := filepath.Join(dir, "ref.json")
-	if err := run([]string{"reference", "-twitter-scale", "300", "-out", refPath}); err != nil {
-		t.Fatalf("reference: %v", err)
-	}
-	crowdPath := filepath.Join(dir, "crowd.csv")
-	if err := run([]string{"generate", "-regions", "jp:30", "-out", crowdPath}); err != nil {
-		t.Fatalf("generate: %v", err)
-	}
-	ckpt := filepath.Join(dir, "stage.ckpt")
-	geolocate := func(extra ...string) (string, error) {
-		args := append([]string{"geolocate", "-in", crowdPath, "-ref", refPath, "-checkpoint", ckpt}, extra...)
-		return capture(t, &os.Stderr, func() error { return run(args) })
-	}
-	const hint, resumed = "rerun with -checkpoint", "resumed reference from checkpoint"
-
-	if stderr, err := geolocate(); err != nil || strings.Contains(stderr, resumed) {
-		t.Fatalf("fresh run: err %v, stderr:\n%s", err, stderr)
-	}
-	if stderr, err := geolocate(); err != nil || !strings.Contains(stderr, resumed) {
-		t.Fatalf("resumed run: err %v, stderr:\n%s", err, stderr)
-	}
-
-	// Another active-user threshold: the fingerprint differs.
-	stderr, err := geolocate("-min-posts", "10")
-	if !errors.Is(err, pipeline.ErrCheckpointMismatch) || strings.Contains(stderr, hint) {
-		t.Errorf("fingerprint mismatch: err %v, stderr:\n%s", err, stderr)
-	}
-
-	// A checkpoint from an older format version.
-	raw, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ck map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &ck); err != nil {
-		t.Fatal(err)
-	}
-	ck["version"] = json.RawMessage("3")
-	old, err := json.Marshal(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(ckpt, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stderr, err = geolocate()
-	if !errors.Is(err, pipeline.ErrCheckpointVersion) || strings.Contains(stderr, hint) {
-		t.Errorf("old version: err %v, stderr:\n%s", err, stderr)
-	}
-
-	// Any other failure keeps the hint.
-	if err := os.Remove(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	stderr, err = capture(t, &os.Stderr, func() error {
-		return run([]string{"geolocate", "-in", crowdPath, "-ref", filepath.Join(dir, "missing.json"), "-checkpoint", ckpt})
-	})
-	if err == nil || !strings.Contains(stderr, hint) {
-		t.Errorf("missing reference: err %v, stderr:\n%s", err, stderr)
 	}
 }

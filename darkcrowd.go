@@ -89,6 +89,11 @@ type Reference struct {
 	PerRegion map[string]Profile
 	// ActiveUsers counts threshold-surviving users per region (Table I).
 	ActiveUsers map[string]int
+	// Origin names a reproducible build of the reference, such as
+	// "synth:seed=2018,scale=40" for `darkcrowd reference`; empty for a
+	// reference built from other labelled data. A report made from a saved
+	// reference names it by its origin, or by its content when it has none.
+	Origin string `json:"origin,omitempty"`
 }
 
 // Options tunes GeolocateCrowd.

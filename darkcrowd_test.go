@@ -126,6 +126,7 @@ func TestReferenceJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref.Origin = "synth:seed=5,scale=300"
 	var buf bytes.Buffer
 	if err := ref.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -139,6 +140,18 @@ func TestReferenceJSONRoundTrip(t *testing.T) {
 	}
 	if len(got.PerRegion) != len(ref.PerRegion) {
 		t.Errorf("regions %d, want %d", len(got.PerRegion), len(ref.PerRegion))
+	}
+	if got.Origin != ref.Origin {
+		t.Errorf("origin %q, want %q", got.Origin, ref.Origin)
+	}
+	// A reference without an origin writes no origin field.
+	buf.Reset()
+	ref.Origin = ""
+	if err := ref.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "origin") {
+		t.Errorf("origin-less reference writes %s", buf.String())
 	}
 	// Corrupt and empty inputs fail.
 	if _, err := ReadReference(strings.NewReader("{broken")); err == nil {

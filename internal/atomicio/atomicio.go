@@ -2,9 +2,10 @@
 // output file in this repo is written with: the destination path either
 // holds its previous complete content or the new complete content, never a
 // partially written file — even if the process dies mid-write. All CLI
-// outputs (datasets, reports, reference profiles) and all stage checkpoints
-// go through WriteFile, so the no-partial-outputs invariant is enforced in
-// one place and fault-tested in one place (see internal/chaos).
+// outputs (datasets, reports, reference profiles), .dcs snapshots and the
+// crawler checkpoint go through WriteFile, so the no-partial-outputs
+// invariant is enforced in one place and fault-tested in one place (see
+// internal/chaos).
 package atomicio
 
 import (

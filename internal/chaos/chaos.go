@@ -7,15 +7,15 @@
 //     cell hook);
 //   - corrupt trace rows (via a trace-mangling transform);
 //   - mid-stage context cancellation (via a poll-counting context);
-//   - checkpoint-write I/O failures (via an atomicio fault hook).
+//   - atomic-write I/O failures (via an atomicio fault hook).
 //
 // Determinism guarantee: the sequence of fault decisions is a pure
 // function of the seed, the configured rates, and the order the
 // pipeline consults the injector. Which shard a decision lands on may
 // depend on scheduling, but the invariants the tests assert are
 // scheduling-free: no output file is ever left partially written, and
-// any run that eventually succeeds — including one resumed across
-// injected crashes — produces output bit-identical to a fault-free run.
+// any run that eventually succeeds — including a rerun after injected
+// crashes — produces output bit-identical to a fault-free run.
 package chaos
 
 import (
@@ -33,7 +33,7 @@ import (
 )
 
 // Config tunes an Injector. All probabilities are per opportunity: each
-// profile cell evaluation, trace data row, checkpoint write step, or
+// profile cell evaluation, trace data row, atomic write step, or
 // context poll draws one decision from the seeded plan.
 type Config struct {
 	// Seed drives the fault plan; same seed, same decision sequence.
@@ -44,9 +44,9 @@ type Config struct {
 	// CorruptProb is the probability that a trace data row is mangled by
 	// Corrupt (bad timestamp, missing field, or bare-quote damage).
 	CorruptProb float64
-	// CheckpointFailProb is the probability that a checkpoint write step
+	// WriteFailProb is the probability that an atomic write step
 	// fails with an injected I/O error.
-	CheckpointFailProb float64
+	WriteFailProb float64
 	// CancelEvery trips an injected context cancellation on every Nth
 	// poll of a Context-wrapped context (0 disables cancellation).
 	CancelEvery int
@@ -58,15 +58,15 @@ type Config struct {
 
 // Stats counts the faults an injector has fired.
 type Stats struct {
-	Panics, CorruptRows, CheckpointFails, Cancels int
+	Panics, CorruptRows, WriteFails, Cancels int
 }
 
 // Total returns the number of injected faults of any kind.
-func (s Stats) Total() int { return s.Panics + s.CorruptRows + s.CheckpointFails + s.Cancels }
+func (s Stats) Total() int { return s.Panics + s.CorruptRows + s.WriteFails + s.Cancels }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("%d faults (%d panics, %d corrupt rows, %d checkpoint fails, %d cancels)",
-		s.Total(), s.Panics, s.CorruptRows, s.CheckpointFails, s.Cancels)
+	return fmt.Sprintf("%d faults (%d panics, %d corrupt rows, %d write fails, %d cancels)",
+		s.Total(), s.Panics, s.CorruptRows, s.WriteFails, s.Cancels)
 }
 
 // Injector is a seeded fault plan for the analysis pipeline.
@@ -155,11 +155,11 @@ func (in *Injector) Corrupt(data []byte) ([]byte, int) {
 	return []byte(strings.Join(lines, "\n")), hit
 }
 
-// Hook returns an atomicio fault hook that fails checkpoint write steps
+// Hook returns an atomicio fault hook that fails atomic write steps
 // per the fault plan.
 func (in *Injector) Hook() atomicio.Hook {
 	return func(op, path string) error {
-		if in.decide(in.cfg.CheckpointFailProb, &in.stats.CheckpointFails) {
+		if in.decide(in.cfg.WriteFailProb, &in.stats.WriteFails) {
 			return fmt.Errorf("chaos: injected %s failure (seed %d)", op, in.cfg.Seed)
 		}
 		return nil

@@ -82,11 +82,9 @@ func geoJSON(t *testing.T, res *pipeline.Result) string {
 }
 
 // assertNoPartials checks the file-level invariants after any failed
-// attempt: no orphaned temp files anywhere in dir, the checkpoint — if it
-// exists at all — is complete, valid JSON, never a torn write, and any
-// .dcs snapshot in dir decodes cleanly (a snapshot either exists whole or
-// not at all).
-func assertNoPartials(t *testing.T, dir, ckptPath string) {
+// attempt: no orphaned temp files anywhere in dir, and any .dcs snapshot
+// in dir decodes cleanly (a snapshot either exists whole or not at all).
+func assertNoPartials(t *testing.T, dir string) {
 	t.Helper()
 	leftovers, err := TempFiles(dir)
 	if err != nil {
@@ -108,21 +106,11 @@ func assertNoPartials(t *testing.T, dir, ckptPath string) {
 			t.Fatalf("snapshot %s is torn: %v", snap, err)
 		}
 	}
-	data, err := os.ReadFile(ckptPath)
-	if errors.Is(err, os.ErrNotExist) {
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(data) {
-		t.Fatalf("checkpoint %s is torn: %q", ckptPath, data)
-	}
 }
 
 // TestChaosPanicIsolation: an injected worker panic mid-profile-build
-// surfaces as a typed *par.ShardPanicError — not a process death — and a
-// fault-free rerun resumes from the checkpoint to the clean-run result.
+// surfaces as a typed *par.ShardPanicError — not a process death — leaves
+// no partial file, and a fault-free rerun reproduces the clean-run result.
 func TestChaosPanicIsolation(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := writeCrowd(t, dir)
@@ -139,7 +127,7 @@ func TestChaosPanicIsolation(t *testing.T) {
 
 	in := New(Config{Seed: 1, PanicProb: 1, MaxFaults: 1})
 	cfg := base
-	cfg.CheckpointPath = filepath.Join(dir, "stage.ckpt")
+	cfg.SnapshotPath = filepath.Join(dir, "crowd.dcs")
 	cfg.Cells = in.Cells(nil)
 	_, err = pipeline.Geolocate(cfg)
 	var pe *par.ShardPanicError
@@ -149,20 +137,21 @@ func TestChaosPanicIsolation(t *testing.T) {
 	if in.Stats().Panics != 1 {
 		t.Errorf("stats = %s, want 1 panic", in.Stats())
 	}
-	assertNoPartials(t, dir, cfg.CheckpointPath)
+	assertNoPartials(t, dir)
 
 	// Budget spent: the same injector now passes everything through, and
-	// the rerun resumes the reference stage from the checkpoint.
+	// the rerun loads the snapshot the failed run installed.
 	res, err := pipeline.Geolocate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Restored {
-		t.Error("rerun did not restore the checkpointed reference")
+	if !res.SnapshotLoaded {
+		t.Error("rerun did not load the snapshot the failed run wrote")
 	}
 	if got := geoJSON(t, res); got != want {
-		t.Error("post-panic resumed run diverged from clean run")
+		t.Error("post-panic rerun diverged from clean run")
 	}
+	assertNoPartials(t, dir)
 }
 
 // TestChaosCorruptRows: injected row corruption kills a strict run, is
@@ -229,20 +218,20 @@ func TestChaosSnapshotFaults(t *testing.T) {
 	}
 	want := geoJSON(t, clean)
 
-	in := New(Config{Seed: 6, CheckpointFailProb: 1, MaxFaults: 1})
+	in := New(Config{Seed: 6, WriteFailProb: 1, MaxFaults: 1})
 	cfg := base
 	cfg.SnapshotPath = filepath.Join(dir, "crowd.dcs")
-	cfg.CheckpointHook = in.Hook()
+	cfg.WriteHook = in.Hook()
 	if _, err := pipeline.Geolocate(cfg); err == nil {
 		t.Fatal("run with an injected snapshot-write failure should fail")
 	}
-	if in.Stats().CheckpointFails != 1 {
-		t.Errorf("stats = %s, want 1 checkpoint fail", in.Stats())
+	if in.Stats().WriteFails != 1 {
+		t.Errorf("stats = %s, want 1 write fail", in.Stats())
 	}
 	if _, err := os.Stat(cfg.SnapshotPath); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("failed write left a snapshot behind (stat err %v)", err)
 	}
-	assertNoPartials(t, dir, "")
+	assertNoPartials(t, dir)
 
 	// Budget spent: the retry ingests the CSV and installs the snapshot.
 	res, err := pipeline.Geolocate(cfg)
@@ -255,7 +244,7 @@ func TestChaosSnapshotFaults(t *testing.T) {
 	if got := geoJSON(t, res); got != want {
 		t.Error("snapshot-writing run diverged from clean run")
 	}
-	assertNoPartials(t, dir, "")
+	assertNoPartials(t, dir)
 
 	// And the next run serves the trace from the snapshot, identically.
 	res, err = pipeline.Geolocate(cfg)
@@ -270,8 +259,8 @@ func TestChaosSnapshotFaults(t *testing.T) {
 	}
 }
 
-// TestChaosGauntlet is the composed harness: panics, checkpoint-write
-// failures, and mid-stage cancellations all fire against checkpointed
+// TestChaosGauntlet is the composed harness: panics, snapshot-write
+// failures, and mid-stage cancellations all fire against snapshotting
 // runs, across several seeds. Whatever fails, no partial file ever
 // appears, and the attempt that finally succeeds is bit-identical to the
 // fault-free run.
@@ -292,21 +281,18 @@ func TestChaosGauntlet(t *testing.T) {
 	totalFaults := 0
 	for seed := int64(1); seed <= 5; seed++ {
 		in := New(Config{
-			Seed:               seed,
-			PanicProb:          0.001,
-			CheckpointFailProb: 0.4,
-			CancelEvery:        3,
-			MaxFaults:          4,
+			Seed:          seed,
+			PanicProb:     0.001,
+			WriteFailProb: 0.4,
+			CancelEvery:   3,
+			MaxFaults:     4,
 		})
-		ckpt := filepath.Join(dir, "gauntlet.ckpt")
 		snap := filepath.Join(dir, "gauntlet.dcs")
-		os.Remove(ckpt)
 		os.Remove(snap)
 		cfg := base
-		cfg.CheckpointPath = ckpt
 		cfg.SnapshotPath = snap
 		cfg.Cells = in.Cells(nil)
-		cfg.CheckpointHook = in.Hook()
+		cfg.WriteHook = in.Hook()
 
 		succeeded := false
 		const maxAttempts = 24
@@ -314,7 +300,7 @@ func TestChaosGauntlet(t *testing.T) {
 			cfg.Context = in.Context(context.Background())
 			res, err := pipeline.Geolocate(cfg)
 			if err != nil {
-				assertNoPartials(t, dir, ckpt)
+				assertNoPartials(t, dir)
 				continue
 			}
 			if got := geoJSON(t, res); got != want {
@@ -327,7 +313,7 @@ func TestChaosGauntlet(t *testing.T) {
 		if !succeeded {
 			t.Fatalf("seed %d: no attempt out of %d succeeded (%s)", seed, maxAttempts, in.Stats())
 		}
-		assertNoPartials(t, dir, ckpt)
+		assertNoPartials(t, dir)
 		totalFaults += in.Stats().Total()
 	}
 	if totalFaults == 0 {

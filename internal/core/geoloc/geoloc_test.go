@@ -2,6 +2,7 @@ package geoloc
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -264,22 +265,38 @@ func TestPlacementShiftInvariant(t *testing.T) {
 	// End-to-end invariant: adding k hours to every post timestamp makes
 	// the crowd look like it lives k zones further west (their whole
 	// rhythm happens k hours later in UTC), so the placement peak must
-	// move by -k zones (mod 24).
+	// move by -k zones (mod 24). Per user it holds exactly: the shift
+	// rotates each profile by k bins, so every user whose nearest zone is
+	// not a near-tie moves by exactly -k zones, and the flat verdict — a
+	// distance to the rotation-invariant uniform profile — stays put.
 	generic := testGeneric(t)
 	jp, err := tz.ByCode("jp")
 	if err != nil {
 		t.Fatal(err)
 	}
+	it, err := tz.ByCode("it")
+	if err != nil {
+		t.Fatal(err)
+	}
 	base, err := synth.GenerateCrowd(2042, synth.CrowdConfig{
-		Name:   "shift-invariant",
-		Groups: []synth.Group{{Region: jp, Users: 60, PostsPerUser: 100}},
+		Name: "shift-invariant",
+		Groups: []synth.Group{
+			{Region: jp, Users: 60, PostsPerUser: 100},
+			{Region: it, Users: 60, PostsPerUser: 100},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	peakOf := func(ds *trace.Dataset) tz.Offset {
+	type placed struct {
+		users []string
+		scans []profile.ZoneScan
+		peak  tz.Offset
+	}
+	place := func(ds *trace.Dataset) placed {
 		t.Helper()
-		placement, err := PlaceUsers(crowdProfiles(t, ds), generic, PlaceOptions{})
+		profiles := crowdProfiles(t, ds)
+		placement, err := PlaceUsers(profiles, generic, PlaceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,10 +306,15 @@ func TestPlacementShiftInvariant(t *testing.T) {
 				best = zi
 			}
 		}
-		return profile.OffsetOf(best)
+		users := profile.SortedUserIDs(profiles)
+		scans, err := profile.ScanUsers(profiles, users, generic, profile.ScanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return placed{users, scans, profile.OffsetOf(best)}
 	}
-	basePeak := peakOf(base)
-	for _, k := range []int{1, 3, -2, 6} {
+	want := place(base)
+	for _, k := range []int{1, 3, -2, 6, 11, -13, 24} {
 		posts := make([]trace.Post, base.NumPosts())
 		for i := range posts {
 			posts[i] = base.Post(i)
@@ -300,10 +322,27 @@ func TestPlacementShiftInvariant(t *testing.T) {
 		}
 		shifted := trace.NewDataset(base.Name, posts)
 		shifted.GroundTruth = base.GroundTruth
-		got := peakOf(shifted)
-		want := (basePeak - tz.Offset(k)).Normalize()
-		if got.CircularDistance(want) > 1 {
-			t.Errorf("shift %+dh: peak %v, want ~%v (base %v)", k, got, want, basePeak)
+		got := place(shifted)
+		if wantPeak := (want.peak - tz.Offset(k)).Normalize(); got.peak.CircularDistance(wantPeak) > 1 {
+			t.Errorf("shift %+dh: peak %v, want ~%v (base %v)", k, got.peak, wantPeak, want.peak)
+		}
+		if !slices.Equal(got.users, want.users) {
+			t.Fatalf("shift %+dh: active users changed", k)
+		}
+		checked := 0
+		for i, w := range want.scans {
+			if w.Margin <= 1e-9 {
+				continue
+			}
+			checked++
+			g := got.scans[i]
+			if wantZone := ((w.Zone-k)%24 + 24) % 24; g.Zone != wantZone || g.Flat != w.Flat {
+				t.Errorf("shift %+dh, user %s: zone %d flat %v, want zone %d flat %v (margin %.4g)",
+					k, want.users[i], g.Zone, g.Flat, wantZone, w.Flat, w.Margin)
+			}
+		}
+		if checked < len(want.scans)*9/10 {
+			t.Errorf("shift %+dh: only %d of %d users clear the tie margin", k, checked, len(want.scans))
 		}
 	}
 }

@@ -1,28 +1,22 @@
 // Package pipeline stages the geolocate pipeline end to end — trace
 // ingest, reference profile, per-user profile build, polish, EMD
-// placement, EM mixture selection — with two robustness layers the bare
-// library calls don't have:
+// placement, EM mixture selection — with lenient ingest on top of the bare
+// library calls: malformed trace rows are quarantined into a structured
+// report (under a bad-row budget) instead of killing a crawl's worth of
+// work.
 //
-//   - lenient ingest: malformed trace rows are quarantined into a
-//     structured report (under a bad-row budget) instead of killing a
-//     crawl's worth of work;
-//   - a reference checkpoint: the generic reference profile, the one
-//     costly artifact built outside the crowd's own trace, is saved
-//     atomically once built, so an interrupted run resumes without
-//     rebuilding it and produces byte-identical final output.
-//
-// Every per-crowd stage is deterministic and cheap, so a resumed run
-// recomputes them and agrees with a clean run bit for bit: the checkpoint
-// is JSON, and Go's float64 JSON encoding (shortest round-trip
-// representation) restores every finite value of the reference exactly.
+// The generic reference profile is the one costly artifact built outside
+// the crowd's own trace. A run takes it from Config.Reference, which may
+// load a reference file saved by `darkcrowd reference`; every later stage
+// is deterministic and cheap, so a run from a saved reference agrees with
+// a run that rebuilds it bit for bit (Go's float64 JSON encoding restores
+// every finite value of the reference exactly).
 package pipeline
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 
@@ -51,12 +45,13 @@ type Config struct {
 	SnapshotPath string
 	// Reference supplies the generic reference profile — built
 	// synthetically or loaded from a file; the pipeline only dictates
-	// when it runs and how it is checkpointed. Required.
+	// when it runs. Required.
 	Reference func() (*profile.GenericResult, error)
-	// ReferenceID names the reference source (e.g. "file:ref.json" or
-	// "synth:seed=2018,scale=40"). It is part of the checkpoint
-	// fingerprint: a checkpoint taken against one reference must not be
-	// resumed against another.
+	// ReferenceID names the reference in the provenance header: a
+	// reproducible build such as "synth:seed=2018,scale=40", never a path.
+	// Empty names the reference by its content — "sha256:" plus the payload
+	// hash of the chain's reference record — so a reference file verifies
+	// from any directory.
 	ReferenceID string
 	// MinPosts is the active-user threshold (0: profile.DefaultMinPosts).
 	MinPosts int
@@ -64,18 +59,10 @@ type Config struct {
 	SkipPolish bool
 	// Workers sets the worker count for every parallel stage, CSV parsing
 	// included (0 = all cores). Output is identical for every setting, so
-	// it is NOT part of the checkpoint fingerprint — a checkpoint taken
-	// with 8 workers resumes fine with 1.
+	// the provenance header does not record it.
 	Workers int
-	// CheckpointPath enables the reference checkpoint (empty = off): the
-	// stripped reference is saved there atomically once built, and a rerun
-	// with the same inputs and settings loads it instead of calling
-	// Reference. Every later stage is recomputed.
-	CheckpointPath string
 	// Margins records each user's placement margin (best-vs-runner-up EMD
 	// gap) into the placement and a MarginSummary into the geolocation.
-	// Margins change the report, so the flag is part of the checkpoint
-	// fingerprint.
 	Margins bool
 	// BootstrapReplicates, when positive, computes bootstrap confidence
 	// intervals on the mixture components (geoloc.BootstrapMixtureCI) and
@@ -93,16 +80,15 @@ type Config struct {
 	// Context, when non-nil, cancels the run between and inside stages.
 	Context context.Context
 	// Obs, when non-nil, receives the per-stage spans and metrics the
-	// unstaged pipeline emits, plus ingest.rows_quarantined and
-	// checkpoint restore events. Observation only.
+	// unstaged pipeline emits, plus ingest.rows_quarantined. Observation
+	// only.
 	Obs *obs.Observer
-	// CheckpointHook is the atomicio fault hook for checkpoint writes —
-	// nil in production, set by the chaos harness.
-	CheckpointHook atomicio.Hook
+	// WriteHook is the atomicio fault hook for the snapshot write — nil in
+	// production, set by the chaos harness.
+	WriteHook atomicio.Hook
 	// Cells overrides the profile-build bucketing hook (nil = UTC cells).
 	// The chaos harness wraps it to inject worker panics mid-stage; the
-	// production CLI leaves it nil. It is not part of the checkpoint
-	// fingerprint: the checkpointed reference does not depend on it.
+	// production CLI leaves it nil.
 	Cells profile.CellOf
 }
 
@@ -122,9 +108,6 @@ type Result struct {
 	// Provenance is the hash-chained measurement record; nil unless
 	// Config.Provenance was set.
 	Provenance *Provenance
-	// Restored reports that the reference came from the checkpoint instead
-	// of Config.Reference.
-	Restored bool
 	// SnapshotLoaded reports that the dataset came from Config.SnapshotPath
 	// instead of the CSV trace.
 	SnapshotLoaded bool
@@ -133,83 +116,25 @@ type Result struct {
 	SnapshotWritten bool
 }
 
-// checkpointVersion guards the on-disk format; bump it when the layout
-// changes so stale snapshots fail loudly instead of resuming garbage.
-// v2: placements may carry per-user margins and the fingerprint covers the
-// margins flag. v3: the fingerprint is checkpointKey (the dataset's .dcs
-// content hash plus the stage settings), replacing an FNV-1a over rows
-// whose UnixNano timestamps wrapped outside 1678–2262. v4: the checkpoint
-// holds only the reference; profiles, placement and fit are recomputed.
-const checkpointVersion = 4
-
-// ErrCheckpointVersion is wrapped by the error for a checkpoint written by
-// another format version: it fails closed and is never resumed.
-var ErrCheckpointVersion = errors.New("pipeline: checkpoint version mismatch")
-
-// ErrCheckpointMismatch is wrapped by the error for a checkpoint taken for
-// different inputs or settings (its fingerprint differs).
-var ErrCheckpointMismatch = errors.New("pipeline: checkpoint fingerprint mismatch")
-
-// checkpointError carries a checkpoint failure's full message and unwraps
-// to its sentinel.
-type checkpointError struct {
-	msg  string
-	kind error
-}
-
-func (e *checkpointError) Error() string { return e.msg }
-func (e *checkpointError) Unwrap() error { return e.kind }
-
-// checkpoint is the on-disk reference checkpoint, written once, right
-// after the reference is built. Every later stage is a cheap pure
-// function of the fingerprinted inputs and the reference, so a resumed
-// run recomputes it to the same bytes.
-type checkpoint struct {
-	Version     int                    `json:"version"`
-	Fingerprint string                 `json:"fingerprint"`
-	Reference   *profile.GenericResult `json:"reference"`
-}
-
-// checkpointKey is the checkpoint fingerprint: a digest of everything the
-// pipeline's output depends on — the dataset content hash (HashDataset,
-// which covers the name, every user ID and every exact instant), the
-// reference identity, and the stage settings. Worker counts are
-// deliberately excluded — the output is identical for every parallelism
-// setting.
-func checkpointKey(dsHash string, cfg Config) (string, error) {
-	return hashJSON(struct {
-		Dataset    string `json:"dataset_sha256"`
-		Reference  string `json:"reference"`
-		MinPosts   int    `json:"min_posts"`
-		SkipPolish bool   `json:"skip_polish"`
-		Margins    bool   `json:"margins"`
-	}{dsHash, cfg.ReferenceID, cfg.MinPosts, cfg.SkipPolish, cfg.Margins})
-}
-
-// loadCheckpoint reads a checkpoint, returning (nil, nil) when none
-// exists yet. A checkpoint for different inputs or settings is an error,
-// not a silent fresh start: resuming the wrong run corrupts the result.
-func loadCheckpoint(path, fp string) (*checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+// stripReference keeps the aggregate profiles of a reference build, the
+// only part the pipeline consults; the per-user map is dropped.
+func stripReference(gen *profile.GenericResult) *profile.GenericResult {
+	return &profile.GenericResult{
+		Generic:     gen.Generic,
+		PerRegion:   gen.PerRegion,
+		ActiveUsers: gen.ActiveUsers,
 	}
+}
+
+// referenceDigestID is the content ID of a reference that records no
+// reproducible origin: "sha256:" plus the payload hash the provenance
+// chain records for its reference stage.
+func referenceDigestID(gen *profile.GenericResult) (string, error) {
+	h, err := hashJSON(stripReference(gen))
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: read checkpoint %s: %w", path, err)
+		return "", err
 	}
-	var ck checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("pipeline: parse checkpoint %s: %w", path, err)
-	}
-	if ck.Version != checkpointVersion {
-		return nil, &checkpointError{fmt.Sprintf("pipeline: checkpoint %s has version %d, want %d; delete it to start over",
-			path, ck.Version, checkpointVersion), ErrCheckpointVersion}
-	}
-	if ck.Fingerprint != fp {
-		return nil, &checkpointError{fmt.Sprintf("pipeline: checkpoint %s was taken for different inputs or settings (fingerprint %s, want %s); delete it to start over",
-			path, ck.Fingerprint, fp), ErrCheckpointMismatch}
-	}
-	return &ck, nil
+	return "sha256:" + h, nil
 }
 
 // Geolocate runs the staged pipeline. The stage names and metrics it
@@ -271,7 +196,7 @@ func Geolocate(cfg Config) (*Result, error) {
 		}
 		ds, quarantine = ing.Dataset, ing.Report
 		if cfg.SnapshotPath != "" {
-			err := atomicio.WriteFileHooked(cfg.SnapshotPath, ds.WriteSnapshot, cfg.CheckpointHook)
+			err := atomicio.WriteFileHooked(cfg.SnapshotPath, ds.WriteSnapshot, cfg.WriteHook)
 			if err != nil {
 				lo.End()
 				return nil, fmt.Errorf("pipeline: save snapshot: %w", err)
@@ -291,59 +216,16 @@ func Geolocate(cfg Config) (*Result, error) {
 	lo.End()
 	res := &Result{Dataset: ds, Quarantine: quarantine, SnapshotLoaded: snapLoaded, SnapshotWritten: snapWritten}
 
-	// The dataset content hash keys the checkpoint and anchors the
-	// provenance chain; it is one pass over the columns, so it is computed
-	// only when one of them asks, and once.
-	var dsHash, fp string
-	if cfg.CheckpointPath != "" || cfg.Provenance {
-		if dsHash, err = HashDataset(ds); err != nil {
-			return nil, err
-		}
-	}
-	var ck *checkpoint
-	if cfg.CheckpointPath != "" {
-		if fp, err = checkpointKey(dsHash, cfg); err != nil {
-			return nil, err
-		}
-		ck, err = loadCheckpoint(cfg.CheckpointPath, fp)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	if err := canceled(); err != nil {
 		return nil, err
 	}
 	ro := o.Stage("reference")
-	var ref *profile.GenericResult
-	if ck != nil && ck.Reference != nil {
-		ref = ck.Reference
-		res.Restored = true
-		ro.Eventf("reference", "restored from checkpoint")
-	} else {
-		gen, err := cfg.Reference()
-		if err != nil {
-			ro.End()
-			return nil, err
-		}
-		// The pipeline only ever consults the aggregate profiles; dropping
-		// the per-user map keeps synthetic-reference checkpoints small.
-		ref = &profile.GenericResult{
-			Generic:     gen.Generic,
-			PerRegion:   gen.PerRegion,
-			ActiveUsers: gen.ActiveUsers,
-		}
-		if cfg.CheckpointPath != "" {
-			err := atomicio.WriteFileHooked(cfg.CheckpointPath, func(w io.Writer) error {
-				return json.NewEncoder(w).Encode(checkpoint{Version: checkpointVersion, Fingerprint: fp, Reference: ref})
-			}, cfg.CheckpointHook)
-			if err != nil {
-				ro.End()
-				return nil, fmt.Errorf("pipeline: save checkpoint: %w", err)
-			}
-		}
-	}
+	gen, err := cfg.Reference()
 	ro.End()
+	if err != nil {
+		return nil, err
+	}
+	ref := stripReference(gen)
 
 	if err := canceled(); err != nil {
 		return nil, err
@@ -395,7 +277,7 @@ func Geolocate(cfg Config) (*Result, error) {
 	}
 
 	if cfg.Provenance {
-		prov, err := buildProvenance(ds, dsHash, cfg, ref, built, polished.Kept, res)
+		prov, err := buildProvenance(ds, cfg, ref, built, polished.Kept, res)
 		if err != nil {
 			return nil, err
 		}
@@ -405,17 +287,26 @@ func Geolocate(cfg Config) (*Result, error) {
 }
 
 // buildProvenance assembles the hash chain once every artifact is in hand.
-// The chain is built at the end of the run but in stage order. The only
-// payload a resumed run does not recompute is ref, which the checkpoint
-// round-trips exactly, so a fresh run and a resumed run chain identically.
-// dsHash is HashDataset(ds); ref is the stripped reference; built is the
-// pre-polish profile map and kept the post-polish map actually placed.
-func buildProvenance(ds *trace.Dataset, dsHash string, cfg Config, ref *profile.GenericResult, built, kept map[string]profile.Profile, res *Result) (*Provenance, error) {
+// The chain is built at the end of the run but in stage order. ref is the
+// stripped reference; built is the pre-polish profile map and kept the
+// post-polish map actually placed. The dataset content hash is one pass
+// over the columns, so only a run that asks for provenance pays for it.
+func buildProvenance(ds *trace.Dataset, cfg Config, ref *profile.GenericResult, built, kept map[string]profile.Profile, res *Result) (*Provenance, error) {
+	dsHash, err := HashDataset(ds)
+	if err != nil {
+		return nil, err
+	}
+	refID := cfg.ReferenceID
+	if refID == "" {
+		if refID, err = referenceDigestID(ref); err != nil {
+			return nil, err
+		}
+	}
 	prov := &Provenance{
 		Version: provenanceVersion,
 		Dataset: DatasetID{Name: ds.Name, Posts: ds.NumPosts(), SHA256: dsHash},
 		Params: ProvenanceParams{
-			ReferenceID:         cfg.ReferenceID,
+			ReferenceID:         refID,
 			MinPosts:            cfg.MinPosts,
 			SkipPolish:          cfg.SkipPolish,
 			Margins:             cfg.Margins,

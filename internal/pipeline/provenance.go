@@ -13,13 +13,13 @@ package pipeline
 // Two properties matter for the committed-fixture round trip:
 //
 //   - no filesystem paths ever enter hashed content — the dataset identity
-//     is the canonical snapshot hash plus name and post count, so a fixture
-//     verifies from any directory;
+//     is the canonical snapshot hash plus name and post count, and the
+//     reference identity is a reproducible build ID or the reference's own
+//     content digest, so a fixture verifies from any directory;
 //   - every hashed payload is the canonical JSON (json.Marshal: map keys
 //     sorted, float64 shortest round-trip) of the run's own artifacts; a
-//     resumed run restores only the reference, which JSON round-trips
-//     exactly, so fresh and checkpoint-restored runs chain to identical
-//     records.
+//     reference loaded from a saved file JSON round-trips exactly, so runs
+//     that rebuild it and runs that load it chain to identical records.
 
 import (
 	"crypto/sha256"
@@ -83,7 +83,7 @@ func hashBytes(data []byte) string {
 
 // hashJSON hashes the canonical JSON encoding of v. json.Marshal sorts map
 // keys and renders float64 in shortest round-trip form, so equal Go values
-// always hash equal — including values restored from a JSON checkpoint.
+// always hash equal — including values loaded from a saved JSON file.
 func hashJSON(v any) (string, error) {
 	data, err := json.Marshal(v)
 	if err != nil {

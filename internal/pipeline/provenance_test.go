@@ -1,10 +1,15 @@
 package pipeline
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"darkcrowd"
+	"darkcrowd/internal/atomicio"
+	"darkcrowd/internal/core/profile"
 )
 
 // chainFixture builds a small well-formed chain by the same calls the
@@ -86,9 +91,43 @@ func flipHex(s string) string {
 	return string(c) + s[1:]
 }
 
-// TestProvenanceStableAcrossResume: the chain a checkpoint-resumed run
-// emits is record-for-record identical to a clean run's — the hashed
-// payloads are the restored artifacts, not re-derived lookalikes.
+// savedReference writes the reference behind load to a file the way
+// `darkcrowd reference -out` does, with the given origin, and returns a
+// loader that reads it back.
+func savedReference(t *testing.T, load func() (*profile.GenericResult, error), origin string) func() (*profile.GenericResult, error) {
+	t.Helper()
+	gen, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ref.json")
+	ref := &darkcrowd.Reference{Generic: gen.Generic, PerRegion: gen.PerRegion, ActiveUsers: gen.ActiveUsers, Origin: origin}
+	if err := atomicio.WriteFile(path, ref.WriteJSON); err != nil {
+		t.Fatal(err)
+	}
+	return func() (*profile.GenericResult, error) {
+		fh, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer fh.Close()
+		back, err := darkcrowd.ReadReference(fh)
+		if err != nil {
+			return nil, err
+		}
+		if back.Origin != origin {
+			t.Errorf("saved reference has origin %q, want %q", back.Origin, origin)
+		}
+		return &profile.GenericResult{Generic: back.Generic, PerRegion: back.PerRegion, ActiveUsers: back.ActiveUsers}, nil
+	}
+}
+
+// TestProvenanceStableAcrossResume: an interrupted run resumes without
+// rebuilding the reference by loading a saved reference file. The chain
+// such a run emits is record-for-record identical to a clean run's — the
+// file round-trips the reference exactly — and so is the report document.
+// A reference with no recorded origin is named by its content: the
+// header's ID is "sha256:" plus the reference record's payload hash.
 func TestProvenanceStableAcrossResume(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := writeCrowd(t, dir)
@@ -121,23 +160,15 @@ func TestProvenanceStableAcrossResume(t *testing.T) {
 		}
 	}
 
-	ckCfg := base
-	ckCfg.CheckpointPath = filepath.Join(dir, "stage.ckpt")
-	if _, err := Geolocate(ckCfg); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Geolocate(ckCfg)
+	saved := base
+	saved.Reference = savedReference(t, base.Reference, "")
+	resumed, err := Geolocate(saved)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumed.Restored {
-		t.Fatal("second checkpointed run restored nothing")
-	}
 	if !reflect.DeepEqual(resumed.Provenance, clean.Provenance) {
-		t.Errorf("resumed chain diverged from clean chain:\n%+v\nvs\n%+v", resumed.Provenance, clean.Provenance)
+		t.Errorf("saved-reference chain diverged from clean chain:\n%+v\nvs\n%+v", resumed.Provenance, clean.Provenance)
 	}
-
-	// The full report document is byte-identical too.
 	cleanDoc, err := (&Report{Geolocation: clean.Geo, Provenance: clean.Provenance}).Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +178,31 @@ func TestProvenanceStableAcrossResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(cleanDoc) != string(resumedDoc) {
-		t.Error("resumed report document is not byte-identical to clean run")
+		t.Error("saved-reference report document is not byte-identical to clean run")
+	}
+
+	// Without an ID the header names the reference by content; the stage
+	// payloads do not depend on the ID, only the chain hashes do.
+	saved.ReferenceID = ""
+	byContent, err := Geolocate(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRecord := byContent.Provenance.Records[1]
+	if got, want := byContent.Provenance.Params.ReferenceID, "sha256:"+refRecord.Payload; got != want {
+		t.Errorf("unnamed reference ID %q, want %q", got, want)
+	}
+	gen, err := base.Reference()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := referenceDigestID(gen); err != nil || id != byContent.Provenance.Params.ReferenceID {
+		t.Errorf("referenceDigestID = %q (%v), header names %q", id, err, byContent.Provenance.Params.ReferenceID)
+	}
+	for i, rec := range byContent.Provenance.Records {
+		if rec.Payload != clean.Provenance.Records[i].Payload {
+			t.Errorf("stage %s payload moved with the reference ID", rec.Stage)
+		}
 	}
 }
 

@@ -39,26 +39,36 @@ func SynthReference(seed int64, scale, workers int) (*profile.GenericResult, err
 	return profile.BuildGeneric(twitter, profile.GenericOptions{Parallelism: workers})
 }
 
-// parseSynthReferenceID inverts SynthReferenceID.
-func parseSynthReferenceID(id string) (seed int64, scale int, ok bool) {
+// ParseSynthReferenceID inverts SynthReferenceID. It accepts only the
+// exact form SynthReferenceID writes, so every ID it accepts names the
+// build Verify rebuilds.
+func ParseSynthReferenceID(id string) (seed int64, scale int, ok bool) {
 	rest, found := strings.CutPrefix(id, "synth:")
 	if !found {
 		return 0, 0, false
 	}
-	if n, err := fmt.Sscanf(rest, "seed=%d,scale=%d", &seed, &scale); err != nil || n != 2 {
+	if n, err := fmt.Sscanf(rest, "seed=%d,scale=%d", &seed, &scale); err != nil || n != 2 || SynthReferenceID(seed, scale) != id {
 		return 0, 0, false
 	}
 	return seed, scale, true
 }
+
+// ErrReferenceMismatch is wrapped by Verify's error when the reference
+// file passed for a report named by content ("sha256:" ID) has another
+// digest: the replay would run against a reference the report does not
+// name, so Verify fails before it.
+var ErrReferenceMismatch = errors.New("pipeline: reference file does not match the report's reference ID")
 
 // VerifyOptions configures Verify.
 type VerifyOptions struct {
 	// SnapshotPath is the .dcs snapshot the report claims to describe.
 	// Required.
 	SnapshotPath string
-	// Reference, when non-nil, resolves non-"synth:" reference IDs (e.g.
-	// "file:reference.json") to a loader; "synth:" IDs are rebuilt
-	// internally. Verification of a file-reference report without a
+	// Reference, when non-nil, resolves non-"synth:" reference IDs to a
+	// loader of the reference file passed for the replay; "synth:" IDs are
+	// rebuilt internally. A "sha256:" ID accepts only a file with that
+	// content digest. A "file:" ID, which older reports carry, accepts the
+	// file as given. Verification of a file-reference report without a
 	// resolver fails with an instructive error.
 	Reference func(refID string) (func() (*profile.GenericResult, error), error)
 	// Workers sets the replay parallelism (0 = all cores); the replayed
@@ -118,7 +128,7 @@ func Verify(reportBytes []byte, opts VerifyOptions) (*VerifyResult, error) {
 	// Rebuild the reference exactly as the original run did.
 	var reference func() (*profile.GenericResult, error)
 	refID := prov.Params.ReferenceID
-	if seed, scale, ok := parseSynthReferenceID(refID); ok {
+	if seed, scale, ok := ParseSynthReferenceID(refID); ok {
 		workers := opts.Workers
 		reference = func() (*profile.GenericResult, error) {
 			return SynthReference(seed, scale, workers)
@@ -130,9 +140,23 @@ func Verify(reportBytes []byte, opts VerifyOptions) (*VerifyResult, error) {
 	} else {
 		return nil, fmt.Errorf("pipeline: cannot rebuild reference %q: pass the original reference file", refID)
 	}
+	if strings.HasPrefix(refID, "sha256:") {
+		gen, err := reference()
+		if err != nil {
+			return nil, err
+		}
+		got, err := referenceDigestID(gen)
+		if err != nil {
+			return nil, err
+		}
+		if got != refID {
+			return nil, fmt.Errorf("%w: file digest %.19s, report names %.19s", ErrReferenceMismatch, got, refID)
+		}
+		reference = func() (*profile.GenericResult, error) { return gen, nil }
+	}
 
 	// Replay the full pipeline from the snapshot with the chained
-	// parameters. No checkpoint, no CSV: the snapshot is authoritative.
+	// parameters. No CSV: the snapshot is authoritative.
 	res, err := Geolocate(Config{
 		SnapshotPath:        opts.SnapshotPath,
 		Reference:           reference,

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -216,6 +217,62 @@ func TestVerifyRejectsWrongSnapshot(t *testing.T) {
 		t.Error("wrong snapshot verified")
 	} else if !strings.Contains(err.Error(), "does not match") {
 		t.Errorf("wrong failure mode: %v", err)
+	}
+}
+
+// TestVerifyReferenceByContent: a report whose reference is named by
+// content ("sha256:" ID) verifies only against a reference file with that
+// digest. Another file fails with ErrReferenceMismatch before the replay,
+// no file fails with an instructive error, and a legacy "file:" ID still
+// verifies against the file passed.
+func TestVerifyReferenceByContent(t *testing.T) {
+	t.Parallel()
+	load := func(scale int) func() (*profile.GenericResult, error) {
+		gen, err := SynthReference(fixtureSeed, scale, 0)
+		return func() (*profile.GenericResult, error) { return gen, err }
+	}
+	report := func(refID string) []byte {
+		t.Helper()
+		cfg := fixtureRunConfig()
+		cfg.Reference, cfg.ReferenceID = load(fixtureScale), refID
+		res, err := Geolocate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := (&Report{Geolocation: res.Geo, Provenance: res.Provenance}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	resolver := func(scale int) func(string) (func() (*profile.GenericResult, error), error) {
+		return func(string) (func() (*profile.GenericResult, error), error) { return load(scale), nil }
+	}
+
+	byContent := report("")
+	var rep Report
+	if err := json.Unmarshal(byContent, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if id := rep.Provenance.Params.ReferenceID; !strings.HasPrefix(id, "sha256:") {
+		t.Fatalf("unnamed reference got ID %q, want a sha256: content ID", id)
+	}
+	if _, err := Verify(byContent, VerifyOptions{SnapshotPath: fixtureSnapshot, Reference: resolver(fixtureScale)}); err != nil {
+		t.Errorf("content-named report does not verify against its reference: %v", err)
+	}
+	// Scales 299-301 round the Table I user counts alike and build the
+	// same reference; 250 builds another.
+	_, err := Verify(byContent, VerifyOptions{SnapshotPath: fixtureSnapshot, Reference: resolver(250)})
+	if !errors.Is(err, ErrReferenceMismatch) {
+		t.Errorf("another reference: got %v, want ErrReferenceMismatch", err)
+	}
+	if _, err := Verify(byContent, VerifyOptions{SnapshotPath: fixtureSnapshot}); err == nil || !strings.Contains(err.Error(), "reference file") {
+		t.Errorf("no reference file: %v", err)
+	}
+
+	legacy := report("file:ref.json")
+	if _, err := Verify(legacy, VerifyOptions{SnapshotPath: fixtureSnapshot, Reference: resolver(fixtureScale)}); err != nil {
+		t.Errorf("legacy file: report does not verify: %v", err)
 	}
 }
 
