@@ -184,9 +184,13 @@ func TestLocateCrowdMatchesThreeStepDefinition(t *testing.T) {
 	}
 }
 
-// TestLocateCrowdScansOncePerPass counts kernel calls: on the bot crowd
-// the step scans each kept user once per polish pass, against that pass's
-// generic profile, and placement adds no scan of its own.
+// TestLocateCrowdScansOncePerPass counts the EMD work of each polish
+// pass on the bot crowd: pass 1 scans every user in full, a later pass
+// checks each kept user for flatness one rotation at a time, from its
+// latest scanned zone up to the first zone within its uniform distance,
+// and the kept users are scanned in full again only when a pass removed
+// someone and the generic profile is rebuilt from their zones. Placement
+// adds no scan of its own.
 func TestLocateCrowdScansOncePerPass(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -197,51 +201,87 @@ func TestLocateCrowdScansOncePerPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := crowds[0]
-	// The passes, written out: every kept user is scanned, the flat ones
-	// go, and the generic profile is rebuilt from the rest.
-	kept := make(map[string]profile.Profile, len(c.profiles))
-	for id, p := range c.profiles {
-		kept[id] = p
+	// The passes, written out.
+	uniform := profile.Uniform()
+	ids := profile.SortedUserIDs(c.profiles)
+	scans, err := profile.ScanUsers(c.profiles, ids, c.generic, profile.ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	generic, want, passes := c.generic, 0, 0
-	for passes < 10 {
-		passes++
-		ids := profile.SortedUserIDs(kept)
-		want += len(ids)
-		scans, err := profile.ScanUsers(kept, ids, generic, profile.ScanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var aligned []profile.Profile
-		for i, id := range ids {
-			if scans[i].Flat {
-				delete(kept, id)
-			} else {
-				aligned = append(aligned, kept[id].ToLocal(profile.OffsetOf(scans[i].Zone)))
+	zone := make(map[string]int, len(ids))
+	flat := make(map[string]bool, len(ids))
+	for i, id := range ids {
+		zone[id], flat[id] = scans[i].Zone, scans[i].Flat
+	}
+	generic, passes := c.generic, 1
+	wantScans, wantChecks, rescans := len(ids), 0, 0
+	for {
+		var kept []string
+		for _, id := range ids {
+			if !flat[id] {
+				kept = append(kept, id)
 			}
 		}
-		if len(aligned) == len(ids) {
+		if len(kept) == len(ids) || len(kept) == 0 || passes == 10 {
 			break
+		}
+		if passes > 1 {
+			sc, err := profile.ScanUsers(c.profiles, kept, generic, profile.ScanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, id := range kept {
+				zone[id] = sc[i].Zone
+			}
+			wantScans += len(kept)
+			rescans++
+		}
+		aligned := make([]profile.Profile, len(kept))
+		for i, id := range kept {
+			aligned[i] = c.profiles[id].ToLocal(profile.OffsetOf(zone[id]))
 		}
 		if generic, err = profile.Aggregate(aligned); err != nil {
 			t.Fatal(err)
 		}
+		ids = kept
+		passes++
+		zones := profile.ZoneProfiles(generic)
+		for _, id := range ids {
+			p := c.profiles[id]
+			dUniform, err := p.EMD(uniform)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat[id] = true
+			for k := 0; k < len(zones) && flat[id]; k++ {
+				d, err := p.EMD(zones[(zone[id]+k)%len(zones)])
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantChecks++
+				flat[id] = !(d <= dUniform)
+			}
+		}
 	}
-	if passes < 2 {
-		t.Fatalf("premise broken: the bot crowd needs %d polish pass(es), want >= 2", passes)
+	if rescans == 0 {
+		t.Fatalf("premise broken: the bot crowd's %d polish passes never rescan the kept users", passes)
 	}
 	reg := obs.NewRegistry()
 	polished, _, err := LocateCrowd(c.profiles, c.generic, LocateOptions{Obs: &obs.Observer{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if polished.Iterations != passes || len(polished.Kept) != len(kept) {
+	if polished.Iterations != passes || len(polished.Kept) != len(ids) {
 		t.Fatalf("step ran %d passes keeping %d users, definition %d passes keeping %d",
-			polished.Iterations, len(polished.Kept), passes, len(kept))
+			polished.Iterations, len(polished.Kept), passes, len(ids))
 	}
-	if got := reg.Counter(profile.ZoneScansCounter).Load(); got != int64(want) {
-		t.Fatalf("%d zone scans, want %d (the users of each polish pass)", got, want)
+	if got := reg.Counter(profile.ZoneScansCounter).Load(); got != int64(wantScans) {
+		t.Errorf("%d zone scans, want %d (every user, then the kept users before each later rebuild)", got, wantScans)
 	}
+	if got := reg.Counter(profile.FlatChecksCounter).Load(); got != int64(wantChecks) {
+		t.Errorf("%d flat checks, want %d", got, wantChecks)
+	}
+	t.Logf("%d passes: %d zone scans, %d flat checks", passes, wantScans, wantChecks)
 }
 
 // TestLocateCrowdCache checks the per-user scan cache: each cached user
@@ -311,5 +351,97 @@ func TestLocateCrowdCache(t *testing.T) {
 	}
 	if _, _, err := LocateCrowd(nil, generic, LocateOptions{}); err != ErrNoProfiles {
 		t.Fatalf("empty crowd: got %v, want ErrNoProfiles", err)
+	}
+}
+
+// TestLocateCrowdRelabelInvariant renames every user with an
+// order-reversing bijection and checks that the step's outcome maps
+// through it: the same users are removed as flat over the same passes,
+// and every kept user keeps its zone and margin bit for bit, so the
+// placement histogram and counts are unchanged.
+//
+// Pass 1 reads each profile alone, so its verdicts, zones and margins
+// cannot move. Three things may, because they follow sorted-ID order:
+// the order of Removed within a pass; the rebuilt generic profile, whose
+// float sums Aggregate takes over the aligned profiles in sorted-ID order,
+// so a later pass's verdict could flip for a user on the knife edge; and
+// the mixture's low bits, because EM sums Placement.Samples in sorted-ID
+// order. So of the report bytes, the mixture parameters and the fit
+// metrics derived from them (AvgDistance, StdDistance, BIC) may move; the
+// check allows them 1e-9.
+func TestLocateCrowdRelabelInvariant(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("heavy synthesis in -short mode")
+	}
+	crowds, err := loadLocateCrowds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range crowds {
+		ids := profile.SortedUserIDs(c.profiles)
+		rename := make(map[string]string, len(ids))
+		renamed := make(map[string]profile.Profile, len(ids))
+		for i, id := range ids {
+			rename[id] = fmt.Sprintf("r%06d", len(ids)-1-i)
+			renamed[rename[id]] = c.profiles[id]
+		}
+		opts := LocateOptions{Margins: true}
+		want, wantGeo, err := LocateCrowd(c.profiles, c.generic, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotGeo, err := LocateCrowd(renamed, c.generic, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Iterations != want.Iterations {
+			t.Errorf("%s: %d passes, want %d", c.name, got.Iterations, want.Iterations)
+		}
+		removed := make(map[string]bool, len(want.Removed))
+		for _, id := range want.Removed {
+			removed[rename[id]] = true
+		}
+		if len(got.Removed) != len(removed) {
+			t.Errorf("%s: %d users removed, want %d", c.name, len(got.Removed), len(removed))
+		}
+		for _, id := range got.Removed {
+			if !removed[id] {
+				t.Errorf("%s: %s removed, but its original was kept", c.name, id)
+			}
+		}
+		if len(got.Kept) != len(want.Kept) {
+			t.Errorf("%s: %d users kept, want %d", c.name, len(got.Kept), len(want.Kept))
+		}
+		wantPl, gotPl := wantGeo.Placement, gotGeo.Placement
+		for id := range want.Kept {
+			r := rename[id]
+			if _, ok := got.Kept[r]; !ok {
+				t.Errorf("%s: %s (was %s) not kept", c.name, r, id)
+				continue
+			}
+			if gotPl.Assignments[r] != wantPl.Assignments[id] ||
+				math.Float64bits(gotPl.Margins[r]) != math.Float64bits(wantPl.Margins[id]) {
+				t.Errorf("%s: %s placed at %v margin %v, its original %s at %v margin %v", c.name,
+					r, gotPl.Assignments[r], gotPl.Margins[r], id, wantPl.Assignments[id], wantPl.Margins[id])
+			}
+		}
+		if !reflect.DeepEqual(gotPl.Counts, wantPl.Counts) || !reflect.DeepEqual(gotPl.Histogram, wantPl.Histogram) {
+			t.Errorf("%s: placement histogram moved", c.name)
+		}
+		if len(gotGeo.Mixture) != len(wantGeo.Mixture) {
+			t.Fatalf("%s: %d mixture components, want %d", c.name, len(gotGeo.Mixture), len(wantGeo.Mixture))
+		}
+		near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+		for k, g := range gotGeo.Mixture {
+			w := wantGeo.Mixture[k]
+			if !near(g.Weight, w.Weight) || !near(g.Mean, w.Mean) || !near(g.Sigma, w.Sigma) {
+				t.Errorf("%s: component %d = %+v, want %+v", c.name, k, g, w)
+			}
+		}
+		if !near(gotGeo.AvgDistance, wantGeo.AvgDistance) || !near(gotGeo.StdDistance, wantGeo.StdDistance) || !near(gotGeo.BIC, wantGeo.BIC) {
+			t.Errorf("%s: fit metrics %v/%v/%v, want %v/%v/%v", c.name,
+				gotGeo.AvgDistance, gotGeo.StdDistance, gotGeo.BIC, wantGeo.AvgDistance, wantGeo.StdDistance, wantGeo.BIC)
+		}
 	}
 }

@@ -7,11 +7,13 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
+	"darkcrowd/internal/stats"
 	"darkcrowd/internal/trace"
 	"darkcrowd/internal/tz"
 )
@@ -336,9 +338,35 @@ func TestZoneDistancesMatchPerZoneEMD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ZoneScan{Zone: nearestZone(dists), Margin: sorted[1] - sorted[0], Flat: flat}
+		dUniform, err := stats.EMDCircularScratch(p[:], Uniform().Slice(), scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ZoneScan{Zone: nearestZone(dists), Margin: sorted[1] - sorted[0], Flat: flat, uniform: dUniform}
 		if got != want {
 			t.Fatalf("trial %d: Scan = %+v, definition %+v", trial, got, want)
+		}
+		// The later polish passes' single-rotation EMDs read the same 24
+		// distances bit for bit, so their flat verdict is Scan's from
+		// whichever zone the walk starts at.
+		z := rotationsOf(generic)
+		for zi := range dists {
+			d, err := stats.EMDCircularScratch(p[:], z[zi][:], scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(d) != math.Float64bits(dists[zi]) {
+				t.Fatalf("trial %d zone %d: single rotation %v, kernel %v", trial, zi, d, dists[zi])
+			}
+			from := got
+			from.Zone = zi
+			f, calls, err := s.flat(p, z, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f != flat || (flat && calls != HoursPerDay) || calls < 1 || calls > HoursPerDay {
+				t.Fatalf("trial %d from zone %d: flat = %v after %d checks, Scan says %v", trial, zi, f, calls, flat)
+			}
 		}
 	}
 }

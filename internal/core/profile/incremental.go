@@ -43,6 +43,7 @@ type Accumulator struct {
 	minPosts int
 	users    map[string]*userCells
 	posts    int
+	active   int // users with at least max(minPosts, 1) posts
 }
 
 // NewAccumulator returns an empty accumulator with the given active-user
@@ -85,6 +86,11 @@ func (a *Accumulator) AddBytes(userID []byte, unixSec int64) bool {
 func (a *Accumulator) add(uc *userCells, unixSec int64) bool {
 	uc.posts++
 	a.posts++
+	// A user's first post always opens a cell, so a user is active from
+	// the post that reaches the threshold on.
+	if uc.posts == max(a.minPosts, 1) {
+		a.active++
+	}
 	hour, day := cellOfUnix(unixSec)
 	key := cellKey(hour, day)
 	if n := len(uc.cells); n == 0 || key > uc.cells[n-1] {
@@ -126,6 +132,9 @@ func (a *Accumulator) TotalPosts() int { return a.posts }
 // NumUsers returns the number of distinct users seen so far.
 func (a *Accumulator) NumUsers() int { return len(a.users) }
 
+// NumActive returns the number of active users, those EachActive visits.
+func (a *Accumulator) NumActive() int { return a.active }
+
 // Active reports whether userID has reached the active-user threshold.
 func (a *Accumulator) Active(userID string) bool {
 	uc := a.users[userID]
@@ -145,19 +154,15 @@ func (a *Accumulator) ProfileOf(userID string) (Profile, bool) {
 	return uc.profile(), true
 }
 
-// ActiveProfiles snapshots the profiles (and their versions) of every
-// active user. The result is bit-identical to
+// EachActive calls fn with the profile and version of every active user,
+// in no particular order. The profiles are bit-identical to
 // BuildUserProfiles(batch-of-the-same-posts, BuildOptions{MinPosts: ...}):
 // both pass the same per-hour distinct-cell integers to fromCounts.
-func (a *Accumulator) ActiveProfiles() (map[string]Profile, map[string]uint64) {
-	profiles := make(map[string]Profile)
-	versions := make(map[string]uint64)
+func (a *Accumulator) EachActive(fn func(id string, p Profile, version uint64)) {
 	for id, uc := range a.users {
 		if uc.posts < a.minPosts || uc.distinct == 0 {
 			continue
 		}
-		profiles[id] = uc.profile()
-		versions[id] = uc.version
+		fn(id, uc.profile(), uc.version)
 	}
-	return profiles, versions
 }

@@ -93,6 +93,18 @@ func streamOrders(posts []trace.Post) map[string][]trace.Post {
 	return orders
 }
 
+// activeProfiles collects the accumulator's active profiles, checking
+// that NumActive counts exactly the users EachActive visits.
+func activeProfiles(t testing.TB, acc *Accumulator) map[string]Profile {
+	t.Helper()
+	out := make(map[string]Profile, acc.NumActive())
+	acc.EachActive(func(id string, p Profile, _ uint64) { out[id] = p })
+	if len(out) != acc.NumActive() {
+		t.Fatalf("EachActive visits %d users, NumActive = %d", len(out), acc.NumActive())
+	}
+	return out
+}
+
 // TestAccumulatorMatchesBatchBuild feeds random streams post-by-post in
 // several arrival orders and demands the accumulator's active profiles be
 // bit-identical to BuildUserProfiles over the same posts — the invariant
@@ -113,7 +125,7 @@ func TestAccumulatorMatchesBatchBuild(t *testing.T) {
 			for _, p := range order {
 				acc.Add(p.UserID, p.Time.Unix())
 			}
-			got, _ := acc.ActiveProfiles()
+			got := activeProfiles(t, acc)
 			profilesBitEqual(t, got, want)
 			if acc.TotalPosts() != len(posts) {
 				t.Fatalf("seed %d %s: TotalPosts = %d, want %d", seed, name, acc.TotalPosts(), len(posts))
@@ -147,7 +159,7 @@ func TestAccumulatorMatchesBatchBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := acc.ActiveProfiles()
+		got := activeProfiles(t, acc)
 		profilesBitEqual(t, got, want)
 	}
 }
@@ -185,7 +197,7 @@ func FuzzAccumulatorMatchesBatchBuild(f *testing.F) {
 			}
 			posts = append(posts, trace.Post{UserID: id, Time: time.Unix(sec, 0).UTC()})
 		}
-		got, _ := acc.ActiveProfiles()
+		got := activeProfiles(t, acc)
 		want, err := BuildUserProfiles(trace.NewDataset("fuzz", posts), BuildOptions{MinPosts: minPosts})
 		if err != nil {
 			if !errors.Is(err, ErrNoActivity) || len(got) != 0 {

@@ -45,8 +45,7 @@ var eqOneBuilders = []struct {
 		for _, p := range posts {
 			acc.Add(p.UserID, p.Time.Unix())
 		}
-		out, _ := acc.ActiveProfiles()
-		return out
+		return activeProfiles(t, acc)
 	}},
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"darkcrowd/internal/obs"
 	"darkcrowd/internal/par"
@@ -24,11 +25,20 @@ type ZoneScan struct {
 	// Flat reports that the profile is EMD-closer to the uniform 1/24
 	// profile than to every zone profile.
 	Flat bool
+	// uniform is the EMD from the profile to the uniform profile, the
+	// bound every later polish pass compares against. It does not depend
+	// on the generic profile, so those passes carry it instead of
+	// recomputing it.
+	uniform float64
 }
 
 // ZoneScansCounter names the obs counter of zone scans, one
 // all-rotations kernel call each; cache hits are not counted.
 const ZoneScansCounter = "profile.zone_scans"
+
+// FlatChecksCounter names the obs counter of the single-rotation EMD
+// calls that polish passes after the first make to test flatness.
+const FlatChecksCounter = "profile.flat_checks"
 
 var uniform = Uniform()
 
@@ -71,7 +81,47 @@ func (s *Scanner) Scan(p, generic Profile) (ZoneScan, error) {
 			second = d
 		}
 	}
-	return ZoneScan{Zone: best, Margin: second - bestDist, Flat: flat}, nil
+	return ZoneScan{Zone: best, Margin: second - bestDist, Flat: flat, uniform: dUniform}, nil
+}
+
+// zoneRotations holds the 24 zone profiles derived from a generic
+// profile as the kernel's rotations: z[zi] is q_r, with q_r[i] =
+// generic[(i+r) mod 24] and r = zi + tz.MinOffset mod 24, the rotation
+// Scan reads as the kernel's out[r] for zone zi. So a single-rotation EMD
+// against z[zi] is bit-identical to that out[r].
+type zoneRotations [HoursPerDay]Profile
+
+func rotationsOf(generic Profile) *zoneRotations {
+	var z zoneRotations
+	for zi := range z {
+		r := (zi + int(tz.MinOffset) + HoursPerDay) % HoursPerDay
+		for i := range z[zi] {
+			z[zi][i] = generic[(i+r)%HoursPerDay]
+		}
+	}
+	return &z
+}
+
+// flat reports the flat verdict of p, whose scan against an earlier
+// generic profile is last, against the zone profiles in z: whether no
+// zone is within last.uniform of p. It tries the zones in order from
+// last.Zone and stops at the first one within the bound, so a kept user
+// usually costs one EMD call. The comparison is Scan's, so the verdict is
+// the one a full scan against the same generic profile would return.
+// calls is the number of EMD calls made.
+func (s *Scanner) flat(p Profile, z *zoneRotations, last ZoneScan) (flat bool, calls int64, err error) {
+	for k := 0; k < HoursPerDay; k++ {
+		zi := (last.Zone + k) % HoursPerDay
+		d, err := stats.EMDCircularScratch(p[:], z[zi][:], s.scratch[:])
+		if err != nil {
+			return false, calls, err
+		}
+		calls++
+		if d <= last.uniform {
+			return false, calls, nil
+		}
+	}
+	return true, calls, nil
 }
 
 // ScanOptions configures ScanUsers and PolishWith.
@@ -100,11 +150,6 @@ func ScanUsers(profiles map[string]Profile, ids []string, generic Profile, opts 
 	out := make([]ZoneScan, len(ids))
 	scans := opts.Obs.Counter(ZoneScansCounter)
 	opts.Obs.SetWorkers(par.Workers(opts.Parallelism, len(ids)))
-	// A typed-nil *Span must not become a non-nil ShardObserver.
-	var so par.ShardObserver
-	if sp := opts.Obs.SpanRef(); sp != nil {
-		so = sp
-	}
 	err := par.RangesObserved(opts.Context, opts.Parallelism, len(ids), func(start, end int) error {
 		var s Scanner
 		var n int64
@@ -127,11 +172,21 @@ func ScanUsers(profiles map[string]Profile, ids []string, generic Profile, opts 
 		}
 		scans.Add(n)
 		return nil
-	}, so)
+	}, shardObserver(opts.Obs))
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// shardObserver returns o's span as the shard observer of a parallel
+// pass, or nil: a typed-nil *Span must not become a non-nil
+// ShardObserver.
+func shardObserver(o *obs.Observer) par.ShardObserver {
+	if sp := o.SpanRef(); sp != nil {
+		return sp
+	}
+	return nil
 }
 
 // PolishResult reports the outcome of flat-profile polishing.
@@ -164,63 +219,125 @@ func Polish(profiles map[string]Profile, generic Profile, rebuild bool) (*Polish
 // timezone profiles", PolishWith optionally rebuilds the generic profile
 // from the kept users after each pass when rebuild is true.
 //
-// Each pass is one zone scan per kept user: the flat verdicts pick the
-// removals, and the rebuild (which replaces generic only after the pass)
-// aligns the kept users by their scanned zones. Removals and the rebuild
-// walk the users in sorted order, so the result is the same for every
-// Parallelism.
+// Pass 1 is one zone scan per user: its flat verdicts pick the removals,
+// and its zones align the kept users for the rebuild and are returned for
+// placement. A later pass needs only each kept user's flat verdict against
+// the rebuilt generic profile, which a first-success walk of single
+// rotations gives (Scanner.flat); the kept users are scanned in full again
+// only when the pass removed someone and a rebuild will read their zones.
+// Removals and the rebuild walk the users in sorted order, so the result
+// is the same for every Parallelism.
 func PolishWith(profiles map[string]Profile, generic Profile, rebuild bool, opts ScanOptions) (*PolishResult, error) {
-	kept := make(map[string]Profile, len(profiles))
-	for id, p := range profiles {
-		kept[id] = p
+	ids := SortedUserIDs(profiles)
+	scans, err := ScanUsers(profiles, ids, generic, opts)
+	if err != nil {
+		return nil, err
 	}
-	res := &PolishResult{IDs: SortedUserIDs(kept)}
-	ids := res.IDs
+	opts.Cache = nil
+	res := &PolishResult{IDs: ids, Scans: scans, Iterations: 1}
+	// live lists the positions in ids of the users still kept, ascending.
+	// last[i] is ids[i]'s latest full scan, against the generic profile of
+	// the pass that made it, and flat[i] its verdict in the current pass.
+	live := make([]int, len(ids))
+	flat := make([]bool, len(ids))
+	last := scans
+	removed := 0
+	for i, s := range scans {
+		live[i], flat[i] = i, s.Flat
+		if s.Flat {
+			removed++
+		}
+	}
 	const maxIterations = 10
-	for iter := 0; iter < maxIterations; iter++ {
-		res.Iterations = iter + 1
-		scans, err := ScanUsers(kept, ids, generic, opts)
-		if err != nil {
-			return nil, err
+	for removed > 0 {
+		if res.Removed == nil {
+			res.Removed = make([]string, 0, removed)
 		}
-		if iter == 0 {
-			res.Scans = scans
-			opts.Cache = nil
-		}
-		removed := 0
-		for _, s := range scans {
-			if s.Flat {
-				removed++
+		next := make([]int, 0, len(live)-removed)
+		for _, i := range live {
+			if flat[i] {
+				res.Removed = append(res.Removed, ids[i])
+			} else {
+				next = append(next, i)
 			}
 		}
-		if removed == 0 {
+		live = next
+		if !rebuild || len(live) == 0 || res.Iterations == maxIterations {
 			break
 		}
-		next := make([]string, 0, len(ids)-removed)
-		var aligned []Profile
-		for i, id := range ids {
-			if scans[i].Flat {
-				delete(kept, id)
-				res.Removed = append(res.Removed, id)
-				continue
+		if res.Iterations > 1 {
+			// The survivors' zones against this pass's generic profile
+			// align them for the rebuild.
+			keptIDs := make([]string, len(live))
+			for k, i := range live {
+				keptIDs[k] = ids[i]
 			}
-			next = append(next, id)
-			if rebuild {
-				// Align each kept user to its best zone so profiles from
-				// different zones stack.
-				aligned = append(aligned, kept[id].ToLocal(OffsetOf(scans[i].Zone)))
+			rescans, err := ScanUsers(profiles, keptIDs, generic, opts)
+			if err != nil {
+				return nil, err
+			}
+			if res.Iterations == 2 {
+				last = slices.Clone(scans) // res.Scans stays pass 1's
+			}
+			for k, i := range live {
+				last[i] = rescans[k]
 			}
 		}
-		ids = next
-		if !rebuild || len(kept) == 0 {
-			break
+		aligned := make([]Profile, len(live))
+		for k, i := range live {
+			// Align each kept user to its best zone so profiles from
+			// different zones stack.
+			aligned[k] = profiles[ids[i]].ToLocal(OffsetOf(last[i].Zone))
 		}
-		g, err := Aggregate(aligned)
-		if err != nil {
+		if generic, err = Aggregate(aligned); err != nil {
 			return nil, fmt.Errorf("profile: rebuild generic during polish: %w", err)
 		}
-		generic = g
+		res.Iterations++
+		if removed, err = flatPass(profiles, ids, live, last, generic, flat, opts); err != nil {
+			return nil, err
+		}
 	}
-	res.Kept = kept
+	res.Kept = make(map[string]Profile, len(live))
+	for _, i := range live {
+		res.Kept[ids[i]] = profiles[ids[i]]
+	}
 	return res, nil
+}
+
+// flatPass sets flat[i] to the flat verdict against generic of ids[i],
+// for each position i in live, starting its walk at last[i], and returns
+// how many are flat. It counts its EMD calls under FlatChecksCounter.
+func flatPass(profiles map[string]Profile, ids []string, live []int, last []ZoneScan, generic Profile, flat []bool, opts ScanOptions) (int, error) {
+	z := rotationsOf(generic)
+	checks := opts.Obs.Counter(FlatChecksCounter)
+	err := par.RangesObserved(opts.Context, opts.Parallelism, len(live), func(start, end int) error {
+		var s Scanner
+		var n int64
+		for k := start; k < end; k++ {
+			if opts.Context != nil && k&0xff == 0 {
+				if err := opts.Context.Err(); err != nil {
+					return err
+				}
+			}
+			i := live[k]
+			f, calls, err := s.flat(profiles[ids[i]], z, last[i])
+			if err != nil {
+				return fmt.Errorf("profile: flat check of user %q: %w", ids[i], err)
+			}
+			flat[i] = f
+			n += calls
+		}
+		checks.Add(n)
+		return nil
+	}, shardObserver(opts.Obs))
+	if err != nil {
+		return 0, err
+	}
+	removed := 0
+	for _, i := range live {
+		if flat[i] {
+			removed++
+		}
+	}
+	return removed, nil
 }

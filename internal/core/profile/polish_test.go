@@ -1,7 +1,11 @@
 package profile
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -88,42 +92,127 @@ var loadBotCrowd = sync.OnceValues(func() (botCrowd, error) {
 	return botCrowd{profiles, res.Generic}, nil
 })
 
-// TestPolishMatchesThreeSweepDefinition: reusing each user's scan
-// distances in the rebuild removes the same users, in the same order,
-// over the same passes, and keeps bit-identical profiles.
+// lateFlatCrowd is a crowd that polishing clears in two removing passes.
+// Its users follow a sharp diurnal shape, shifted to every zone, and the
+// caller's generic profile is that shape blurred halfway to uniform. Pass 1
+// removes the near-uniform bots. The user named lateFlatUser sits 40% of
+// the way from a blurred zone profile to uniform: closer to that zone than
+// to uniform in pass 1, but once the generic profile is rebuilt from the
+// sharp users, every zone profile is farther from it than uniform is, so
+// pass 2 removes it after all 24 rotations fail.
+func lateFlatCrowd() (map[string]Profile, Profile) {
+	var sharp, generic Profile
+	for h := range sharp {
+		d := float64(h - 20)
+		sharp[h] = 0.002 + math.Exp(-d*d/6)
+	}
+	sharp = normalized(sharp)
+	u := Uniform()
+	for h := range generic {
+		generic[h] = 0.5*u[h] + 0.5*sharp[h]
+	}
+	rng := rand.New(rand.NewSource(7))
+	noisy := func(p Profile, amp float64) Profile {
+		for h := range p {
+			p[h] += amp * rng.Float64()
+		}
+		return normalized(p)
+	}
+	profiles := make(map[string]Profile)
+	for _, off := range tz.AllOffsets() {
+		for k := 0; k < 3; k++ {
+			profiles[fmt.Sprintf("zone%+03d-%d", off, k)] = noisy(ZoneProfile(sharp, off), 0.01)
+		}
+	}
+	for k := 0; k < 4; k++ {
+		profiles[fmt.Sprintf("bot-%d", k)] = noisy(Uniform(), 0.002)
+	}
+	var late Profile
+	z := ZoneProfile(generic, 3)
+	for h := range late {
+		late[h] = 0.4*u[h] + 0.6*z[h]
+	}
+	profiles[lateFlatUser] = late
+	return profiles, generic
+}
+
+const lateFlatUser = "late-flat"
+
+func normalized(p Profile) Profile {
+	var sum float64
+	for _, v := range p {
+		sum += v
+	}
+	for h := range p {
+		p[h] /= sum
+	}
+	return p
+}
+
+// TestPolishMatchesThreeSweepDefinition: flat checks after pass 1, and
+// full scans only of the survivors before a rebuild, remove the same
+// users, in the same order, over the same passes, and keep bit-identical
+// profiles. Both crowds lose users after pass 1, so the later passes'
+// flat checks, survivor rescans and rebuilds all run against refPolish.
 func TestPolishMatchesThreeSweepDefinition(t *testing.T) {
 	t.Parallel()
-	if testing.Short() {
-		t.Skip("heavy synthesis in -short mode")
+	lf, lfGeneric := lateFlatCrowd()
+	type crowd struct {
+		name     string
+		profiles map[string]Profile
+		generic  Profile
+		late     string // a user that a pass after the first must remove
 	}
-	crowd, err := loadBotCrowd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles, generic := crowd.profiles, crowd.generic
-	for _, rebuild := range []bool{true, false} {
-		got, err := PolishWith(profiles, generic, rebuild, ScanOptions{})
+	crowds := []crowd{{"late-flat", lf, lfGeneric, lateFlatUser}}
+	if !testing.Short() {
+		bots, err := loadBotCrowd()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refPolish(profiles, generic, rebuild)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rebuild && want.Iterations < 2 {
-			t.Fatalf("premise broken: the bot crowd needs %d polish pass(es), want >= 2", want.Iterations)
-		}
-		if len(want.Removed) == 0 {
-			t.Fatal("premise broken: the bot crowd loses no user to polish")
-		}
-		if got.Iterations != want.Iterations {
-			t.Errorf("rebuild=%v: Iterations = %d, want %d", rebuild, got.Iterations, want.Iterations)
-		}
-		if !reflect.DeepEqual(got.Removed, want.Removed) {
-			t.Errorf("rebuild=%v: Removed = %v, want %v", rebuild, got.Removed, want.Removed)
-		}
-		if !reflect.DeepEqual(got.Kept, want.Kept) {
-			t.Errorf("rebuild=%v: Kept differs (%d users, want %d)", rebuild, len(got.Kept), len(want.Kept))
+		crowds = append(crowds, crowd{"bots", bots.profiles, bots.generic, ""})
+	}
+	for _, c := range crowds {
+		for _, rebuild := range []bool{true, false} {
+			got, err := PolishWith(c.profiles, c.generic, rebuild, ScanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refPolish(c.profiles, c.generic, rebuild)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Removed) == 0 {
+				t.Fatalf("%s: premise broken: the crowd loses no user to polish", c.name)
+			}
+			if rebuild {
+				// Premise: a pass after the first removes a user that
+				// pass 1 kept.
+				pass1 := make(map[string]bool, len(got.IDs))
+				for i, id := range got.IDs {
+					pass1[id] = got.Scans[i].Flat
+				}
+				var late []string
+				for _, id := range want.Removed {
+					if !pass1[id] {
+						late = append(late, id)
+					}
+				}
+				if len(late) == 0 || want.Iterations < 3 {
+					t.Fatalf("%s: premise broken: %d passes remove no user after pass 1", c.name, want.Iterations)
+				}
+				if c.late != "" && !slices.Contains(late, c.late) {
+					t.Fatalf("%s: premise broken: %s is not removed after pass 1 (late removals %v)", c.name, c.late, late)
+				}
+			}
+			if got.Iterations != want.Iterations {
+				t.Errorf("%s rebuild=%v: Iterations = %d, want %d", c.name, rebuild, got.Iterations, want.Iterations)
+			}
+			if !reflect.DeepEqual(got.Removed, want.Removed) {
+				t.Errorf("%s rebuild=%v: Removed = %v, want %v", c.name, rebuild, got.Removed, want.Removed)
+			}
+			if !reflect.DeepEqual(got.Kept, want.Kept) {
+				t.Errorf("%s rebuild=%v: Kept differs (%d users, want %d)", c.name, rebuild, len(got.Kept), len(want.Kept))
+			}
 		}
 	}
 }

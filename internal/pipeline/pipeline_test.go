@@ -55,7 +55,7 @@ func writeCrowd(t *testing.T, dir string) string {
 // build is deterministic, so sharing it across tests changes nothing.
 var refOnce *profile.GenericResult
 
-func testReference(t *testing.T) func() (*profile.GenericResult, error) {
+func testReference(t testing.TB) func() (*profile.GenericResult, error) {
 	t.Helper()
 	return func() (*profile.GenericResult, error) {
 		if refOnce == nil {

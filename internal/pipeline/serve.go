@@ -213,6 +213,7 @@ type Daemon struct {
 	gPosts, gUsers             *obs.Gauge
 	latIngest, latPlace        *obs.LatencyHist
 	latReport, latHealthz      *obs.LatencyHist
+	latRefit                   *obs.LatencyHist
 
 	kick      chan struct{}
 	stop      context.CancelFunc
@@ -256,6 +257,9 @@ func NewDaemon(cfg ServeConfig) (*Daemon, error) {
 	d.cFresh = d.o.Counter("serve.placements_fresh")
 	d.cCached = d.o.Counter("serve.placements_cached")
 	d.cScans = d.o.Counter(profile.ZoneScansCounter)
+	// Refits count their polish flat checks here; registered up front so
+	// /metrics lists it next to the zone scans from boot.
+	d.o.Counter(profile.FlatChecksCounter)
 	d.cSnapLoads = d.o.Counter("serve.snapshot_loads")
 	d.cSnapWrites = d.o.Counter("serve.snapshot_writes")
 	d.gPosts = d.o.Gauge("serve.posts")
@@ -264,6 +268,7 @@ func NewDaemon(cfg ServeConfig) (*Daemon, error) {
 	d.latPlace = d.o.Latency("http.place.ns")
 	d.latReport = d.o.Latency("http.report.ns")
 	d.latHealthz = d.o.Latency("http.healthz.ns")
+	d.latRefit = d.o.Latency("serve.refit.ns")
 
 	var base *trace.Dataset
 	if cfg.SnapshotPath != "" {
@@ -552,10 +557,11 @@ func (d *Daemon) Report() (*ServeReport, error) {
 }
 
 // refit computes the report for the generation observed before the shard
-// sweep. Shard locks are held one at a time, only to copy active profiles
-// and cached zones out; the polish/placement/EM work runs with no lock,
-// serialized by fitMu so concurrent /report calls don't duplicate the
-// fit. The finished report is published by swapping the atomic view.
+// sweep. Shard locks are held one at a time, only to count and then copy
+// active profiles and cached zones out; the polish/placement/EM work runs
+// with no lock, serialized by fitMu so concurrent /report calls don't
+// duplicate the fit. The finished report is published by swapping the
+// atomic view, and its duration observed under serve.refit.ns.
 func (d *Daemon) refit() (*ServeReport, error) {
 	d.fitMu.Lock()
 	defer d.fitMu.Unlock()
@@ -567,21 +573,31 @@ func (d *Daemon) refit() (*ServeReport, error) {
 	if v := d.view.Load(); v != nil && v.fitted == g {
 		return v.rep, nil
 	}
-	profiles := make(map[string]profile.Profile)
-	versions := make(map[string]uint64)
-	known := make(map[string]profile.ZoneScan)
+	start := time.Now()
+	// Size the sweep's maps first, so it fills them without growing them;
+	// posts landing in between only make the sizes a hint.
+	active, cached := 0, 0
+	for i := range d.shards {
+		sh := &d.shards[i]
+		sh.mu.Lock()
+		active += sh.acc.NumActive()
+		cached += len(sh.zones)
+		sh.mu.Unlock()
+	}
+	profiles := make(map[string]profile.Profile, active)
+	versions := make(map[string]uint64, active)
+	known := make(map[string]profile.ZoneScan, min(cached, active))
 	posts, users := 0, 0
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.mu.Lock()
-		sp, sv := sh.acc.ActiveProfiles()
-		for id, p := range sp {
+		sh.acc.EachActive(func(id string, p profile.Profile, ver uint64) {
 			profiles[id] = p
-			versions[id] = sv[id]
-			if e, ok := sh.zones[id]; ok && e.ver == sv[id] {
+			versions[id] = ver
+			if e, ok := sh.zones[id]; ok && e.ver == ver {
 				known[id] = e.scan
 			}
-		}
+		})
 		posts += sh.acc.TotalPosts()
 		users += sh.acc.NumUsers()
 		sh.mu.Unlock()
@@ -631,6 +647,7 @@ func (d *Daemon) refit() (*ServeReport, error) {
 	if v := d.view.Load(); v == nil || g >= v.fitted {
 		d.view.Store(&reportView{rep: rep, fitted: g})
 	}
+	d.latRefit.Observe(time.Since(start))
 	return rep, nil
 }
 

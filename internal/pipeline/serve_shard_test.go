@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"darkcrowd/internal/core/profile"
 	"darkcrowd/internal/obs"
 	"darkcrowd/internal/trace"
 )
@@ -289,8 +290,10 @@ func TestDaemonShardedConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestDaemonMetricsLatencies checks the per-endpoint latency wiring: a
-// served request shows up in the http.*.ns histograms on /metrics.
+// TestDaemonMetricsLatencies checks the latency and polish wiring on
+// /metrics: a served request shows up in the http.*.ns histograms, a
+// refit in serve.refit.ns, and the polish counters profile.zone_scans and
+// profile.flat_checks are listed by those names.
 func TestDaemonMetricsLatencies(t *testing.T) {
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	d, err := NewDaemon(ServeConfig{Reference: testReference(t), RefitDebounce: -1, Obs: o})
@@ -301,15 +304,24 @@ func TestDaemonMetricsLatencies(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	mustPost(t, srv.URL, []byte("{\"user_id\":\"alice\",\"time\":\"2018-03-01T12:00:00Z\"}\n"))
+	mustPost(t, srv.URL, ndjson(loadPosts(t, writeCrowd(t, t.TempDir()))))
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	getReport(t, srv.URL)
 
-	snap := o.Metrics.Snapshot()
-	for _, name := range []string{"http.ingest.ns", "http.healthz.ns"} {
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("decode /metrics: %v", err)
+	}
+	for _, name := range []string{"http.ingest.ns", "http.healthz.ns", "http.report.ns", "serve.refit.ns"} {
 		ls, ok := snap.Latencies[name]
 		if !ok || ls.Count == 0 {
 			t.Errorf("latency histogram %q missing or empty: %+v", name, ls)
@@ -317,5 +329,11 @@ func TestDaemonMetricsLatencies(t *testing.T) {
 		if ls.Count > 0 && ls.P99 <= 0 {
 			t.Errorf("latency histogram %q has no p99: %+v", name, ls)
 		}
+	}
+	if n := snap.Counters[profile.ZoneScansCounter]; n == 0 {
+		t.Errorf("counter %q reads %d after a refit", profile.ZoneScansCounter, n)
+	}
+	if _, ok := snap.Counters[profile.FlatChecksCounter]; !ok {
+		t.Errorf("counter %q missing from /metrics", profile.FlatChecksCounter)
 	}
 }
