@@ -185,11 +185,7 @@ func parseRegions(s string) (map[string]int, error) {
 }
 
 func loadTrace(path string) (*trace.Dataset, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("open trace: %w", err)
-	}
-	res, err := trace.IngestCSV(path, data, trace.IngestOptions{})
+	res, err := trace.IngestFile(path, trace.IngestOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -376,11 +372,7 @@ func cmdSnapshot(args []string) error {
 	if *out == "" {
 		*out = *in + ".dcs"
 	}
-	data, err := os.ReadFile(*in)
-	if err != nil {
-		return fmt.Errorf("open trace: %w", err)
-	}
-	res, err := trace.IngestCSV(*in, data, trace.IngestOptions{
+	res, err := trace.IngestFile(*in, trace.IngestOptions{
 		Lenient:    *lenient,
 		MaxBadRows: *maxBadRows,
 		Workers:    *workers,

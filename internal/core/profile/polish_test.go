@@ -18,6 +18,14 @@ import (
 // recomputes their zone distances against the same generic profile for
 // the rebuild. It is the definition Polish is checked against.
 func refPolish(profiles map[string]Profile, generic Profile, rebuild bool) (*PolishResult, error) {
+	return refPolishAligned(profiles, generic, rebuild, false)
+}
+
+// refPolishAligned is refPolish; with staleZones set, every rebuild aligns
+// the kept users by their zones against the caller's generic profile
+// instead of the current one. That is the fault a test crowd must expose.
+func refPolishAligned(profiles map[string]Profile, generic Profile, rebuild, staleZones bool) (*PolishResult, error) {
+	first := generic
 	kept := make(map[string]Profile, len(profiles))
 	for id, p := range profiles {
 		kept[id] = p
@@ -49,7 +57,11 @@ func refPolish(profiles map[string]Profile, generic Profile, rebuild bool) (*Pol
 		var aligned []Profile
 		for _, id := range SortedUserIDs(kept) {
 			p := kept[id]
-			if err := zoneDistances(p, generic, dists, rot, scratch); err != nil {
+			alignBy := generic
+			if staleZones {
+				alignBy = first
+			}
+			if err := zoneDistances(p, alignBy, dists, rot, scratch); err != nil {
 				return nil, err
 			}
 			aligned = append(aligned, p.ToLocal(OffsetOf(nearestZone(dists))))
@@ -138,6 +150,56 @@ func lateFlatCrowd() (map[string]Profile, Profile) {
 
 const lateFlatUser = "late-flat"
 
+// twinCrowd is a crowd whose polish depends on realigning the survivors
+// before every rebuild. Besides one sharp user per zone and six users
+// fading toward uniform, it holds eight twins: each mixes the sharp shape
+// at two random zones, so its nearest zone turns on the generic profile's
+// exact shape and can flip once that profile is rebuilt. Aligning the
+// second rebuild by the pass-1 zones instead runs a fourth pass that
+// also removes twin-03.
+func twinCrowd() (map[string]Profile, Profile) {
+	rng := rand.New(rand.NewSource(43))
+	var sharp, generic Profile
+	for h := range sharp {
+		d := float64(h - 20)
+		sharp[h] = 0.002 + math.Exp(-d*d/6)
+	}
+	sharp = normalized(sharp)
+	u := Uniform()
+	for h := range generic {
+		generic[h] = 0.5*u[h] + 0.5*sharp[h]
+	}
+	noisy := func(p Profile, amp float64) Profile {
+		for h := range p {
+			p[h] += amp * rng.Float64()
+		}
+		return normalized(p)
+	}
+	mix := func(w float64, a, b Profile) Profile {
+		var p Profile
+		for h := range p {
+			p[h] = w*a[h] + (1-w)*b[h]
+		}
+		return p
+	}
+	offs := tz.AllOffsets()
+	profiles := make(map[string]Profile)
+	for _, off := range offs {
+		profiles[fmt.Sprintf("zone%+03d", off)] = noisy(ZoneProfile(sharp, off), 0.01)
+	}
+	for k := 0; k < 8; k++ {
+		a, b := offs[rng.Intn(24)], offs[rng.Intn(24)]
+		w := 0.35 + 0.3*rng.Float64()
+		profiles[fmt.Sprintf("twin-%02d", k)] = noisy(mix(w, ZoneProfile(sharp, a), ZoneProfile(sharp, b)), 0.005)
+	}
+	for k := 0; k < 6; k++ {
+		z := ZoneProfile(generic, offs[rng.Intn(24)])
+		t := 0.2 + 0.5*rng.Float64()
+		profiles[fmt.Sprintf("fading-%02d", k)] = noisy(mix(t, u, z), 0.002)
+	}
+	return profiles, generic
+}
+
 func normalized(p Profile) Profile {
 	var sum float64
 	for _, v := range p {
@@ -152,24 +214,28 @@ func normalized(p Profile) Profile {
 // TestPolishMatchesThreeSweepDefinition: flat checks after pass 1, and
 // full scans only of the survivors before a rebuild, remove the same
 // users, in the same order, over the same passes, and keep bit-identical
-// profiles. Both crowds lose users after pass 1, so the later passes'
-// flat checks, survivor rescans and rebuilds all run against refPolish.
+// profiles. Every crowd loses users after pass 1, so the later passes'
+// flat checks, survivor rescans and rebuilds all run against refPolish;
+// in the twin crowd the outcome also depends on the survivors' zones
+// against each rebuilt generic profile.
 func TestPolishMatchesThreeSweepDefinition(t *testing.T) {
 	t.Parallel()
 	lf, lfGeneric := lateFlatCrowd()
+	tw, twGeneric := twinCrowd()
 	type crowd struct {
 		name     string
 		profiles map[string]Profile
 		generic  Profile
 		late     string // a user that a pass after the first must remove
+		stale    bool   // aligning rebuilds by pass-1 zones changes the result
 	}
-	crowds := []crowd{{"late-flat", lf, lfGeneric, lateFlatUser}}
+	crowds := []crowd{{"late-flat", lf, lfGeneric, lateFlatUser, false}, {"twins", tw, twGeneric, "", true}}
 	if !testing.Short() {
 		bots, err := loadBotCrowd()
 		if err != nil {
 			t.Fatal(err)
 		}
-		crowds = append(crowds, crowd{"bots", bots.profiles, bots.generic, ""})
+		crowds = append(crowds, crowd{"bots", bots.profiles, bots.generic, "", false})
 	}
 	for _, c := range crowds {
 		for _, rebuild := range []bool{true, false} {
@@ -202,6 +268,15 @@ func TestPolishMatchesThreeSweepDefinition(t *testing.T) {
 				}
 				if c.late != "" && !slices.Contains(late, c.late) {
 					t.Fatalf("%s: premise broken: %s is not removed after pass 1 (late removals %v)", c.name, c.late, late)
+				}
+				if c.stale {
+					stale, err := refPolishAligned(c.profiles, c.generic, rebuild, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if reflect.DeepEqual(stale.Removed, want.Removed) && stale.Iterations == want.Iterations {
+						t.Fatalf("%s: premise broken: aligning by pass-1 zones removes the same users", c.name)
+					}
 				}
 			}
 			if got.Iterations != want.Iterations {

@@ -180,12 +180,7 @@ func Geolocate(cfg Config) (*Result, error) {
 		}
 	}
 	if ds == nil {
-		data, err := os.ReadFile(cfg.TracePath)
-		if err != nil {
-			lo.End()
-			return nil, fmt.Errorf("open trace: %w", err)
-		}
-		ing, err := trace.IngestCSV(cfg.TracePath, data, trace.IngestOptions{
+		ing, err := trace.IngestFile(cfg.TracePath, trace.IngestOptions{
 			Lenient:    cfg.Lenient,
 			MaxBadRows: cfg.MaxBadRows,
 			Workers:    cfg.Workers,

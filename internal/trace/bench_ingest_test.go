@@ -98,6 +98,53 @@ func BenchmarkParallelRead(b *testing.B) {
 	reportBytesPerPost(b, csvBytes, read)
 }
 
+// tableICSV is a CSV trace at the batch-twitter scale of Table I: 5,906
+// users behind 531,990 time-ordered posts over one year, with user IDs
+// shaped like the crowd generator's ("u07-de-00042"). The per-post
+// interning cost shows only at this ratio of posts to users inside the
+// full scan; BenchmarkParallelRead's 997 users on 100k posts hides it.
+func tableICSV() []byte {
+	const users, posts = 5906, 531990
+	regions := []string{"au-nsw", "br", "de", "it", "jp", "my", "us-il", "us-ny"}
+	ids := make([]string, users)
+	for u := range ids {
+		ids[u] = fmt.Sprintf("u%02d-%s-%05d", u%13, regions[u%len(regions)], u)
+	}
+	buf := make([]byte, 0, posts*40)
+	buf = append(buf, "user_id,time_rfc3339\n"...)
+	x := uint64(1)
+	for i := 0; i < posts; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		buf = append(buf, ids[(x>>33)%users]...)
+		buf = append(buf, ',')
+		buf = appendRFC3339(buf, 1483228800+int64(i)*59, 0)
+		buf = append(buf, '\n')
+	}
+	return buf
+}
+
+// BenchmarkIngestTableI times IngestCSV of tableICSV with every core
+// (-cpu sets how many).
+func BenchmarkIngestTableI(b *testing.B) {
+	csvBytes := tableICSV()
+	read := func() *Dataset {
+		res, err := IngestCSV("tableI", csvBytes, IngestOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Dataset.NumPosts() != 531990 || res.Dataset.Index().NumUsers() != 5906 {
+			b.Fatalf("read %d posts by %d users", res.Dataset.NumPosts(), res.Dataset.Index().NumUsers())
+		}
+		return res.Dataset
+	}
+	b.SetBytes(int64(len(csvBytes)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
+	}
+	reportBytesPerPost(b, csvBytes, read)
+}
+
 // BenchmarkCompact times one head fold: 65,536 appended posts (a quarter
 // of them by users the base has not seen) folded into a 100,000-post base,
 // the daemon's default fold size. Appends are not timed.

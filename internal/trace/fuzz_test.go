@@ -24,6 +24,13 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("user_id,time_rfc3339"))
 	f.Add([]byte(""))
 	f.Add([]byte("\"\n\x00,"))
+	// Lines the in-place line path must hand to the general handling.
+	f.Add([]byte("user_id,time_rfc3339\nu\r1,2021-03-04T05:06:07Z\nu1,2021-03-04T05:06:08Z\n"))
+	f.Add([]byte("user_id,time_rfc3339\nu1,2021-02-28T05:06:07Z\nu2,2021-02-28T24:06:07Z\nu3,2021-02-29T00:00:00Z\n"))
+	f.Add([]byte("user_id,time_rfc3339\nu1,2021-03-04T05:60:07Z\nu2,2021-03-04T05:06:60Z\n"))
+	f.Add([]byte("user_id,time_rfc3339\nu1,2021-03-04T05:06:07\nu2,2021-03-04T05:06:07.Z\n"))
+	f.Add([]byte("user_id,time_rfc3339\n,2021-03-04T05:06:07Z\nu1,2021-03-04T05:06:08Z"))
+	f.Add([]byte("user_id,time_rfc3339\nu1,2021-03-04T05:06:07Z\n\nu2,bad\nu1,2021-03-04T05:06:08Z,x\n\nu3,2021-03-04T05:06:09Z\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		strict, _, err := ingest("fuzz", data, IngestOptions{})
 		lenient, report, lerr := ingest("fuzz", data,

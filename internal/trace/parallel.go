@@ -35,6 +35,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"darkcrowd/internal/par"
 )
@@ -88,7 +90,8 @@ func (c *UserCells) Store() *Store { return c.store }
 // IngestCSV parses a CSV activity trace (the layout WriteCSV emits) with
 // sharded workers and builds the columnar store as part of the merge. On
 // error the result is nil, except for a lenient bad-row budget abort,
-// which carries the partial quarantine report.
+// which carries the partial quarantine report. The result keeps no
+// reference to data.
 func IngestCSV(name string, data []byte, opts IngestOptions) (*IngestResult, error) {
 	if bytes.IndexByte(data, '"') >= 0 {
 		// Quoted fields can span commas and newlines; shard splitting on
@@ -106,16 +109,44 @@ func IngestCSV(name string, data []byte, opts IngestOptions) (*IngestResult, err
 	if opts.Lenient {
 		keep = opts.sampleCap()
 	}
-	shards := make([]*shardResult, workers)
+	// A shard holds at most one post per line, so counting lines first
+	// sizes the shared columns once: shard k appends into the window
+	// [window[k], window[k+1]) and no shard ever copies its posts again
+	// unless an earlier one held blank or bad lines.
+	window := make([]int, workers+1)
 	if err := par.Ranges(nil, workers, workers, func(start, end int) error {
 		for k := start; k < end; k++ {
-			shards[k] = parseShard(data[cuts[k]:cuts[k+1]], opts.Lenient, keep)
+			window[k+1] = countLines(data[cuts[k]:cuts[k+1]])
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return mergeShards(name, shards, headerLines, opts)
+	for k := 0; k < workers; k++ {
+		window[k+1] += window[k]
+	}
+	cols := columns{userOf: make([]int32, window[workers]), when: make([]int64, window[workers])}
+	shards := make([]*shardResult, workers)
+	if err := par.Ranges(nil, workers, workers, func(start, end int) error {
+		for k := start; k < end; k++ {
+			shards[k] = parseShard(data[cuts[k]:cuts[k+1]], cols.window(window[k], window[k+1]), opts.Lenient, keep)
+			shards[k].at = window[k]
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return mergeShards(name, shards, headerLines, cols, opts)
+}
+
+// countLines counts the physical lines of a shard: its newlines, plus an
+// unterminated last line.
+func countLines(seg []byte) int {
+	n := bytes.Count(seg, []byte{'\n'})
+	if len(seg) > 0 && seg[len(seg)-1] != '\n' {
+		n++
+	}
+	return n
 }
 
 // ingestSequential is the quoted-input fallback: readCSV under
@@ -263,19 +294,36 @@ type shardBad struct {
 	raw     string          // offending timestamp value (time damage only)
 }
 
+// columns are the per-post columns of an ingest: the shared columns of
+// the whole file, or one shard's capacity-bounded window into them.
+type columns struct {
+	userOf []int32 // per post: user index (shard-local in a window)
+	when   []int64 // per post: Unix seconds (floor)
+}
+
+// window returns the empty window [lo, hi) of c; appends fill it in place
+// and never reallocate, as long as at most hi-lo posts go in.
+func (c columns) window(lo, hi int) columns {
+	return columns{userOf: c.userOf[lo:lo:hi], when: c.when[lo:lo:hi]}
+}
+
 // shardResult is one shard's parse output: locally-interned columns plus
 // the bookkeeping the deterministic merge needs.
 type shardResult struct {
-	dict    []string         // shard-local user index -> ID, first appearance
-	lookup  map[string]int32 // user ID -> shard-local index
-	userOf  []int32          // per post: shard-local user index
-	when    []int64          // per post: Unix seconds (floor)
-	nanoAt  []int32          // shard-local post indices with sub-second parts
-	nanoNS  []int32          // parallel to nanoAt: their nanoseconds
-	lines   int              // physical lines consumed
-	recs    int              // records consumed (non-blank lines)
-	bad     []shardBad       // first keep malformed records, in order
-	badRows int              // total malformed records
+	users   *internTable // shard-local user index -> ID, first appearance
+	cols    columns      // the shard's window of the shared columns
+	at      int          // where that window starts in them
+	nanoAt  []int32      // shard-local post indices with sub-second parts
+	nanoNS  []int32      // parallel to nanoAt: their nanoseconds
+	lines   int          // physical lines consumed
+	recs    int          // records consumed (non-blank lines)
+	bad     []shardBad   // first keep malformed records, in order
+	badRows int          // total malformed records
+	// dayKey is the last valid "YYYY-MM-DD" stamp prefix the shard parsed
+	// and daySec its midnight in Unix seconds: trace lines come in time
+	// order, so most lines reuse the day before.
+	dayKey [10]byte
+	daySec int64
 }
 
 // addBad records one malformed record and reports whether the shard
@@ -286,6 +334,12 @@ func (sh *shardResult) addBad(b shardBad, lenient bool, keep int) (stop bool) {
 		sh.bad = append(sh.bad, b)
 	}
 	return !lenient
+}
+
+// add appends one post.
+func (sh *shardResult) add(user []byte, sec int64) {
+	sh.cols.userOf = append(sh.cols.userOf, intern(sh.users, user, hashUser(user)))
+	sh.cols.when = append(sh.cols.when, sec)
 }
 
 // record processes one well-formed csv row (user, timestamp fields as raw
@@ -300,33 +354,44 @@ func (sh *shardResult) record(user, ts []byte, lenient bool, keep int) (stop boo
 		if ns := t.Nanosecond(); ns != 0 {
 			// The seconds column holds the floor; the fractional part goes
 			// to the sparse sub-second column.
-			sh.nanoAt = append(sh.nanoAt, int32(len(sh.when)))
+			sh.nanoAt = append(sh.nanoAt, int32(len(sh.cols.when)))
 			sh.nanoNS = append(sh.nanoNS, int32(ns))
 		}
 	}
-	u, ok := sh.lookup[string(user)]
-	if !ok {
-		u = int32(len(sh.dict))
-		id := string(user)
-		sh.lookup[id] = u
-		sh.dict = append(sh.dict, id)
-	}
-	sh.userOf = append(sh.userOf, u)
-	sh.when = append(sh.when, sec)
+	sh.add(user, sec)
 	return false
 }
 
-// parseShard scans one newline-aligned byte range. The fast path handles
-// '\r'-free lines with two plain comma-separated fields — byte shapes
-// where csv parsing is the identity — and anything containing '\r' is
-// delegated to a one-line encoding/csv reader.
-func parseShard(seg []byte, lenient bool, keep int) *shardResult {
-	sh := &shardResult{lookup: make(map[string]int32)}
-	// Size the columns once: a line holds at most one post, and counting
-	// newlines is far cheaper than growing the columns by appends.
-	lines := bytes.Count(seg, []byte{'\n'}) + 1
-	sh.userOf = make([]int32, 0, lines)
-	sh.when = make([]int64, 0, lines)
+// wholeSecond is parseStamp's fast path for a 20-byte stamp, with the
+// calendar date taken from the shard's day cache when its prefix repeats.
+// It accepts exactly the stamps that path accepts, with the same value.
+func (sh *shardResult) wholeSecond(ts []byte) (int64, bool) {
+	clock, ok := stampClock(ts)
+	if !ok {
+		return 0, false
+	}
+	if key := [10]byte(ts); key != sh.dayKey {
+		day, ok := stampDate(ts)
+		if !ok {
+			return 0, false
+		}
+		sh.dayKey, sh.daySec = key, day
+	}
+	return sh.daySec + clock, true
+}
+
+// epochDay seeds every shard's day cache with a valid date, so the cache
+// never vouches for a prefix it has not parsed.
+var epochDay = [10]byte([]byte("1970-01-01"))
+
+// parseShard scans one newline-aligned byte range into its window of the
+// shared columns. A line that is exactly "user,YYYY-MM-DDThh:mm:ssZ" with
+// no '\r' in user parses in place; every other line keeps the general
+// handling: '\r'-free lines with two plain comma-separated fields (byte
+// shapes where csv parsing is the identity) go through parseStamp, and
+// anything containing '\r' is delegated to a one-line encoding/csv reader.
+func parseShard(seg []byte, cols columns, lenient bool, keep int) *shardResult {
+	sh := &shardResult{users: newInternTable(0), cols: cols, dayKey: epochDay}
 	rest := seg
 	for len(rest) > 0 {
 		nl := bytes.IndexByte(rest, '\n')
@@ -338,6 +403,17 @@ func parseShard(seg []byte, lenient bool, keep int) *shardResult {
 			raw, rest = rest, nil
 		}
 		sh.lines++
+		comma := bytes.IndexByte(raw, ',')
+		if comma >= 0 && len(raw)-comma == 1+20 {
+			// A valid stamp holds no ',' or '\r', so the line has two csv
+			// fields and parses like any other once user is '\r'-free.
+			user := raw[:comma]
+			if sec, ok := sh.wholeSecond(raw[comma+1:]); ok && bytes.IndexByte(user, '\r') < 0 {
+				sh.recs++
+				sh.add(user, sec)
+				continue
+			}
+		}
 		if bytes.IndexByte(raw, '\r') >= 0 {
 			fields, err := readOneCSVLine(raw, terminated, sh.lines, len(csvHeader))
 			if errors.Is(err, errBlankLine) {
@@ -365,7 +441,6 @@ func parseShard(seg []byte, lenient bool, keep int) *shardResult {
 			continue // blank line: no record ordinal, like encoding/csv
 		}
 		sh.recs++
-		comma := bytes.IndexByte(raw, ',')
 		if comma < 0 || bytes.IndexByte(raw[comma+1:], ',') >= 0 {
 			// Wrong field count: synthesize the exact error encoding/csv
 			// would produce (verified against the stdlib source: StartLine
@@ -396,18 +471,17 @@ func offsetParseError(pe *csv.ParseError, lineOff int) *csv.ParseError {
 // mergeShards is the single-goroutine deterministic reduction: rebase
 // per-shard ordinals with prefix sums, reproduce the sequential reader's
 // error/quarantine behavior exactly, re-intern shard dictionaries in
-// shard order (= first-appearance order) and build the columnar store. No
-// rows are built.
-func mergeShards(name string, shards []*shardResult, headerLines int, opts IngestOptions) (*IngestResult, error) {
+// shard order (= first-appearance order) and build the columnar store
+// from cols, the shared columns the shards parsed into. No rows are
+// built.
+func mergeShards(name string, shards []*shardResult, headerLines int, cols columns, opts IngestOptions) (*IngestResult, error) {
 	recOff := make([]int, len(shards)+1)
 	lineOff := make([]int, len(shards)+1)
-	postOff := make([]int, len(shards)+1)
 	recOff[0] = 1 // the header is record 1; body records continue from 2
 	lineOff[0] = headerLines
 	for k, sh := range shards {
 		recOff[k+1] = recOff[k] + sh.recs
 		lineOff[k+1] = lineOff[k] + sh.lines
-		postOff[k+1] = postOff[k] + len(sh.when)
 	}
 
 	if !opts.Lenient {
@@ -458,37 +532,55 @@ func mergeShards(name string, shards []*shardResult, headerLines int, opts Inges
 		}
 	}
 
-	// Re-intern the shard dictionaries into one provisional dictionary
-	// (newStore sorts it) and fill the columns directly.
-	totalPosts := postOff[len(shards)]
-	index := make(map[string]int32)
-	var ids []string
-	userOf := make([]int32, totalPosts)
-	when := make([]int64, totalPosts)
-	var nanoAt, nanoNS []int32
+	// Re-intern the shard dictionaries by their stored hashes, in shard
+	// order, then sort the dictionary so every post goes straight to its
+	// rank in one pass: newStore finds the dictionary sorted and keeps
+	// userOf as it is.
+	all := newInternTable(len(shards[0].users.entries))
+	remaps := make([][]int32, len(shards))
 	for k, sh := range shards {
-		base := postOff[k]
-		remap := make([]int32, len(sh.dict))
-		for i, id := range sh.dict {
-			g, ok := index[id]
-			if !ok {
-				g = int32(len(ids))
-				index[id] = g
-				ids = append(ids, id)
-			}
-			remap[i] = g
-		}
-		for i, u := range sh.userOf {
-			userOf[base+i] = remap[u]
-		}
-		copy(when[base:], sh.when)
-		for j, at := range sh.nanoAt {
-			nanoAt = append(nanoAt, int32(base)+at)
-			nanoNS = append(nanoNS, sh.nanoNS[j])
+		remaps[k] = make([]int32, len(sh.users.entries))
+		for i, e := range sh.users.entries {
+			remaps[k][i] = intern(all, e.id, e.hash)
 		}
 	}
+	order := make([]int32, len(all.entries))
+	for g := range order {
+		order[g] = int32(g)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(all.entries[a].id, all.entries[b].id) })
+	ids := make([]string, len(order))
+	rank := make([]int32, len(order))
+	for r, g := range order {
+		ids[r] = all.entries[g].id
+		rank[g] = int32(r)
+	}
 
-	s := newStore(ids, userOf, when, nanoAt, nanoNS)
+	// Each shard's posts move down to the end of the ones before it; only
+	// blank or bad lines in an earlier shard leave a gap to close. Reading
+	// a window front to back never meets a slot already overwritten.
+	n := 0
+	var nanoAt, nanoNS []int32
+	for k, sh := range shards {
+		remap := remaps[k]
+		for j, g := range remap {
+			remap[j] = rank[g]
+		}
+		dst := cols.userOf[n : n+len(sh.cols.userOf)]
+		for i, u := range sh.cols.userOf {
+			dst[i] = remap[u]
+		}
+		if n != sh.at {
+			copy(cols.when[n:], sh.cols.when)
+		}
+		for j, at := range sh.nanoAt {
+			nanoAt = append(nanoAt, int32(n)+at)
+			nanoNS = append(nanoNS, sh.nanoNS[j])
+		}
+		n += len(sh.cols.userOf)
+	}
+
+	s := newStore(ids, cols.userOf[:n], cols.when[:n], nanoAt, nanoNS)
 	res := &IngestResult{Dataset: &Dataset{Name: name, s: s}, Report: report}
 	if opts.CollectCells {
 		res.Cells = &UserCells{store: s}

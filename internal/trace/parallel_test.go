@@ -349,3 +349,129 @@ func checkShardSplit(t *testing.T, data []byte, start, workers int) {
 		}
 	}
 }
+
+// ingestOptsVariants are the strict, lenient and budget settings every
+// equivalence case runs under.
+var ingestOptsVariants = []IngestOptions{
+	{},
+	{Lenient: true},
+	{Lenient: true, MaxBadRows: 1},
+	{Lenient: true, MaxBadRows: 2, SampleCap: 1},
+}
+
+// TestIngestLinePathFallbacks pins every line the in-place path must hand
+// back to the general handling, each next to a line that takes the in-place
+// path, against readCSV at every worker count.
+func TestIngestLinePathFallbacks(t *testing.T) {
+	t.Parallel()
+	cases := map[string]string{
+		"cr in user":              "u1,2021-03-04T05:06:07Z\nu\r1,2021-03-04T05:06:08Z\nu1\r,2021-03-04T05:06:09Z\n",
+		"cr after stamp":          "u1,2021-03-04T05:06:07Z\nu2,2021-03-04T05:06:08Z\r\nu1,2021-03-04T05:06:09Z\n",
+		"same prefix bad clock":   "u1,2021-03-04T05:06:07Z\nu2,2021-03-04T24:00:00Z\nu1,2021-03-04T05:06:09Z\n",
+		"same prefix bad suffix":  "u1,2021-03-04T05:06:07Z\nu2,2021-03-04 05:06:08Z\nu3,2021-03-04T05:06:08+01:00\n",
+		"feb 29 non-leap":         "u1,2021-02-28T23:59:59Z\nu2,2021-02-29T00:00:00Z\nu3,2021-03-01T00:00:00Z\n",
+		"feb 29 leap":             "u1,2020-02-28T23:59:59Z\nu2,2020-02-29T00:00:00Z\nu3,1900-02-29T00:00:00Z\n",
+		"day zero and month 13":   "u1,2021-01-01T00:00:00Z\nu2,2021-01-00T00:00:00Z\nu3,2021-13-01T00:00:00Z\n",
+		"hour 24":                 "u1,2021-03-04T23:59:59Z\nu2,2021-03-04T24:00:00Z\n",
+		"minute 60":               "u1,2021-03-04T05:59:00Z\nu2,2021-03-04T05:60:00Z\n",
+		"second 60":               "u1,2021-03-04T05:06:59Z\nu2,2021-03-04T05:06:60Z\n",
+		"19-byte stamp":           "u1,2021-03-04T05:06:07Z\nu2,2021-03-04T05:06:07\n",
+		"21-byte stamp":           "u1,2021-03-04T05:06:07Z\nu2,2021-03-04T05:06:07.Z\nu3,2021-03-04T05:06:07.5Z\n",
+		"non-digit fields":        "u1,2021-03-04T05:06:07Z\nu2,2021-0a-04T05:06:07Z\nu3,2021-03-04T05:0b:07Z\n",
+		"unterminated last line":  "u1,2021-03-04T05:06:07Z\nu2,2021-03-04T05:06:08Z",
+		"unterminated bad line":   "u1,2021-03-04T05:06:07Z\nu2,2021-03-04T05:06:6",
+		"empty user":              ",2021-03-04T05:06:07Z\nu1,2021-03-04T05:06:08Z\n,2021-03-04T05:06:09Z",
+		"comma in stamp position": "u1,2021-03-04T05:06:07Z\nu,2,2021-03-04T05:06:Z\nu,,2021-03-04T05:06:08Z\n",
+		"day cache seed":          "u1,1970-01-01T00:00:01Z\nu2,\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00T00:00:00Z\n",
+	}
+	for name, body := range cases {
+		data := []byte("user_id,time_rfc3339\n" + body)
+		for _, opts := range ingestOptsVariants {
+			for _, workers := range parallelWorkerCounts {
+				t.Run(fmt.Sprintf("%s/lenient=%v/budget=%d/w=%d", name, opts.Lenient, opts.MaxBadRows, workers), func(t *testing.T) {
+					checkParallelEquivalence(t, data, opts, workers)
+				})
+			}
+		}
+	}
+}
+
+// TestIngestColumnCompaction puts blank and bad lines on both sides of
+// every shard cut, so every shard after the first parses into a window
+// the merge must move down to close the gap.
+func TestIngestColumnCompaction(t *testing.T) {
+	t.Parallel()
+	var b bytes.Buffer
+	b.WriteString("user_id,time_rfc3339\n")
+	for i := 0; i < 400; i++ {
+		switch i % 5 {
+		case 1:
+			b.WriteString("\n")
+		case 3:
+			fmt.Fprintf(&b, "u%d,2021-03-04T05:06:%02dZ,extra\n", i%17, i%60)
+		case 4:
+			fmt.Fprintf(&b, "u%d,2021-02-29T05:06:%02dZ\n", i%17, i%60)
+		default:
+			fmt.Fprintf(&b, "u%d,2021-03-%02dT05:06:%02dZ\n", i%17, 1+i/20, i%60)
+		}
+	}
+	data := b.Bytes()
+	for _, workers := range parallelWorkerCounts {
+		bodyStart, _, err := parseCSVHeader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts := shardSplit(data, bodyStart, workers)
+		for k := 0; k < workers; k++ {
+			seg := data[cuts[k]:cuts[k+1]]
+			blank := bytes.HasPrefix(seg, []byte("\n")) || bytes.Contains(seg, []byte("\n\n"))
+			if !blank || !bytes.Contains(seg, []byte(",extra")) {
+				t.Fatalf("w=%d: shard %d lacks a blank or a bad line: %q", workers, k, seg)
+			}
+		}
+		for _, opts := range append(ingestOptsVariants, IngestOptions{Lenient: true, MaxBadRows: 1000}) {
+			checkParallelEquivalence(t, data, opts, workers)
+		}
+	}
+}
+
+// TestInternTable feeds distinct IDs under forced hashes, so every lookup
+// collides and only the byte compare tells entries apart, and grows the
+// table from 8 slots across several powers of two.
+func TestInternTable(t *testing.T) {
+	t.Parallel()
+	tab := newInternTable(0)
+	const n = 40 // 8 slots hold 4 entries; 40 entries need 128 slots
+	var ids []string
+	for i := 0; i < n; i++ {
+		ids = append(ids, fmt.Sprintf("user-%d", i))
+	}
+	hashOf := func(i int) uint64 { return uint64(i%2) << 40 } // two hashes, each shared by 20 IDs
+	for round := 0; round < 2; round++ {
+		for i, id := range ids {
+			if e := intern(tab, []byte(id), hashOf(i)); e != int32(i) {
+				t.Fatalf("round %d: %q interned as %d, want %d", round, id, e, i)
+			}
+		}
+	}
+	if len(tab.entries) != n || len(tab.slots) != 128 {
+		t.Fatalf("%d entries in %d slots, want %d in 128", len(tab.entries), len(tab.slots), n)
+	}
+	for i, e := range tab.entries {
+		if e.id != ids[i] || e.hash != hashOf(i) {
+			t.Fatalf("entry %d = %+v, want {%d %q}", i, e, hashOf(i), ids[i])
+		}
+	}
+	// A string key and the real hash find the same entries.
+	real := newInternTable(0)
+	for i, id := range ids {
+		if e := intern(real, id, hashUser([]byte(id))); e != int32(i) {
+			t.Fatalf("%q interned as %d, want %d", id, e, i)
+		}
+	}
+	for i, id := range ids {
+		if e := intern(real, []byte(id), hashUser([]byte(id))); e != int32(i) {
+			t.Fatalf("%q found as %d, want %d", id, e, i)
+		}
+	}
+}

@@ -519,18 +519,11 @@ func ParseStamp(s []byte) (sec int64, ts time.Time, fast bool, err error) {
 // second sec — exactly time.Unix(sec, 0).UTC() — while the fallback path
 // returns the stdlib-parsed, UTC-normalized ts.
 func parseStamp[T ~string | ~[]byte](s T) (sec int64, ts time.Time, fast bool, err error) {
-	if len(s) == 20 && s[4] == '-' && s[7] == '-' && s[10] == 'T' &&
-		s[13] == ':' && s[16] == ':' && s[19] == 'Z' {
-		year, ok1 := atoi4(s, 0)
-		month, ok2 := atoi2(s, 5)
-		day, ok3 := atoi2(s, 8)
-		hour, ok4 := atoi2(s, 11)
-		min, ok5 := atoi2(s, 14)
-		secs, ok6 := atoi2(s, 17)
-		if ok1 && ok2 && ok3 && ok4 && ok5 && ok6 &&
-			month >= 1 && month <= 12 && day >= 1 && day <= daysIn(year, month) &&
-			hour <= 23 && min <= 59 && secs <= 59 {
-			return unixFromCivil(year, month, day) + int64(hour)*3600 + int64(min)*60 + int64(secs), time.Time{}, true, nil
+	if len(s) == 20 {
+		if clock, ok := stampClock(s); ok {
+			if day, ok := stampDate(s); ok {
+				return day + clock, time.Time{}, true, nil
+			}
 		}
 	}
 	ts, err = time.Parse(time.RFC3339, string(s))
@@ -538,6 +531,36 @@ func parseStamp[T ~string | ~[]byte](s T) (sec int64, ts time.Time, fast bool, e
 		return 0, time.Time{}, false, err
 	}
 	return 0, ts.UTC(), false, nil
+}
+
+// stampDate reads s[0:10] as a valid calendar date "YYYY-MM-DD" and
+// returns its midnight in Unix seconds.
+func stampDate[T ~string | ~[]byte](s T) (int64, bool) {
+	if s[4] != '-' || s[7] != '-' {
+		return 0, false
+	}
+	year, ok1 := atoi4(s, 0)
+	month, ok2 := atoi2(s, 5)
+	day, ok3 := atoi2(s, 8)
+	if !ok1 || !ok2 || !ok3 || month < 1 || month > 12 || day < 1 || day > daysIn(year, month) {
+		return 0, false
+	}
+	return unixFromCivil(year, month, day), true
+}
+
+// stampClock reads s[10:20] as "Thh:mm:ssZ" with every field in range and
+// returns the seconds into the day.
+func stampClock[T ~string | ~[]byte](s T) (int64, bool) {
+	if s[10] != 'T' || s[13] != ':' || s[16] != ':' || s[19] != 'Z' {
+		return 0, false
+	}
+	hour, ok1 := atoi2(s, 11)
+	min, ok2 := atoi2(s, 14)
+	sec, ok3 := atoi2(s, 17)
+	if !ok1 || !ok2 || !ok3 || hour > 23 || min > 59 || sec > 59 {
+		return 0, false
+	}
+	return int64(hour)*3600 + int64(min)*60 + int64(sec), true
 }
 
 func atoi2[T ~string | ~[]byte](s T, i int) (int, bool) {
