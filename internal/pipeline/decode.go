@@ -18,6 +18,7 @@ package pipeline
 // fine — they just take the slow lane.
 
 import (
+	"encoding/json"
 	"sync"
 
 	"darkcrowd/internal/trace"
@@ -147,4 +148,17 @@ func parseIngestLine(line []byte) (user []byte, unixSec int64, ok bool) {
 		return nil, 0, false
 	}
 	return user, sec, true
+}
+
+// decodeSlowLine is the reflection lane for lines parseIngestLine refuses
+// (escapes, reordered whitespace, garbage): a full encoding/json decode,
+// accepted when the user ID is non-empty, the instant non-zero and inside
+// trace.InStampRange — the range the fast lane's trace.ParseStamp keeps
+// too, so both lanes refuse the same instants.
+func decodeSlowLine(line []byte) (user []byte, unixSec int64, ok bool) {
+	var p ingestPost
+	if err := json.Unmarshal(line, &p); err != nil || p.UserID == "" || p.Time.IsZero() || !trace.InStampRange(p.Time) {
+		return nil, 0, false
+	}
+	return []byte(p.UserID), p.Time.Unix(), true
 }

@@ -1,18 +1,14 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"testing"
 )
 
 // refDecode is the reflection path parseIngestLine must agree with: the
-// daemon's fallback json.Unmarshal plus its accept checks.
+// daemon's fallback lane, json.Unmarshal plus its accept checks.
 func refDecode(line []byte) (user string, unixSec int64, ok bool) {
-	var p ingestPost
-	if err := json.Unmarshal(line, &p); err != nil || p.UserID == "" || p.Time.IsZero() {
-		return "", 0, false
-	}
-	return p.UserID, p.Time.Unix(), true
+	u, sec, ok := decodeSlowLine(line)
+	return string(u), sec, ok
 }
 
 func TestParseIngestLineAccepts(t *testing.T) {
@@ -61,6 +57,19 @@ func TestParseIngestLineFallsBack(t *testing.T) {
 			t.Errorf("parseIngestLine(%q) accepted, want fallback", c)
 		}
 	}
+	// Instants outside UTC years 0000–9999 are bad lines in both lanes,
+	// as they are in CSV ingest.
+	for _, c := range []string{
+		`{"user_id":"a","time":"0000-01-01T00:30:00+01:00"}`,
+		`{"user_id":"a","time":"9999-12-31T23:30:00-01:00"}`,
+	} {
+		if _, _, ok := parseIngestLine([]byte(c)); ok {
+			t.Errorf("parseIngestLine(%q) accepted, want fallback", c)
+		}
+		if _, _, ok := decodeSlowLine([]byte(c)); ok {
+			t.Errorf("decodeSlowLine(%q) accepted, want a bad line", c)
+		}
+	}
 }
 
 // TestParseIngestLineZeroAlloc pins the hot-path contract: decoding a
@@ -87,6 +96,7 @@ func FuzzParseIngestLineEquivalence(f *testing.F) {
 	f.Add(` {"user_id" : "b" , "time":"2038-01-19T03:14:07Z"} `)
 	f.Add(`{"user_id":"a","time":"2017-03-01T12:34:56+05:30"}`)
 	f.Add(`{"user_id":"a","time":"0001-01-01T00:00:00Z"}`)
+	f.Add(`{"user_id":"a","time":"0000-01-01T00:30:00+01:00"}`)
 	f.Add(`{"user_id":"a\"b","time":"2017-03-01T12:34:56Z"}`)
 	f.Add(`{"user_id":"a","time":"2017-02-29T00:00:00Z"}`)
 	f.Add(`{}`)

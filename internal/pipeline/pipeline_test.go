@@ -17,7 +17,7 @@ import (
 
 // writeCrowd generates a small two-region crowd and writes it as a CSV
 // trace, returning the path.
-func writeCrowd(t *testing.T, dir string) string {
+func writeCrowd(t testing.TB, dir string) string {
 	t.Helper()
 	jp, err := tz.ByCode("jp")
 	if err != nil {
@@ -72,7 +72,7 @@ func testReference(t testing.TB) func() (*profile.GenericResult, error) {
 	}
 }
 
-func geoJSON(t *testing.T, res *Result) string {
+func geoJSON(t testing.TB, res *Result) string {
 	t.Helper()
 	data, err := json.Marshal(res.Geo)
 	if err != nil {

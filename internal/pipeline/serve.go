@@ -181,7 +181,8 @@ type Daemon struct {
 	// head holds the post log: immutable compacted base plus per-shard
 	// mutable tails. shards holds the matching per-user read state —
 	// shards[head.ShardOf(user)] owns user's accumulator cells and cached
-	// zone, so ingest and /place lock exactly one shard.
+	// zone, so /place locks exactly one shard, and an ingest chunk each
+	// shard it touches once.
 	head   *trace.ShardedHead
 	shards []daemonShard
 
@@ -393,7 +394,7 @@ type IngestResult struct {
 	// Posts, Users and Gen are *daemon-wide* stream totals observed at the
 	// moment this request completed — they include posts applied by other
 	// requests running concurrently, not just this request's Accepted. The
-	// pair is snapshotted consistently: Users is read before Gen, and apply
+	// pair is snapshotted consistently: Users is read before Gen, and applyChunk
 	// advances gen before users, so Users never counts a user whose first
 	// post isn't already included in Posts (Users <= Posts always holds).
 	Posts int    `json:"posts"`
@@ -406,12 +407,15 @@ type IngestResult struct {
 // stream state. Malformed lines are counted and skipped up to the
 // MaxBadLines budget; a head capacity error (trace.LimitError), an
 // oversized line (ErrLineTooLong) or a blown budget (ErrBadLineBudget)
-// aborts the request with the already-applied posts kept. Sub-second
-// timestamp precision is dropped, matching the columnar store's
+// aborts the request with the posts of the lines before it applied.
+// Sub-second timestamp precision is dropped, matching the columnar store's
 // epoch-seconds column.
 //
-// Each accepted post locks only the user's shard (head tail + accumulator
-// cells), so concurrent requests for disjoint users stream in parallel.
+// Lines are parsed into chunks of at most maxChunk posts, and each chunk
+// is applied at once (applyChunk): one ticket reservation, one critical
+// section per touched shard, one update of each stream total. A chunk
+// never runs past the fold threshold, so at one connection folds happen
+// after exactly the posts they would after a post-by-post apply.
 func (d *Daemon) Ingest(r io.Reader) (IngestResult, error) {
 	var res IngestResult
 	defer d.finishIngest(&res)
@@ -419,6 +423,9 @@ func (d *Daemon) Ingest(r io.Reader) (IngestResult, error) {
 	buf := lineBufPool.Get().(*[]byte)
 	defer lineBufPool.Put(buf)
 	sc.Buffer((*buf)[:0], maxIngestLine)
+	c := chunkPool.Get().(*ingestChunk)
+	defer chunkPool.Put(c)
+	room := d.chunkRoom()
 	for lineNo := 1; sc.Scan(); lineNo++ {
 		// Full trim, not just leading: CRLF-terminated lines (curl on
 		// Windows, proxy rewrites) reach the scanner with a trailing \r
@@ -429,25 +436,28 @@ func (d *Daemon) Ingest(r io.Reader) (IngestResult, error) {
 		}
 		user, sec, ok := parseIngestLine(line)
 		if !ok {
-			// Slow lane: full JSON decode for lines the plain scanner
-			// refuses (escapes, reordered whitespace, garbage).
-			var p ingestPost
-			if err := json.Unmarshal(line, &p); err != nil || p.UserID == "" || p.Time.IsZero() {
-				res.Rejected++
-				if res.FirstError == "" {
-					res.FirstError = fmt.Sprintf("bad line %d: want {\"user_id\":string,\"time\":RFC3339}", lineNo)
+			user, sec, ok = decodeSlowLine(line)
+		}
+		if !ok {
+			c.bad = append(c.bad, badLine{at: c.posts.Len(), line: lineNo})
+			if d.cfg.MaxBadLines > 0 && res.Rejected+len(c.bad) > d.cfg.MaxBadLines {
+				if err := d.applyChunk(c, &res); err != nil {
+					return res, err
 				}
-				if d.cfg.MaxBadLines > 0 && res.Rejected > d.cfg.MaxBadLines {
-					return res, fmt.Errorf("%w: %d malformed lines (budget %d)", ErrBadLineBudget, res.Rejected, d.cfg.MaxBadLines)
-				}
-				continue
+				return res, fmt.Errorf("%w: %d malformed lines (budget %d)", ErrBadLineBudget, res.Rejected, d.cfg.MaxBadLines)
 			}
-			user, sec = []byte(p.UserID), p.Time.Unix()
+			continue
 		}
-		if err := d.apply(user, sec); err != nil {
-			return res, err
+		c.posts.Add(user, sec)
+		if c.posts.Len() >= room {
+			if err := d.applyChunk(c, &res); err != nil {
+				return res, err
+			}
+			room = d.chunkRoom()
 		}
-		res.Accepted++
+	}
+	if err := d.applyChunk(c, &res); err != nil {
+		return res, err
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
@@ -458,23 +468,76 @@ func (d *Daemon) Ingest(r io.Reader) (IngestResult, error) {
 	return res, nil
 }
 
-// apply records one accepted post: the head shard takes the post and its
-// arrival ticket, the matching daemon shard folds it into the user's
-// profile cells, and the stream totals advance atomically. No global lock
-// anywhere on this path.
-func (d *Daemon) apply(user []byte, sec int64) error {
-	if err := d.head.AppendBytes(user, sec); err != nil {
-		return err
+// maxChunk bounds the posts one ingest chunk holds: large enough that the
+// per-chunk costs (ticket reservation, shard locks, counter updates) are
+// spread thin, small enough that the chunk's scratch stays in cache.
+const maxChunk = 1024
+
+// ingestChunk is the part of an ingest request parsed but not yet
+// applied: its accepted posts, and the malformed lines among them.
+type ingestChunk struct {
+	posts trace.Batch
+	bad   []badLine
+}
+
+// badLine is one malformed line of a chunk: its physical line number and
+// the number of the chunk's posts parsed before it.
+type badLine struct{ at, line int }
+
+// chunkPool recycles ingest chunks, arena and scratch included, across
+// requests: a trickle request of a few lines allocates none of them.
+var chunkPool = sync.Pool{New: func() any { return new(ingestChunk) }}
+
+// chunkRoom returns how many posts the next chunk may hold: maxChunk, cut
+// to end at the fold threshold. Past the threshold (a concurrent
+// request's fold is under way) the cut is dropped.
+func (d *Daemon) chunkRoom() int {
+	if room := d.cfg.CompactEvery - d.head.Pending(); room > 0 {
+		return min(room, maxChunk)
 	}
-	sh := &d.shards[d.head.ShardOf(user)]
-	sh.mu.Lock()
-	before := sh.acc.NumUsers()
-	sh.acc.AddBytes(user, sec)
-	newUser := sh.acc.NumUsers() > before
-	sh.mu.Unlock()
-	d.gen.Add(1)
-	if newUser {
-		d.users.Add(1)
+	return maxChunk
+}
+
+// shardLock is the lock of the daemon shard colocated with head shard si.
+func (d *Daemon) shardLock(si int) sync.Locker { return &d.shards[si].mu }
+
+// applyChunk applies a chunk's posts and counts its malformed lines, then
+// empties it. The head reserves the chunk's tickets at once and, per
+// touched shard, appends the shard's posts to its tail and folds them into
+// the shard's accumulator in one critical section; the stream totals then
+// advance once, gen before users (see finishIngest). When the head refuses
+// a post (trace.LimitError), the posts before it are applied, and so are
+// only the malformed lines before it: the request ends there, as if it
+// had been applied line by line.
+func (d *Daemon) applyChunk(c *ingestChunk, res *IngestResult) error {
+	applied, users := 0, 0
+	err := d.head.AppendBatch(&c.posts, d.shardLock, func(si int, posts []int32) {
+		acc := d.shards[si].acc
+		before := acc.NumUsers()
+		for _, i := range posts {
+			acc.AddBytes(c.posts.User(int(i)), c.posts.Sec(int(i)))
+		}
+		users += acc.NumUsers() - before
+		applied += len(posts)
+	})
+	for _, b := range c.bad {
+		if err != nil && b.at > applied {
+			break
+		}
+		res.Rejected++
+		if res.FirstError == "" {
+			res.FirstError = fmt.Sprintf("bad line %d: want {\"user_id\":string,\"time\":RFC3339}", b.line)
+		}
+	}
+	c.posts.Reset()
+	c.bad = c.bad[:0]
+	if applied > 0 {
+		res.Accepted += applied
+		d.gen.Add(uint64(applied))
+		d.users.Add(int64(users))
+	}
+	if err != nil {
+		return err
 	}
 	if d.head.Pending() >= d.cfg.CompactEvery {
 		return d.maybeCompact()
@@ -510,7 +573,7 @@ func (d *Daemon) maybeCompact() error {
 // included — that is the documented IngestResult semantics (daemon totals
 // at completion). What must NOT happen is an *inconsistent* pair: loading
 // gen before users could observe a user whose post hadn't been counted yet
-// (apply bumps gen before users), yielding Users > Posts on a fresh stream.
+// (applyChunk bumps gen before users), yielding Users > Posts on a fresh stream.
 // Loading users first inverts the race: any user counted here had its first
 // post's gen bump already visible, so Users <= Posts always holds.
 func (d *Daemon) finishIngest(res *IngestResult) {

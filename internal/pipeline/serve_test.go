@@ -33,7 +33,7 @@ func ndjson(posts []trace.Post) []byte {
 
 // batchGeo runs the batch pipeline over the CSV trace and returns the
 // marshalled Geolocation — the reference output streaming must reproduce.
-func batchGeo(t *testing.T, tracePath string) (*Result, string) {
+func batchGeo(t testing.TB, tracePath string) (*Result, string) {
 	t.Helper()
 	res, err := Geolocate(Config{
 		TracePath:   tracePath,
@@ -141,7 +141,7 @@ func TestDaemonStreamingEquivalence(t *testing.T) {
 // in sorted order: three exact repeats of every fourth post and two posts
 // in the same UTC hour at other minutes. Eq. 1 counts each of those cells
 // once. It returns every row of the extended trace.
-func withBursts(t *testing.T, path string) []trace.Post {
+func withBursts(t testing.TB, path string) []trace.Post {
 	t.Helper()
 	rows := loadPosts(t, path)
 	users := map[string]bool{}
@@ -190,7 +190,7 @@ func withBursts(t *testing.T, path string) []trace.Post {
 }
 
 // loadPosts ingests the CSV trace at path and returns its rows.
-func loadPosts(t *testing.T, path string) []trace.Post {
+func loadPosts(t testing.TB, path string) []trace.Post {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -370,7 +370,7 @@ func TestDaemonSnapshotWarmStart(t *testing.T) {
 	}
 }
 
-func mustReadBytes(t *testing.T, path string) []byte {
+func mustReadBytes(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -398,6 +398,12 @@ func (b *Builder) Add(user int32, unixSec int64) {
 // NumPosts returns the number of posts recorded so far.
 func (b *Builder) NumPosts() int { return len(b.userOf) }
 
+// room returns how many more posts the builder surely takes: each may
+// intern a new user, so it is the smaller of the two ordinal rooms.
+func (b *Builder) room() int {
+	return min(b.userLimit()-len(b.ids), b.postLimit()-len(b.userOf))
+}
+
 // Dataset builds a Dataset from the accumulated columns; the builder stays
 // usable. When sortByTime is set the posts are ordered chronologically
 // (stable, so same-instant posts keep insertion order — matching

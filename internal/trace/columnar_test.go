@@ -362,6 +362,20 @@ func TestParseRFC3339FastPath(t *testing.T) {
 		}
 	}
 
+	// Offset stamps that name an instant outside UTC years 0000–9999 are
+	// errors, since WriteCSV could not write them back; the years' own
+	// edges are kept.
+	for s, inRange := range map[string]bool{
+		"0000-01-01T00:30:00+01:00": false, // UTC year -1
+		"9999-12-31T23:30:00-01:00": false, // UTC year 10000
+		"0000-01-01T00:00:00-01:00": true,
+		"9999-12-31T23:30:00+01:00": true,
+	} {
+		if _, err := parseRFC3339(s); (err == nil) != inRange {
+			t.Errorf("%q: err = %v, want in range %v", s, err, inRange)
+		}
+	}
+
 	// Randomized agreement with the stdlib over a wide range of instants.
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 2000; i++ {

@@ -31,6 +31,10 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("user_id,time_rfc3339\nu1,2021-03-04T05:06:07\nu2,2021-03-04T05:06:07.Z\n"))
 	f.Add([]byte("user_id,time_rfc3339\n,2021-03-04T05:06:07Z\nu1,2021-03-04T05:06:08Z"))
 	f.Add([]byte("user_id,time_rfc3339\nu1,2021-03-04T05:06:07Z\n\nu2,bad\nu1,2021-03-04T05:06:08Z,x\n\nu3,2021-03-04T05:06:09Z\n"))
+	// Offset stamps naming UTC years -1 and 10000, which WriteCSV cannot
+	// write back as RFC3339.
+	f.Add([]byte("user_id,time_rfc3339\n00000000,0000-01-01T0:00:00+01:00"))
+	f.Add([]byte("user_id,time_rfc3339\n00000000,9999-12-31T23:00:00-01:00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		strict, _, err := ingest("fuzz", data, IngestOptions{})
 		lenient, report, lerr := ingest("fuzz", data,

@@ -263,3 +263,118 @@ func TestShardedHeadConcurrentAppend(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedHeadLaterReservationFirst appends two batches to the same
+// shards with the later ticket reservation reaching the tails first: the
+// earlier batch reserves its tickets, then waits, through its lock hook,
+// until the later batch has been appended whole. Compact must still fold
+// in ticket order, the earlier batch first, to the same snapshot bytes at
+// every shard count. A window taken from each tail's first and last
+// ticket is inverted here and cannot place the posts.
+func TestShardedHeadLaterReservationFirst(t *testing.T) {
+	batch := func(from int) (*Batch, []Post) {
+		var b Batch
+		var posts []Post
+		for i := 0; i < 40; i++ {
+			p := Post{UserID: fmt.Sprintf("user-%d", i%6), Time: time.Unix(int64(1520000000+(from+i)*97), 0).UTC()}
+			b.Add([]byte(p.UserID), p.Time.Unix())
+			posts = append(posts, p)
+		}
+		return &b, posts
+	}
+	var want []byte
+	for _, shards := range []int{1, 2, 8, 16} {
+		h := NewShardedHead("head", nil, shards)
+		// An earlier fold, so this fold's tickets do not start at 1.
+		for i := 0; i < 25; i++ {
+			if err := h.Append(fmt.Sprintf("user-%d", i%4), int64(1510000000+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.Compact()
+		early, earlyPosts := batch(0)
+		late, latePosts := batch(1000)
+		reserved, lateDone := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		var mu sync.Mutex
+		errc := make(chan error, 1)
+		go func() {
+			errc <- h.AppendBatch(early, func(int) sync.Locker {
+				once.Do(func() {
+					close(reserved)
+					<-lateDone
+				})
+				return &mu
+			}, nil)
+		}()
+		<-reserved
+		if err := h.AppendBatch(late, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		close(lateDone)
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		ref := NewBuilder(0)
+		for _, p := range rows(h.Base()) {
+			ref.Add(ref.User(p.UserID), p.Time.Unix())
+		}
+		for _, p := range append(earlyPosts, latePosts...) {
+			ref.Add(ref.User(p.UserID), p.Time.Unix())
+		}
+		got := snapshotBytes(t, h.Compact())
+		if !reflect.DeepEqual(got, snapshotBytes(t, ref.Dataset("head", false))) {
+			t.Errorf("shards=%d: fold is not in ticket order", shards)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: snapshot differs from shards=1", shards)
+		}
+	}
+}
+
+// TestShardedHeadBatchLimitPrefix fails a batch at its k-th post, a user
+// new to the last shard's tail at its user ceiling, while the first
+// shard's group, appended before the last's, holds later posts. Exactly
+// the posts before k must be appended, and the error must be the one a
+// post-by-post append returns.
+func TestShardedHeadBatchLimitPrefix(t *testing.T) {
+	h := NewShardedHead("head", nil, 4)
+	h.LimitTails(3, 0)
+	var first string
+	var last []string // users of the last shard
+	for i := 0; first == "" || len(last) < 4; i++ {
+		switch id := fmt.Sprintf("user-%d", i); h.ShardOfString(id) {
+		case 0:
+			first = id
+		case h.NumShards() - 1:
+			last = append(last, id)
+		}
+	}
+	var b Batch
+	var posts []Post
+	add := func(id string) {
+		sec := int64(1520000000 + len(posts))
+		b.Add([]byte(id), sec)
+		posts = append(posts, Post{UserID: id, Time: time.Unix(sec, 0).UTC()})
+	}
+	for _, id := range last {
+		add(first)
+		add(id)
+	}
+	const k = 7 // the last shard's fourth user
+	for i := 0; i < 5; i++ {
+		add(first)
+	}
+	var le *LimitError
+	if err := h.AppendBatch(&b, nil, nil); !errors.As(err, &le) || le.What != "users" || le.Limit != 3 {
+		t.Fatalf("AppendBatch past the user cap: %v", err)
+	}
+	if got := h.Pending(); got != k {
+		t.Fatalf("Pending = %d, want the %d posts before the failing one", got, k)
+	}
+	if got := rows(h.Compact()); !reflect.DeepEqual(got, posts[:k]) {
+		t.Fatalf("compacted %d posts, want the first %d in order", len(got), k)
+	}
+}

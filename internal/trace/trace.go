@@ -508,7 +508,8 @@ func readCSV(name string, data []byte, opts IngestOptions) (*Dataset, *Quarantin
 // exactly time.Unix(sec, 0).UTC() — while the fallback path returns the
 // stdlib-parsed, UTC-normalized ts. Exported for the streaming daemon's
 // zero-alloc NDJSON ingest decoder; accepted inputs and error behaviour
-// match time.Parse(time.RFC3339, ...) exactly.
+// match time.Parse(time.RFC3339, ...) exactly, except that instants
+// outside InStampRange are errors.
 func ParseStamp(s []byte) (sec int64, ts time.Time, fast bool, err error) {
 	return parseStamp(s)
 }
@@ -530,7 +531,20 @@ func parseStamp[T ~string | ~[]byte](s T) (sec int64, ts time.Time, fast bool, e
 	if err != nil {
 		return 0, time.Time{}, false, err
 	}
-	return 0, ts.UTC(), false, nil
+	ts = ts.UTC()
+	if !InStampRange(ts) {
+		return 0, time.Time{}, false, fmt.Errorf("trace: time %q is outside UTC years 0000-9999", s)
+	}
+	return 0, ts, false, nil
+}
+
+// InStampRange reports whether t falls in UTC years 0000–9999, the
+// instants WriteCSV can write as an RFC3339 stamp that reads back. An
+// offset stamp can name an instant just outside them (year 0000 at +01:00
+// is UTC year −1), so both ingest paths refuse such stamps as bad lines.
+func InStampRange(t time.Time) bool {
+	y := t.UTC().Year()
+	return y >= 0 && y <= 9999
 }
 
 // stampDate reads s[0:10] as a valid calendar date "YYYY-MM-DD" and
