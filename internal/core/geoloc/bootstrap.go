@@ -152,8 +152,10 @@ func BootstrapMixtureCI(placement *Placement, point stats.Mixture, opts Bootstra
 	if opts.Level <= 0 || opts.Level >= 1 {
 		return nil, fmt.Errorf("geoloc: bootstrap level must be in (0,1), got %g", opts.Level)
 	}
-	samples := placement.Samples()
-	n := len(samples)
+	// One table for every replicate: a replicate draws sample indices and
+	// fits the table resampled to their slots.
+	tab := stats.NewEMTable(placement.Samples(), tz.HoursPerDay)
+	n := tab.Len()
 	k := len(point)
 	if n < k {
 		return nil, fmt.Errorf("geoloc: %d users cannot support %d bootstrap components", n, k)
@@ -171,7 +173,7 @@ func BootstrapMixtureCI(placement *Placement, point stats.Mixture, opts Bootstra
 	}
 	fits := make([]replicateFit, opts.Replicates)
 	err := par.RangesObserved(opts.Context, opts.Parallelism, opts.Replicates, func(start, end int) error {
-		resampled := make([]float64, n)
+		slots := make([]int32, n)
 		for r := start; r < end; r++ {
 			if opts.Context != nil {
 				if err := opts.Context.Err(); err != nil {
@@ -179,10 +181,10 @@ func BootstrapMixtureCI(placement *Placement, point stats.Mixture, opts Bootstra
 				}
 			}
 			state := replicateState(opts.Seed, r)
-			for i := range resampled {
-				resampled[i] = samples[boundedRand(&state, uint64(n))]
+			for i := range slots {
+				slots[i] = tab.Slot(int(boundedRand(&state, uint64(n))))
 			}
-			res, err := stats.FitMixtureEM(resampled, k, emCfg)
+			res, err := tab.Resample(slots).FitMixture(k, emCfg)
 			var deg *stats.FitDegradedError
 			if errors.As(err, &deg) {
 				res, err = deg.Result, nil

@@ -1,8 +1,10 @@
 package geoloc
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"darkcrowd/internal/stats"
@@ -60,6 +62,62 @@ func TestBootstrapDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestBootstrapMatchesPerReplicateFit: the replicates fit one shared
+// table resampled by slot, and must give bit for bit the intervals of
+// fitting each replicate's resampled zone values with FitMixtureEM, at
+// workers 1, 2 and 7.
+func TestBootstrapMatchesPerReplicateFit(t *testing.T) {
+	placement, point := bootstrapFixture(t)
+	const replicates, seed = 48, 7
+	samples := placement.Samples()
+	n, k := len(samples), len(point)
+	want := &BootstrapResult{Replicates: replicates, Seed: seed, Level: 0.95, Components: make([]ComponentCI, k)}
+	weights, deltas := make([][]float64, k), make([][]float64, k)
+	for r := 0; r < replicates; r++ {
+		state := replicateState(seed, r)
+		resampled := make([]float64, n)
+		for i := range resampled {
+			resampled[i] = samples[boundedRand(&state, uint64(n))]
+		}
+		res, err := stats.FitMixtureEM(resampled, k, stats.EMConfig{Period: 24})
+		var deg *stats.FitDegradedError
+		if errors.As(err, &deg) {
+			res, err = deg.Result, nil
+		}
+		f := replicateFit{}
+		if err == nil {
+			f = matchToPoint(point, res.Mixture)
+		}
+		if !f.ok {
+			want.Failed++
+			continue
+		}
+		for j := range point {
+			weights[j] = append(weights[j], f.weights[j])
+			deltas[j] = append(deltas[j], f.deltas[j])
+		}
+	}
+	alpha := (1 - want.Level) / 2
+	for j := range point {
+		sort.Float64s(weights[j])
+		sort.Float64s(deltas[j])
+		offset := zoneAxisToOffset(point[j].Mean)
+		want.Components[j] = ComponentCI{
+			Weight: point[j].Weight, WeightLo: percentile(weights[j], alpha), WeightHi: percentile(weights[j], 1-alpha),
+			Offset: offset, OffsetLo: offset + percentile(deltas[j], alpha), OffsetHi: offset + percentile(deltas[j], 1-alpha),
+		}
+	}
+	for _, workers := range []int{1, 2, 7} {
+		got, err := BootstrapMixtureCI(placement, point, BootstrapOptions{Replicates: replicates, Seed: seed, Parallelism: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d:\n got %+v\nwant %+v", workers, got, want)
+		}
+	}
+}
+
 // TestBootstrapIntervalsSane checks the intervals' shape: one CI per point
 // component, ordered bounds, weights inside [0,1], and the point estimates
 // echoed verbatim.
@@ -89,6 +147,11 @@ func TestBootstrapIntervalsSane(t *testing.T) {
 			// Percentile bootstrap can in principle exclude the point, but a
 			// seeded two-region fixture with 120 users should not.
 			t.Fatalf("component %d: point offset %g outside CI [%g, %g]", j, ci.Offset, ci.OffsetLo, ci.OffsetHi)
+		}
+		if ci.WeightLo > ci.Weight || ci.Weight > ci.WeightHi {
+			// The same caveat: a percentile interval can in principle
+			// exclude the point weight, but not on this fixture.
+			t.Fatalf("component %d: point weight %g outside CI [%g, %g]", j, ci.Weight, ci.WeightLo, ci.WeightHi)
 		}
 	}
 }

@@ -134,7 +134,8 @@ func PlaceUsers(profiles map[string]profile.Profile, generic profile.Profile, op
 	if err != nil {
 		return nil, err
 	}
-	return placementOf(profiles, users, scans, opts.Margins, o), nil
+	placement, _ := placementOf(profiles, users, scans, opts.Margins, o)
+	return placement, nil
 }
 
 // PlaceOneMargin places a single profile — the per-user form of
@@ -198,8 +199,11 @@ func nearestLinear(p profile.Profile, zones []profile.Profile) (int, float64, er
 }
 
 // placementOf merges the scans of the users in kept into a Placement, in
-// users order; users holds every key of kept.
-func placementOf(kept map[string]profile.Profile, users []string, scans []profile.ZoneScan, margins bool, o *obs.Observer) *Placement {
+// users order; users holds every key of kept. It also returns the kept
+// users' zone indices in users order, which is Placement.Samples() when
+// users is sorted.
+func placementOf(kept map[string]profile.Profile, users []string, scans []profile.ZoneScan, margins bool, o *obs.Observer) (*Placement, []float64) {
+	samples := make([]float64, 0, len(kept))
 	out := &Placement{
 		Assignments: make(map[string]tz.Offset, len(kept)),
 		Histogram:   make([]float64, tz.HoursPerDay),
@@ -215,6 +219,7 @@ func placementOf(kept map[string]profile.Profile, users []string, scans []profil
 		zi := scans[i].Zone
 		out.Assignments[userID] = profile.OffsetOf(zi)
 		out.Counts[zi]++
+		samples = append(samples, float64(zi))
 		if margins {
 			out.Margins[userID] = scans[i].Margin
 		}
@@ -224,7 +229,7 @@ func placementOf(kept map[string]profile.Profile, users []string, scans []profil
 		out.Histogram[zi] = float64(c) / total
 	}
 	o.Counter("placement.users_placed").Add(int64(len(kept)))
-	return out
+	return out, samples
 }
 
 // SingleFit is the single-Gaussian placement fit used for single-country
@@ -362,10 +367,17 @@ type GeolocateOptions struct {
 // FitPlacement runs the model-fitting half of §IV-B on a placement: EM
 // mixture selection with BIC, then the Table II fit-quality metrics.
 func FitPlacement(placement *Placement, opts GeolocateOptions) (*Geolocation, error) {
+	return fitPlacement(placement, placement.Samples(), opts)
+}
+
+// fitPlacement is FitPlacement on samples, which must equal
+// placement.Samples(): a caller that merged the placement in sorted-user
+// order already holds them and saves the re-sort.
+func fitPlacement(placement *Placement, samples []float64, opts GeolocateOptions) (*Geolocation, error) {
 	if opts.MaxComponents == 0 {
 		opts.MaxComponents = 4
 	}
-	res, err := stats.SelectMixture(placement.Samples(), opts.MaxComponents, stats.EMConfig{
+	res, err := stats.SelectMixture(samples, opts.MaxComponents, stats.EMConfig{
 		Period:      tz.HoursPerDay,
 		Parallelism: opts.Parallelism,
 		Obs:         opts.Obs,

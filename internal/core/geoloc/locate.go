@@ -81,13 +81,13 @@ func LocateCrowd(profiles map[string]profile.Profile, generic profile.Profile, o
 		}
 		polished.IDs, polished.Scans = ids, scans
 	}
-	placement := placementOf(polished.Kept, polished.IDs, polished.Scans, opts.Margins, po)
+	placement, samples := placementOf(polished.Kept, polished.IDs, polished.Scans, opts.Margins, po)
 	po.End()
 	if err := ctxErr(opts.Context); err != nil {
 		return nil, nil, err
 	}
 
-	geo, err := FitPlacement(placement, GeolocateOptions{
+	geo, err := fitPlacement(placement, samples, GeolocateOptions{
 		MaxComponents: opts.MaxComponents,
 		Parallelism:   opts.Parallelism,
 		Obs:           opts.Obs,

@@ -215,6 +215,7 @@ type Daemon struct {
 	latIngest, latPlace        *obs.LatencyHist
 	latReport, latHealthz      *obs.LatencyHist
 	latRefit                   *obs.LatencyHist
+	latRefitPolish, latRefitEM *obs.LatencyHist
 
 	kick      chan struct{}
 	stop      context.CancelFunc
@@ -270,6 +271,8 @@ func NewDaemon(cfg ServeConfig) (*Daemon, error) {
 	d.latReport = d.o.Latency("http.report.ns")
 	d.latHealthz = d.o.Latency("http.healthz.ns")
 	d.latRefit = d.o.Latency("serve.refit.ns")
+	d.latRefitPolish = d.o.Latency("serve.refit.polish.ns")
+	d.latRefitEM = d.o.Latency("serve.refit.em.ns")
 
 	var base *trace.Dataset
 	if cfg.SnapshotPath != "" {
@@ -624,7 +627,8 @@ func (d *Daemon) Report() (*ServeReport, error) {
 // active profiles and cached zones out; the polish/placement/EM work runs
 // with no lock, serialized by fitMu so concurrent /report calls don't
 // duplicate the fit. The finished report is published by swapping the
-// atomic view, and its duration observed under serve.refit.ns.
+// atomic view, and its duration observed under serve.refit.ns, with its
+// polish and EM stages under serve.refit.polish.ns and serve.refit.em.ns.
 func (d *Daemon) refit() (*ServeReport, error) {
 	d.fitMu.Lock()
 	defer d.fitMu.Unlock()
@@ -666,11 +670,12 @@ func (d *Daemon) refit() (*ServeReport, error) {
 		sh.mu.Unlock()
 	}
 
+	lo, stages := d.refitObserver()
 	polished, geo, err := geoloc.LocateCrowd(profiles, d.generic, geoloc.LocateOptions{
 		SkipPolish:    d.cfg.SkipPolish,
 		MaxComponents: d.cfg.MaxComponents,
 		Parallelism:   d.cfg.Workers,
-		Obs:           d.o,
+		Obs:           lo,
 		Cache:         known,
 	})
 	if errors.Is(err, geoloc.ErrNoProfiles) {
@@ -679,6 +684,7 @@ func (d *Daemon) refit() (*ServeReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	d.observeStages(stages)
 	rep := &ServeReport{
 		Gen:           g,
 		Posts:         posts,
@@ -712,6 +718,29 @@ func (d *Daemon) refit() (*ServeReport, error) {
 	}
 	d.latRefit.Observe(time.Since(start))
 	return rep, nil
+}
+
+// refitObserver returns the observer a refit hands LocateCrowd and the
+// fresh root span its stages open under. Both are nil when observability
+// is off, so the refit allocates nothing for them.
+func (d *Daemon) refitObserver() (*obs.Observer, *obs.Span) {
+	if d.o == nil {
+		return nil, nil
+	}
+	sp := obs.StartSpan("refit")
+	return &obs.Observer{Metrics: d.o.Metrics, Span: sp, Log: d.o.Log}, sp
+}
+
+// observeStages ends a refit's span and records its polish and em-select
+// stage times in serve.refit.polish.ns and serve.refit.em.ns.
+func (d *Daemon) observeStages(refit *obs.Span) {
+	refit.End()
+	if sp := refit.Find("polish"); sp != nil {
+		d.latRefitPolish.Observe(sp.Duration())
+	}
+	if sp := refit.Find("em-select"); sp != nil {
+		d.latRefitEM.Observe(sp.Duration())
+	}
 }
 
 // PlaceResult is the /place/{user} response.

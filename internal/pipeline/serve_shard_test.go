@@ -292,8 +292,10 @@ func TestDaemonShardedConcurrentStress(t *testing.T) {
 
 // TestDaemonMetricsLatencies checks the latency and polish wiring on
 // /metrics: a served request shows up in the http.*.ns histograms, a
-// refit in serve.refit.ns, and the polish counters profile.zone_scans and
-// profile.flat_checks are listed by those names.
+// refit in serve.refit.ns and its polish and EM stages in
+// serve.refit.polish.ns and serve.refit.em.ns, and the polish counters
+// profile.zone_scans and profile.flat_checks are listed by those names.
+// Without an observer the stage split allocates nothing.
 func TestDaemonMetricsLatencies(t *testing.T) {
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	d, err := NewDaemon(ServeConfig{Reference: testReference(t), RefitDebounce: -1, Obs: o})
@@ -321,7 +323,8 @@ func TestDaemonMetricsLatencies(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("decode /metrics: %v", err)
 	}
-	for _, name := range []string{"http.ingest.ns", "http.healthz.ns", "http.report.ns", "serve.refit.ns"} {
+	for _, name := range []string{"http.ingest.ns", "http.healthz.ns", "http.report.ns",
+		"serve.refit.ns", "serve.refit.polish.ns", "serve.refit.em.ns"} {
 		ls, ok := snap.Latencies[name]
 		if !ok || ls.Count == 0 {
 			t.Errorf("latency histogram %q missing or empty: %+v", name, ls)
@@ -335,5 +338,17 @@ func TestDaemonMetricsLatencies(t *testing.T) {
 	}
 	if _, ok := snap.Counters[profile.FlatChecksCounter]; !ok {
 		t.Errorf("counter %q missing from /metrics", profile.FlatChecksCounter)
+	}
+	if refit, polish, em := snap.Latencies["serve.refit.ns"], snap.Latencies["serve.refit.polish.ns"],
+		snap.Latencies["serve.refit.em.ns"]; polish.Count != refit.Count || em.Count != refit.Count {
+		t.Errorf("%d refits observed, but %d polish and %d EM stages", refit.Count, polish.Count, em.Count)
+	}
+
+	quiet := &Daemon{}
+	if n := testing.AllocsPerRun(100, func() {
+		_, stages := quiet.refitObserver()
+		quiet.observeStages(stages)
+	}); n != 0 {
+		t.Errorf("refit stage split allocates %v times per refit without an observer", n)
 	}
 }

@@ -144,7 +144,8 @@ func degradation(res EMResult) string {
 }
 
 // FitMixtureEM runs EM with exactly k components on the samples (positions
-// on the circle, e.g. per-user placement zones as indices 0..23).
+// on the circle, e.g. per-user placement zones as indices 0..23). It is
+// one EMTable.FitMixture over the samples' table.
 //
 // Invalid inputs (bad k, bad Period, too few samples) fail with an
 // ordinary error and no result. A run that finishes in a degraded state —
@@ -153,20 +154,97 @@ func degradation(res EMResult) string {
 // wrapping that same result, so callers choose between failing hard and
 // serving the fit with a warning.
 func FitMixtureEM(samples []float64, k int, cfg EMConfig) (EMResult, error) {
+	return NewEMTable(samples, cfg.Period).FitMixture(k, cfg)
+}
+
+// EMTable is the distinct-value view of one EM input. Placement samples
+// are zone indices, so a crowd of thousands of users carries at most 24
+// distinct values: every transcendental function EM needs (the wrapped
+// density, its log-normaliser, the angle's sine and cosine, the circular
+// distance to a component mean) is evaluated once per distinct value, its
+// slot, and read back per sample. Every sum over samples still runs over
+// the samples in their original order, adding the same terms in the same
+// sequence, so a fit is bit-identical to evaluating per sample. A table
+// is read-only once built: SelectMixture runs every k on one table, and
+// bootstrap replicates share one table's slots.
+type EMTable struct {
+	period   float64
+	idx      []int32   // idx[i]: slot of sample i
+	vals     []float64 // distinct samples by bit pattern, first-seen order
+	sin, cos []float64 // per slot: sin/cos of 2π·x/period
+	count    []int     // per slot: how many samples hold it
+}
+
+// NewEMTable dedupes samples, keyed on math.Float64bits so +0 and -0 (and
+// distinct NaN payloads) keep separate slots, and tabulates each slot's
+// angle on the circle of the given period.
+func NewEMTable(samples []float64, period float64) *EMTable {
+	t := &EMTable{period: period, idx: make([]int32, len(samples))}
+	slot := make(map[uint64]int32)
+	for i, x := range samples {
+		b := math.Float64bits(x)
+		s, ok := slot[b]
+		if !ok {
+			s = int32(len(t.vals))
+			slot[b] = s
+			t.vals = append(t.vals, x)
+			t.count = append(t.count, 0)
+		}
+		t.idx[i] = s
+		t.count[s]++
+	}
+	m := len(t.vals)
+	t.sin = make([]float64, m)
+	t.cos = make([]float64, m)
+	for s, x := range t.vals {
+		theta := 2 * math.Pi * x / period
+		t.sin[s] = math.Sin(theta)
+		t.cos[s] = math.Cos(theta)
+	}
+	return t
+}
+
+// Len returns the number of samples.
+func (t *EMTable) Len() int { return len(t.idx) }
+
+// Slot returns the slot of sample i, for Resample.
+func (t *EMTable) Slot(i int) int32 { return t.idx[i] }
+
+// Resample returns a table over t's distinct values whose i-th sample is
+// the value in slots[i], each a Slot of t. It shares t's slots and adopts
+// slots as its sample order, so the caller must not change slots while
+// the returned table is in use. Slot numbering never reaches a sum, so a
+// fit on the result keeps every bit of a fit on the resampled values.
+func (t *EMTable) Resample(slots []int32) *EMTable {
+	r := *t
+	r.idx = slots
+	r.count = make([]int, len(t.vals))
+	for _, s := range slots {
+		r.count[s]++
+	}
+	return &r
+}
+
+// FitMixture runs EM with exactly k components on the table's samples;
+// cfg.Period must be the table's period. Errors as FitMixtureEM.
+func (t *EMTable) FitMixture(k int, cfg EMConfig) (EMResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Period <= 0 {
 		return EMResult{}, errors.New("stats: EMConfig.Period must be positive")
 	}
+	if cfg.Period != t.period {
+		return EMResult{}, fmt.Errorf("stats: EMConfig.Period %g is not the table's period %g", cfg.Period, t.period)
+	}
 	if k <= 0 {
 		return EMResult{}, fmt.Errorf("stats: component count must be positive, got %d", k)
 	}
-	n := len(samples)
+	n := t.Len()
 	if n < k {
 		return EMResult{}, fmt.Errorf("stats: %d samples cannot support %d components", n, k)
 	}
 
-	mix := initComponents(samples, k, cfg)
-	tab := newEMTable(samples, k, cfg.Period)
+	mix := initComponents(t.histogram(), k, cfg)
+	f := newEMFit(t, k)
 
 	// The loop is structured E-then-M with the stopping test *between*
 	// them, so the log-likelihood used for the stopping decision — and
@@ -184,7 +262,7 @@ func FitMixtureEM(samples []float64, k int, cfg EMConfig) (EMResult, error) {
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		iters = iter + 1
 		// E-step: responsibilities and log-likelihood of the current mix.
-		ll := tab.eStep(mix, cfg.Period)
+		ll := f.eStep(mix)
 		if ll >= bestLL {
 			bestLL = ll
 			copy(best, mix)
@@ -206,7 +284,7 @@ func FitMixtureEM(samples []float64, k int, cfg EMConfig) (EMResult, error) {
 		prevLL = ll
 
 		// M-step: re-estimate parameters from the responsibilities.
-		tab.mStep(mix, cfg)
+		f.mStep(mix, cfg)
 	}
 
 	bic := bicScore(k, n, bestLL)
@@ -222,115 +300,176 @@ func FitMixtureEM(samples []float64, k int, cfg EMConfig) (EMResult, error) {
 	return res, nil
 }
 
-// emTable is the distinct-value view of one EM input. Placement samples
-// are zone indices, so a crowd of thousands of users carries at most 24
-// distinct values: every transcendental function EM needs (the wrapped
-// density, its log-normaliser, the angle's sine and cosine, the circular
-// distance to a component mean) is evaluated once per distinct value and
-// read back per sample. Every sum over samples still runs over the
-// samples in their original order, adding the same terms in the same
-// sequence, so the fit is bit-identical to evaluating per sample.
-type emTable struct {
-	idx      []int     // idx[i]: slot of samples[i] in vals
-	vals     []float64 // distinct samples by bit pattern, first-seen order
-	sin, cos []float64 // per slot: sin/cos of 2π·x/period
-	resp     []float64 // per slot × component: responsibility (row-major)
-	logTotal []float64 // per slot: log of the E-step normaliser
-	diff     []float64 // per slot: CircularDiff to the current mean
+// emBlock is the column width of one pass over the samples: each pass
+// reads one emBlock-wide row per sample and adds each column into its own
+// local accumulator, so the sums advance as emBlock independent chains.
+const emBlock = 8
+
+// emColumns is a slots × columns table laid out in blocks of emBlock
+// columns: column c of slot s sits at ((c/emBlock)·slots + s)·emBlock +
+// c%emBlock, so one pass reads one contiguous block. Padding columns stay
+// zero and their sums are never read.
+type emColumns struct {
+	cells []float64
+	sums  []float64 // per column: the sum over the samples, in sample order
+	slots int
 }
 
-// newEMTable dedupes samples, keyed on math.Float64bits so +0 and -0 (and
-// distinct NaN payloads) keep separate slots, and tabulates each slot's
-// angle. The per-iteration tables are sized for k components.
-func newEMTable(samples []float64, k int, period float64) *emTable {
-	t := &emTable{idx: make([]int, len(samples))}
-	slot := make(map[uint64]int)
-	for i, x := range samples {
-		b := math.Float64bits(x)
-		s, ok := slot[b]
-		if !ok {
-			s = len(t.vals)
-			slot[b] = s
-			t.vals = append(t.vals, x)
+func newEMColumns(slots, cols int) emColumns {
+	blocks := (cols + emBlock - 1) / emBlock
+	return emColumns{
+		cells: make([]float64, blocks*slots*emBlock),
+		sums:  make([]float64, blocks*emBlock),
+		slots: slots,
+	}
+}
+
+// cell returns column col of slot s.
+func (c *emColumns) cell(col, s int) *float64 {
+	return &c.cells[((col/emBlock)*c.slots+s)*emBlock+col%emBlock]
+}
+
+// sum adds every column over the samples idx, in sample order, one pass
+// per column block.
+func (c *emColumns) sum(idx []int32) {
+	stride := c.slots * emBlock
+	for b := 0; b*emBlock < len(c.sums); b++ {
+		block := c.cells[b*stride : (b+1)*stride]
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		// The exit test sits after the adds, so only the adds read each
+		// accumulator and the compiler folds every load into its add:
+		// the eight chains stay in registers. idx is never empty here.
+		for i := 0; ; {
+			o := int(idx[i]) * emBlock
+			r := (*[emBlock]float64)(block[o : o+emBlock])
+			a0 += r[0]
+			a1 += r[1]
+			a2 += r[2]
+			a3 += r[3]
+			a4 += r[4]
+			a5 += r[5]
+			a6 += r[6]
+			a7 += r[7]
+			if i++; i == len(idx) {
+				break
+			}
 		}
-		t.idx[i] = s
+		*(*[emBlock]float64)(c.sums[b*emBlock:]) = [emBlock]float64{a0, a1, a2, a3, a4, a5, a6, a7}
 	}
-	m := len(t.vals)
-	t.sin = make([]float64, m)
-	t.cos = make([]float64, m)
-	for s, x := range t.vals {
-		theta := 2 * math.Pi * x / period
-		t.sin[s] = math.Sin(theta)
-		t.cos[s] = math.Cos(theta)
-	}
-	t.resp = make([]float64, m*k)
-	t.logTotal = make([]float64, m)
-	t.diff = make([]float64, m)
-	return t
 }
 
-// eStep fills the responsibility table with the posterior of each
-// component for each distinct value and returns the samples'
+// emFit is the working state of one k-component fit over a shared table.
+// The E-step fills, per slot, column 0 with log(total) and columns
+// 1+3j, 2+3j and 3+3j with component j's responsibility r_j, r_j·sin and
+// r_j·cos; the M-step fills column j of vars with r_j·d_j² for the
+// circular distance d_j to the new mean. Products are rounded explicitly
+// (float64(...)), so no architecture fuses them into the sums'
+// additions.
+type emFit struct {
+	t    *EMTable
+	e    emColumns // 3k+1 columns: ll, then r, r·sin, r·cos per component
+	vars emColumns // k columns: r·d²
+	p    []float64 // per component: the weighted density at one slot
+	mu   []float64 // per component: the M-step mean
+}
+
+func newEMFit(t *EMTable, k int) *emFit {
+	m := len(t.vals)
+	return &emFit{
+		t:    t,
+		e:    newEMColumns(m, 3*k+1),
+		vars: newEMColumns(m, k),
+		p:    make([]float64, k),
+		mu:   make([]float64, k),
+	}
+}
+
+// eStep fills the E-step columns with the posterior of each component
+// for each slot, sums them over the samples and returns the samples'
 // log-likelihood under mix.
-func (t *emTable) eStep(mix Mixture, period float64) float64 {
-	k := len(mix)
+func (f *emFit) eStep(mix Mixture) float64 {
+	t, k := f.t, len(mix)
 	for s, x := range t.vals {
-		row := t.resp[s*k : (s+1)*k]
 		var total float64
 		for j, g := range mix {
-			p := g.Weight * g.WrappedPDF(x, period)
-			row[j] = p
+			p := float64(g.Weight * g.WrappedPDF(x, t.period))
+			f.p[j] = p
 			total += p
 		}
 		if total <= 0 {
 			// Degenerate point: spread responsibility uniformly.
-			for j := range row {
-				row[j] = 1 / float64(k)
+			for j := range f.p {
+				f.p[j] = 1 / float64(k)
 			}
 			total = 1e-300
 		} else {
-			for j := range row {
-				row[j] /= total
+			for j := range f.p {
+				f.p[j] /= total
 			}
 		}
-		t.logTotal[s] = math.Log(total)
+		*f.e.cell(0, s) = math.Log(total)
+		for j, r := range f.p {
+			*f.e.cell(1+3*j, s) = r
+			*f.e.cell(2+3*j, s) = float64(r * t.sin[s])
+			*f.e.cell(3+3*j, s) = float64(r * t.cos[s])
+		}
+	}
+	f.e.sum(t.idx)
+	return f.e.sums[0]
+}
+
+// mStep re-estimates mix in place from the E-step sums, clamping
+// component widths to [MinSigma, MaxSigma]. A component whose
+// responsibilities sum to zero or less keeps its parameters.
+func (f *emFit) mStep(mix Mixture, cfg EMConfig) {
+	t, sums := f.t, f.e.sums
+	live := func(j int) bool { return sums[1+3*j] > 0 }
+	for j := range mix {
+		if live(j) {
+			mu := math.Atan2(sums[2+3*j], sums[3+3*j]) * cfg.Period / (2 * math.Pi)
+			f.mu[j] = math.Mod(mu+cfg.Period, cfg.Period)
+		}
+	}
+	for s, x := range t.vals {
+		for j := range mix {
+			if live(j) {
+				d := CircularDiff(x, f.mu[j], cfg.Period)
+				*f.vars.cell(j, s) = float64(float64(*f.e.cell(1+3*j, s)*d) * d)
+			}
+		}
+	}
+	f.vars.sum(t.idx)
+	n := float64(t.Len())
+	for j := range mix {
+		if live(j) {
+			rsum := sums[1+3*j]
+			sigma := math.Sqrt(f.vars.sums[j] / rsum)
+			sigma = math.Min(math.Max(sigma, cfg.MinSigma), cfg.MaxSigma)
+			mix[j] = Gaussian{Weight: rsum / n, Mean: f.mu[j], Sigma: sigma}
+		}
+	}
+}
+
+// logLikelihood returns the total log-likelihood of the table's samples
+// under mix: the mixture is evaluated once per slot and the logs are
+// summed in sample order.
+func (t *EMTable) logLikelihood(mix Mixture) float64 {
+	logs := make([]float64, len(t.vals))
+	for s, x := range t.vals {
+		var total float64
+		for _, g := range mix {
+			total += float64(g.Weight * g.WrappedPDF(x, t.period))
+		}
+		if total <= 0 {
+			total = 1e-300
+		}
+		logs[s] = math.Log(total)
 	}
 	ll := 0.0
 	for _, s := range t.idx {
-		ll += t.logTotal[s]
+		ll += logs[s]
 	}
 	return ll
-}
-
-// mStep re-estimates mix in place from the responsibilities, clamping
-// component widths to [MinSigma, MaxSigma].
-func (t *emTable) mStep(mix Mixture, cfg EMConfig) {
-	n, k := len(t.idx), len(mix)
-	for j := range mix {
-		var rsum, sinSum, cosSum float64
-		for _, s := range t.idx {
-			r := t.resp[s*k+j]
-			rsum += r
-			sinSum += r * t.sin[s]
-			cosSum += r * t.cos[s]
-		}
-		if rsum <= 0 {
-			continue
-		}
-		mu := math.Atan2(sinSum, cosSum) * cfg.Period / (2 * math.Pi)
-		mu = math.Mod(mu+cfg.Period, cfg.Period)
-		for s, x := range t.vals {
-			t.diff[s] = CircularDiff(x, mu, cfg.Period)
-		}
-		var varSum float64
-		for _, s := range t.idx {
-			d := t.diff[s]
-			varSum += t.resp[s*k+j] * d * d
-		}
-		sigma := math.Sqrt(varSum / rsum)
-		sigma = math.Min(math.Max(sigma, cfg.MinSigma), cfg.MaxSigma)
-		mix[j] = Gaussian{Weight: rsum / float64(n), Mean: mu, Sigma: sigma}
-	}
 }
 
 // MixtureLogLikelihood returns the total log-likelihood of the samples
@@ -338,18 +477,7 @@ func (t *emTable) mStep(mix Mixture, cfg EMConfig) {
 // and BIC penalizes. Degenerate zero-density points contribute log(1e-300)
 // exactly as the EM loop counts them.
 func MixtureLogLikelihood(samples []float64, mix Mixture, period float64) float64 {
-	ll := 0.0
-	for _, x := range samples {
-		var total float64
-		for _, g := range mix {
-			total += g.Weight * g.WrappedPDF(x, period)
-		}
-		if total <= 0 {
-			total = 1e-300
-		}
-		ll += math.Log(total)
-	}
-	return ll
+	return NewEMTable(samples, period).logLikelihood(mix)
 }
 
 // bicScore is the Bayesian Information Criterion for a k-component
@@ -384,12 +512,13 @@ func bicScore(k, n int, ll float64) float64 {
 // nil error and the Degraded field set — the model is the best available
 // estimate, and the caller decides whether that warrants a warning.
 func SelectMixture(samples []float64, maxK int, cfg EMConfig) (EMResult, error) {
-	return selectMixture(samples, maxK, cfg, FitMixtureEM)
+	return selectMixture(samples, maxK, cfg, (*EMTable).FitMixture)
 }
 
 // selectMixture is SelectMixture over a given per-k fit, so tests can make
-// chosen k fail.
-func selectMixture(samples []float64, maxK int, cfg EMConfig, fit func([]float64, int, EMConfig) (EMResult, error)) (EMResult, error) {
+// chosen k fail. The samples are tabulated once, and every per-k fit and
+// the tidied model's score read that one table.
+func selectMixture(samples []float64, maxK int, cfg EMConfig, fit func(*EMTable, int, EMConfig) (EMResult, error)) (EMResult, error) {
 	cfg = cfg.withDefaults()
 	if maxK <= 0 {
 		return EMResult{}, fmt.Errorf("stats: maxK must be positive, got %d", maxK)
@@ -403,6 +532,7 @@ func selectMixture(samples []float64, maxK int, cfg EMConfig, fit func([]float64
 	}
 	o := cfg.Obs.Stage("em-select")
 	defer o.End()
+	tab := NewEMTable(samples, cfg.Period)
 	workers := par.Workers(cfg.Parallelism, kMax)
 	o.SetWorkers(workers)
 	sp := o.SpanRef()
@@ -418,7 +548,7 @@ func selectMixture(samples []float64, maxK int, cfg EMConfig, fit func([]float64
 	err := par.Ranges(nil, workers, workers, func(w, _ int) error {
 		for i := int(next.Add(-1)); i >= 0; i = int(next.Add(-1)) {
 			began := time.Now()
-			res, err := fit(samples, i+1, cfg)
+			res, err := fit(tab, i+1, cfg)
 			var deg *FitDegradedError
 			if errors.As(err, &deg) {
 				// A degraded fit still carries the best recoverable model.
@@ -450,7 +580,7 @@ func selectMixture(samples []float64, maxK int, cfg EMConfig, fit func([]float64
 	best.Mixture = tidyMixture(best.Mixture, cfg)
 	// Pruning/merging changed the model, so its reported score must be
 	// recomputed; the BIC the caller sees always describes best.Mixture.
-	best.LogLikelihood = MixtureLogLikelihood(samples, best.Mixture, cfg.Period)
+	best.LogLikelihood = tab.logLikelihood(best.Mixture)
 	best.BIC = bicScore(len(best.Mixture), len(samples), best.LogLikelihood)
 	if o.Enabled() {
 		for i, res := range results {
@@ -495,22 +625,30 @@ func selectMixture(samples []float64, maxK int, cfg EMConfig, fit func([]float64
 	return best, nil
 }
 
-// initComponents places the initial means on the k strongest well-separated
-// peaks of the sample histogram, falling back to even spacing. The
-// initialization is deterministic, so every fit is reproducible.
-func initComponents(samples []float64, k int, cfg EMConfig) Mixture {
-	bins := int(math.Round(cfg.Period))
+// histogram counts the table's samples in round(Period) unit bins, the
+// input of initComponents. Slot counts are integers, so the histogram is
+// exact in any order.
+func (t *EMTable) histogram() []float64 {
+	bins := int(math.Round(t.period))
 	if bins < 1 {
 		bins = 1
 	}
 	hist := make([]float64, bins)
-	for _, x := range samples {
+	for s, x := range t.vals {
 		idx := int(math.Mod(math.Floor(x+0.5), float64(bins)))
 		if idx < 0 {
 			idx += bins
 		}
-		hist[idx]++
+		hist[idx] += float64(t.count[s])
 	}
+	return hist
+}
+
+// initComponents places the initial means on the k strongest well-separated
+// peaks of the sample histogram, falling back to even spacing. The
+// initialization is deterministic, so every fit is reproducible.
+func initComponents(hist []float64, k int, cfg EMConfig) Mixture {
+	bins := len(hist)
 	type peak struct {
 		bin   int
 		count float64

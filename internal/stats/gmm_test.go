@@ -325,18 +325,19 @@ func TestEMDecreasingLikelihoodKeepsBestIterate(t *testing.T) {
 	// Replay the iteration sequence with the same deterministic init to
 	// confirm the premise: the likelihood really does go down.
 	full := cfg.withDefaults()
-	mix := initComponents(samples, 2, full)
-	tab := newEMTable(samples, 2, full.Period)
+	tab := NewEMTable(samples, full.Period)
+	mix := initComponents(tab.histogram(), 2, full)
+	fit := newEMFit(tab, 2)
 	var lls []float64
 	decreased := false
 	for iter := 0; iter < full.MaxIter; iter++ {
-		ll := tab.eStep(mix, full.Period)
+		ll := fit.eStep(mix)
 		lls = append(lls, ll)
 		if len(lls) > 1 && ll < lls[len(lls)-2] {
 			decreased = true
 			break
 		}
-		tab.mStep(mix, full)
+		fit.mStep(mix, full)
 	}
 	if !decreased {
 		t.Fatal("premise broken: this configuration no longer produces an LL decrease; pick a new seed")
@@ -448,7 +449,7 @@ func TestInitComponentsFallbackAvoidsPickedPeaks(t *testing.T) {
 	for i := range samples {
 		samples[i] = float64(i % 24)
 	}
-	mix := initComponents(samples, k, cfg)
+	mix := initComponents(refHistogram(samples, cfg.Period), k, cfg)
 	if len(mix) != k {
 		t.Fatalf("initComponents returned %d components, want %d", len(mix), k)
 	}
@@ -493,17 +494,21 @@ func TestSelectMixtureBICDescribesTidiedMixture(t *testing.T) {
 	}
 }
 
-// refEStep and refMStep are the per-sample EM steps the distinct-value
-// table replaced: every density, normaliser, angle and circular distance
-// is evaluated once per sample. They are the definition the table is
-// checked against.
+// refEStep, refMStep and refLogLikelihood are the per-sample EM the
+// distinct-value table replaced: every density, normaliser, angle and
+// circular distance is evaluated once per sample, and each sum is one
+// chain over the samples. Products are rounded explicitly, as in the
+// table, so no architecture fuses them into the sums. They are the
+// definition the table is checked against, and share no code with it
+// beyond the Gaussian density, CircularDiff, initComponents' peak pick
+// and the scoring, tidying and sorting helpers.
 func refEStep(samples []float64, mix Mixture, resp [][]float64, period float64) float64 {
 	k := len(mix)
 	ll := 0.0
 	for i, x := range samples {
 		var total float64
 		for j, g := range mix {
-			p := g.Weight * g.WrappedPDF(x, period)
+			p := float64(g.Weight * g.WrappedPDF(x, period))
 			resp[i][j] = p
 			total += p
 		}
@@ -530,8 +535,8 @@ func refMStep(samples []float64, mix Mixture, resp [][]float64, cfg EMConfig) {
 			r := resp[i][j]
 			rsum += r
 			theta := 2 * math.Pi * x / cfg.Period
-			sinSum += r * math.Sin(theta)
-			cosSum += r * math.Cos(theta)
+			sinSum += float64(r * math.Sin(theta))
+			cosSum += float64(r * math.Cos(theta))
 		}
 		if rsum <= 0 {
 			continue
@@ -541,7 +546,7 @@ func refMStep(samples []float64, mix Mixture, resp [][]float64, cfg EMConfig) {
 		var varSum float64
 		for i, x := range samples {
 			d := CircularDiff(x, mu, cfg.Period)
-			varSum += resp[i][j] * d * d
+			varSum += float64(float64(resp[i][j]*d) * d)
 		}
 		sigma := math.Sqrt(varSum / rsum)
 		sigma = math.Min(math.Max(sigma, cfg.MinSigma), cfg.MaxSigma)
@@ -549,10 +554,39 @@ func refMStep(samples []float64, mix Mixture, resp [][]float64, cfg EMConfig) {
 	}
 }
 
+func refLogLikelihood(samples []float64, mix Mixture, period float64) float64 {
+	ll := 0.0
+	for _, x := range samples {
+		var total float64
+		for _, g := range mix {
+			total += float64(g.Weight * g.WrappedPDF(x, period))
+		}
+		if total <= 0 {
+			total = 1e-300
+		}
+		ll += math.Log(total)
+	}
+	return ll
+}
+
+// refHistogram counts the samples one by one into round(period) unit bins.
+func refHistogram(samples []float64, period float64) []float64 {
+	bins := int(math.Round(period))
+	hist := make([]float64, bins)
+	for _, x := range samples {
+		b := int(math.Mod(math.Floor(x+0.5), float64(bins)))
+		if b < 0 {
+			b += bins
+		}
+		hist[b]++
+	}
+	return hist
+}
+
 // refFitMixtureEM is FitMixtureEM's loop over refEStep/refMStep.
 func refFitMixtureEM(samples []float64, k int, cfg EMConfig) EMResult {
 	cfg = cfg.withDefaults()
-	mix := initComponents(samples, k, cfg)
+	mix := initComponents(refHistogram(samples, cfg.Period), k, cfg)
 	resp := make([][]float64, len(samples))
 	for i := range resp {
 		resp[i] = make([]float64, k)
@@ -582,17 +616,18 @@ func refFitMixtureEM(samples []float64, k int, cfg EMConfig) EMResult {
 	return res
 }
 
-// refSelectMixture is SelectMixture's BIC race over refFitMixtureEM.
-func refSelectMixture(samples []float64, maxK int, cfg EMConfig) EMResult {
+// refSelectMixture is SelectMixture's BIC race over the per-k fits
+// fits[k-1] = refFitMixtureEM(samples, k, cfg), k = 1..len(fits).
+func refSelectMixture(samples []float64, fits []EMResult, cfg EMConfig) EMResult {
 	cfg = cfg.withDefaults()
-	best := refFitMixtureEM(samples, 1, cfg)
-	for k := 2; k <= maxK; k++ {
-		if res := refFitMixtureEM(samples, k, cfg); res.BIC < best.BIC {
+	best := fits[0]
+	for _, res := range fits[1:] {
+		if res.BIC < best.BIC {
 			best = res
 		}
 	}
 	best.Mixture = tidyMixture(best.Mixture, cfg)
-	best.LogLikelihood = MixtureLogLikelihood(samples, best.Mixture, cfg.Period)
+	best.LogLikelihood = refLogLikelihood(samples, best.Mixture, cfg.Period)
 	best.BIC = bicScore(len(best.Mixture), len(samples), best.LogLikelihood)
 	return best
 }
@@ -626,9 +661,12 @@ func sameBits(got, want EMResult) string {
 }
 
 // TestEMTableMatchesPerSampleEM: tabulating EM per distinct value must
-// give the per-sample fit bit for bit — for FitMixtureEM at every k and
-// for SelectMixture — on integer placement zones, non-integer draws,
-// all-equal samples, a mix of +0 and -0, and all-distinct samples.
+// give the per-sample fit bit for bit — for FitMixtureEM at k = 1..8, so
+// the 3k+1 E-step columns (4 … 25) and the k variance columns end a
+// column block at every remainder, for MixtureLogLikelihood, and for
+// SelectMixture up to maxK 4 and 6 at workers 1, 2 and 7 — on integer
+// placement zones, non-integer draws, all-equal samples, a mix of +0 and
+// -0, and all-distinct samples.
 func TestEMTableMatchesPerSampleEM(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(19))
@@ -679,33 +717,102 @@ func TestEMTableMatchesPerSampleEM(t *testing.T) {
 	}
 	for _, in := range inputs {
 		for ci, cfg := range cfgs {
-			for k := 1; k <= 4; k++ {
+			var refs []EMResult
+			for k := 1; k <= 8; k++ {
 				got, err := FitMixtureEM(in.samples, k, cfg)
 				var deg *FitDegradedError
 				if err != nil && !errors.As(err, &deg) {
 					t.Fatal(err)
 				}
-				if diff := sameBits(got, refFitMixtureEM(in.samples, k, cfg)); diff != "" {
+				refs = append(refs, refFitMixtureEM(in.samples, k, cfg))
+				if diff := sameBits(got, refs[k-1]); diff != "" {
 					t.Errorf("%s cfg %d FitMixtureEM k=%d: %s", in.name, ci, k, diff)
 				}
+				ll := MixtureLogLikelihood(in.samples, got.Mixture, cfg.Period)
+				if want := refLogLikelihood(in.samples, got.Mixture, cfg.Period); math.Float64bits(ll) != math.Float64bits(want) {
+					t.Errorf("%s cfg %d MixtureLogLikelihood k=%d = %v, want %v", in.name, ci, k, ll, want)
+				}
 			}
-			got, err := SelectMixture(in.samples, 4, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff := sameBits(got, refSelectMixture(in.samples, 4, cfg)); diff != "" {
-				t.Errorf("%s cfg %d SelectMixture: %s", in.name, ci, diff)
+			for _, maxK := range []int{4, 6} {
+				want := refSelectMixture(in.samples, refs[:maxK], cfg)
+				for _, workers := range []int{1, 2, 7} {
+					cfg := cfg
+					cfg.Parallelism = workers
+					got, err := SelectMixture(in.samples, maxK, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if diff := sameBits(got, want); diff != "" {
+						t.Errorf("%s cfg %d SelectMixture maxK=%d workers=%d: %s", in.name, ci, maxK, workers, diff)
+					}
+				}
 			}
 		}
 	}
 }
 
-// BenchmarkEMSelection measures EM with BIC model selection on 5,600
-// integer placement zones in four peaks, the shape of the scale-4 Table I
-// crowd: the Americas around zone index 5 (UTC-7), Brazil at 9 (UTC-3),
-// Europe at 13 (UTC+1) and Japan at 21 (UTC+9). Users interleave across
-// peaks as they do in sorted-user order.
-func BenchmarkEMSelection(b *testing.B) {
+// FuzzEMTableMatchesPerSample: on any short sample sequence over a small
+// value set (±0, integer zones, non-integers, a value past the period), at
+// k = 1..6 and either clamp setting, FitMixtureEM, MixtureLogLikelihood
+// and SelectMixture must equal the per-sample definition in every bit.
+// The first byte picks k and the config; each further byte one value.
+func FuzzEMTableMatchesPerSample(f *testing.F) {
+	values := []float64{0, math.Copysign(0, -1), 1, 2.5, 7, 7.25, 12, 13.5, 19, 23, 23.75, 30}
+	f.Add([]byte{0x03, 1, 2, 4, 4, 4, 6, 7, 7, 9, 2, 0, 1})
+	f.Add([]byte{0x15, 0, 1, 0, 1, 0, 1, 2, 3})
+	f.Add([]byte{0x00, 5})
+	f.Add([]byte{0x2b, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 10})
+	cfgs := []EMConfig{
+		{Period: 24},
+		{Period: 24, MinSigma: 3.0, MaxSigma: 3.2, Tol: 1e-12},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 65 {
+			return
+		}
+		k := int(data[0]%6) + 1
+		cfg := cfgs[int(data[0]/6)%len(cfgs)]
+		samples := make([]float64, len(data)-1)
+		for i, b := range data[1:] {
+			samples[i] = values[int(b)%len(values)]
+		}
+		got, err := FitMixtureEM(samples, k, cfg)
+		if len(samples) < k {
+			if err == nil {
+				t.Fatalf("k=%d on %d samples: no error", k, len(samples))
+			}
+			return
+		}
+		var deg *FitDegradedError
+		if err != nil && !errors.As(err, &deg) {
+			t.Fatal(err)
+		}
+		var refs []EMResult
+		for j := 1; j <= k; j++ {
+			refs = append(refs, refFitMixtureEM(samples, j, cfg))
+		}
+		if diff := sameBits(got, refs[k-1]); diff != "" {
+			t.Fatalf("FitMixtureEM k=%d on %v: %s", k, samples, diff)
+		}
+		ll := MixtureLogLikelihood(samples, got.Mixture, cfg.Period)
+		if want := refLogLikelihood(samples, got.Mixture, cfg.Period); math.Float64bits(ll) != math.Float64bits(want) {
+			t.Fatalf("MixtureLogLikelihood = %v, want %v", ll, want)
+		}
+		sel, err := SelectMixture(samples, k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameBits(sel, refSelectMixture(samples, refs, cfg)); diff != "" {
+			t.Fatalf("SelectMixture maxK=%d on %v: %s", k, samples, diff)
+		}
+	})
+}
+
+// tableIZones is 5,600 integer placement zones in four peaks, the shape of
+// the scale-4 Table I crowd: the Americas around zone index 5 (UTC-7),
+// Brazil at 9 (UTC-3), Europe at 13 (UTC+1) and Japan at 21 (UTC+9).
+// Users interleave across peaks as they do in sorted-user order.
+func tableIZones() []float64 {
 	peaks := []int{5, 9, 13, 21}
 	weights := []int{4, 1, 4, 1} // users per round, per peak
 	spread := []int{0, 1, -1, 0, 2, 0, -1, 1, -2, 0, 1, -1, 0}
@@ -718,11 +825,67 @@ func BenchmarkEMSelection(b *testing.B) {
 			}
 		}
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SelectMixture(samples, 4, EMConfig{Period: 24}); err != nil {
-			b.Fatal(err)
+	return samples
+}
+
+// forumZones is 1,354 integer placement zones with the histogram of the
+// five forum crowds merged (the benchmark's serve-query crowd at seed 1),
+// interleaved across zones by smooth weighted round robin: every user
+// takes the zone furthest behind its share. On these samples EM runs k=4
+// to MaxIter, k=3 for 132 iterations and k=2 for 32.
+func forumZones() []float64 {
+	counts := []int{0, 0, 27, 82, 120, 281, 94, 21, 62, 21, 0, 78, 230, 106, 104, 102, 26, 0, 0, 0, 0, 0, 0, 0}
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	credit := make([]int, len(counts))
+	samples := make([]float64, total)
+	for i := range samples {
+		best := 0
+		for z, c := range counts {
+			credit[z] += c
+			if credit[z] > credit[best] {
+				best = z
+			}
 		}
+		credit[best] -= total
+		samples[i] = float64(best)
+	}
+	return samples
+}
+
+// BenchmarkEMSelection measures EM with BIC model selection up to k=4 on
+// two crowds' placement zones: tableI is the batch shape (tableIZones),
+// forums the crowd every serve-query refit fits (forumZones).
+func BenchmarkEMSelection(b *testing.B) {
+	for _, in := range []struct {
+		name    string
+		samples []float64
+	}{
+		{"tableI", tableIZones()},
+		{"forums", forumZones()},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SelectMixture(in.samples, 4, EMConfig{Period: 24}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestForumZonesRunToMaxIter pins the property that makes forumZones the
+// refit's worst case: k=4 spends all of MaxIter without converging.
+func TestForumZonesRunToMaxIter(t *testing.T) {
+	t.Parallel()
+	res, err := FitMixtureEM(forumZones(), 4, EMConfig{Period: 24})
+	var deg *FitDegradedError
+	if !errors.As(err, &deg) || res.Converged || res.Iterations != 200 {
+		t.Fatalf("k=4 on forumZones: %d iterations, converged %v, err %v; want 200, false, max-iterations",
+			res.Iterations, res.Converged, err)
 	}
 }
 
@@ -773,7 +936,7 @@ func TestSelectMixtureLowestFailingKWins(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	samples := sampleMixture(rng, Mixture{{Weight: 1, Mean: 8, Sigma: 2.5}}, 200)
 	errK2, errK3 := errors.New("k2 failed"), errors.New("k3 failed")
-	fit := func(samples []float64, k int, cfg EMConfig) (EMResult, error) {
+	fit := func(tab *EMTable, k int, cfg EMConfig) (EMResult, error) {
 		switch k {
 		case 2:
 			time.Sleep(5 * time.Millisecond)
@@ -781,12 +944,77 @@ func TestSelectMixtureLowestFailingKWins(t *testing.T) {
 		case 3:
 			return EMResult{}, errK3
 		}
-		return FitMixtureEM(samples, k, cfg)
+		return tab.FitMixture(k, cfg)
 	}
 	for _, workers := range []int{1, 2, 7} {
 		_, err := selectMixture(samples, 4, EMConfig{Period: 24, Parallelism: workers}, fit)
 		if !errors.Is(err, errK2) || !strings.Contains(err.Error(), "k=2") {
 			t.Fatalf("workers %d: err = %v, want the k=2 error", workers, err)
 		}
+	}
+}
+
+// TestSelectMixtureTimeShift is the paper's time-shift relation on the
+// mixture: moving every placement zone by s zones (mod 24) moves every
+// selected mean by s and leaves k and every weight unchanged, for
+// s = 1..23, on tableIZones and on a two-peak crowd of integer zones.
+//
+// The match is not bit for bit: a shifted zone's angle is another
+// sin/cos pair, rounded differently, so every EM iterate carries other
+// low bits. The drift measured here is below 2e-13 zones and 5e-15 in
+// weight. The tolerances allow the Tol stop to fall one iteration
+// earlier or later: a step whose log-likelihood gain is Tol = 1e-7 moves
+// a mean by about sqrt(2·Tol·σ²/n) ≈ 1e-5 zones and a weight by about
+// sqrt(2·Tol·w(1−w)/n) ≈ 5e-6 at n = 2,000 and σ = 1.3. A real failure
+// (a lost or split component, another k, a mean off by a zone) exceeds
+// both tolerances by orders of magnitude.
+func TestSelectMixtureTimeShift(t *testing.T) {
+	t.Parallel()
+	const meanTol, weightTol = 1e-3, 1e-4
+	rng := rand.New(rand.NewSource(23))
+	twoPeaks := sampleMixture(rng, Mixture{
+		{Weight: 0.65, Mean: 6, Sigma: 2},
+		{Weight: 0.35, Mean: 16, Sigma: 1.8},
+	}, 2000)
+	for i, x := range twoPeaks {
+		twoPeaks[i] = math.Mod(math.Round(x), 24)
+	}
+	for _, in := range []struct {
+		name    string
+		samples []float64
+	}{
+		{"tableI", tableIZones()},
+		{"two-peaks", twoPeaks},
+	} {
+		base, err := SelectMixture(in.samples, 4, EMConfig{Period: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shifted := make([]float64, len(in.samples))
+		var worstMean, worstWeight float64
+		for s := 1; s < 24; s++ {
+			for i, x := range in.samples {
+				shifted[i] = math.Mod(x+float64(s), 24)
+			}
+			got, err := SelectMixture(shifted, 4, EMConfig{Period: 24})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Mixture) != len(base.Mixture) {
+				t.Errorf("%s shift %d: k = %d, want %d", in.name, s, len(got.Mixture), len(base.Mixture))
+				continue
+			}
+			for j, g := range got.Mixture {
+				want := base.Mixture[j]
+				dm := math.Abs(CircularDiff(g.Mean, want.Mean+float64(s), 24))
+				dw := math.Abs(g.Weight - want.Weight)
+				worstMean, worstWeight = math.Max(worstMean, dm), math.Max(worstWeight, dw)
+				if dm > meanTol || dw > weightTol {
+					t.Errorf("%s shift %d component %d: %+v, want mean %g and weight %g",
+						in.name, s, j, g, math.Mod(want.Mean+float64(s), 24), want.Weight)
+				}
+			}
+		}
+		t.Logf("%s: k=%d, worst mean drift %.3g zones, worst weight drift %.3g", in.name, len(base.Mixture), worstMean, worstWeight)
 	}
 }
